@@ -46,6 +46,7 @@ from .syntax import (  # noqa: F401
 from .parser import ParseError, parse, parse_definition  # noqa: F401
 from .desugar import DesugarError, FragmentReport, check_core_fragment, desugar  # noqa: F401
 from .engine import (  # noqa: F401
+    BudgetExhausted,
     GroundMessage,
     ModelError,
     Redex,
@@ -60,6 +61,8 @@ from .engine import (  # noqa: F401
     is_inert,
     reduce,
     run,
+    search,
+    settle,
     valued_reaction,
 )
 from .canon import CanonicalForm, canonicalize, congruent  # noqa: F401

@@ -102,50 +102,6 @@ def _sorted_names(names: Iterable[Name]) -> List[Name]:
     return sorted(set(names), key=lambda n: (n.base, n.index))
 
 
-def _body_names(p: Process, bound: set[Name]):
-    match p:
-        case Message(ch, args):
-            if ch not in bound:
-                yield ch
-            for a in args:
-                yield from _expr_names(a, bound)
-        case LocalDef(d, body):
-            inner = set(bound)
-            for r in rules_of(d):
-                for h in pattern_atoms(r.pattern):
-                    inner.add(h.channel)
-            for r in rules_of(d):
-                rb = set(inner)
-                for h in pattern_atoms(r.pattern):
-                    rb.update(h.binders)
-                yield from _body_names(r.body, rb)
-            yield from _body_names(body, inner)
-        case Parallel(l, r):
-            yield from _body_names(l, bound)
-            yield from _body_names(r, bound)
-        case Conditional(a, b, t, o):
-            yield from _expr_names(a, bound)
-            yield from _expr_names(b, bound)
-            yield from _body_names(t, bound)
-            yield from _body_names(o, bound)
-        case _:
-            return
-
-
-def _expr_names(e: Expression, bound: set[Name]):
-    match e:
-        case NameRef(n):
-            if n not in bound:
-                yield n
-        case Concat(l, r):
-            yield from _expr_names(l, bound)
-            yield from _expr_names(r, bound)
-        case Proj(inner, _):
-            yield from _expr_names(inner, bound)
-        case _:
-            return
-
-
 # ---------------------------------------------------------------------------
 # serialization with occurrence slots
 #

@@ -22,7 +22,7 @@ from importlib import resources as importlib_resources
 from . import __version__
 from .contexts import Context, load_context, save_context
 from .detector import DetectionVerdict, FragmentViolation, detect_via_coverability, explore, viral_set_member
-from .engine import inject, run
+from .engine import BudgetExhausted, inject, run
 from .parser import ParseError, parse
 from .petri import coverable, parse_net
 from .policy import (
@@ -52,6 +52,8 @@ _VERDICT_EXIT = {
     "budget_exhausted": EXIT_BUDGET,
     "observed": EXIT_VULNERABLE,
     "not_observed": EXIT_OK,
+    "satisfied_to_depth": EXIT_OK,
+    "violated": EXIT_VULNERABLE,
 }
 
 
@@ -151,7 +153,6 @@ def cmd_detect(args) -> int:
                 max_states=args.max_states,
                 max_steps_per_branch=args.max_depth,
                 self_channel=self_ch,
-                workers=args.workers,
             )
     except FragmentViolation as e:
         print(str(e), file=sys.stderr)
@@ -201,7 +202,7 @@ def cmd_policy(args) -> int:
             print(f"  evolved-only traces:  {[tuple(map(str, o)) for o in only_b]}")
         for note in verdict.notes:
             print(f"note: {note}")
-        return EXIT_OK if verdict.satisfied else EXIT_VULNERABLE
+        return _VERDICT_EXIT[verdict.outcome]
     if args.policy_cmd == "tokenize":
         mode, _, count = args.mode.partition(":")
         policy = TokenPolicy(
@@ -285,7 +286,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=int, default=400)
     p.add_argument("--iterations", type=int, default=0, help="check iterated replication K times")
     p.add_argument("--self-channel", help="abstraction channel base, when not inferable")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--trace", help="write the witness trace to this file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_detect)
@@ -335,6 +335,9 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(str(e), file=sys.stderr)
         return EXIT_PARSE
+    except BudgetExhausted as e:
+        print(str(e), file=sys.stderr)
+        return EXIT_BUDGET
     except BrokenPipeError:
         return EXIT_OK
 

@@ -102,11 +102,6 @@ def desugar(p: Process) -> Process:
     return _proc(p, _Renv(), gen)
 
 
-def desugar_definition(d: Definition, start_index: int = -1) -> Definition:
-    gen = _Gen(max(start_index, _max_index(d)))
-    return _defs(d, _Renv(), gen)
-
-
 def _defs(d: Definition, renv: _Renv, gen: _Gen) -> Definition:
     return conj_of([_rule(r, renv, gen) for r in rules_of(d)])
 

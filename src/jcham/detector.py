@@ -18,8 +18,6 @@ fragment by reduction to Petri-net coverability.
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence as Seq, Tuple
 
@@ -27,15 +25,19 @@ from .canon import canonicalize
 from .contexts import Context
 from .desugar import FragmentReport, check_core_fragment, desugar
 from .engine import (
+    CUT,
+    BudgetExhausted,
+    DetectionStats,
     GroundMessage,
     Redex,
     Soup,
     Trace,
     TraceStep,
-    enabled_redexes,
     inject,
     inject_message,
     reduce_with_info,
+    search,
+    settle,
 )
 from .malware import abstraction_channel
 from .petri import Marking, PetriNet, Transition, coverable
@@ -49,6 +51,7 @@ from .syntax import (
     Pair,
     Parallel,
     Process,
+    free_names,
     pattern_atoms,
     rules_of,
     substitute,
@@ -62,19 +65,12 @@ class FragmentViolation(Exception):
         super().__init__(f"program outside the decidable fragment: {kinds}")
 
 
-class ExplosionGuard(Exception):
-    pass
+class ExplosionGuard(BudgetExhausted):
+    """Grounding would instantiate more rules than its budget allows."""
 
 
 class InvalidActivation(Exception):
     pass
-
-
-@dataclass
-class DetectionStats:
-    states_explored: int = 0
-    dedup_hits: int = 0
-    frontier_peak: int = 0
 
 
 @dataclass
@@ -142,18 +138,14 @@ class _Qualifier:
         self.export_bases = set(ctx.exports)
         self.s_bases = set(ctx.service_bases())
         self.known = _defined_bases(plugged_core) | self.s_bases | self.r_bases
-        self._carrier_cache: Dict[int, set[Name]] = {}
-
-    def channel_qualifies(self, ch: Name) -> bool:
-        if ch.base in self.r_bases or ch.base in self.export_bases:
-            return True
-        return ch.base not in self.known
+        # id(rules) -> (rules, carriers); holding the tuple keeps its id from
+        # being reused while the entry lives
+        self._carrier_cache: Dict[int, Tuple[tuple, set[Name]]] = {}
 
     def _carriers(self, soup: Soup) -> set[Name]:
-        key = id(soup.rules)
-        hit = self._carrier_cache.get(key)
-        if hit is not None:
-            return hit
+        hit = self._carrier_cache.get(id(soup.rules))
+        if hit is not None and hit[0] is soup.rules:
+            return hit[1]
         assert self.self_base is not None
         viral_names: set[Name] = set()
         carriers: set[Name] = set()
@@ -166,13 +158,14 @@ class _Qualifier:
                 ch = r.heads[0].channel
                 if ch.base == "k" or ch in carriers:
                     continue
-                for n in _rule_body_names(r):
+                binders = {b for h in r.heads for b in h.binders}
+                for n in free_names(r.body) - binders:
                     if n.base == self.self_base or n in viral_names:
                         carriers.add(ch)
                         viral_names.add(ch)
                         changed = True
                         break
-        self._carrier_cache[key] = carriers
+        self._carrier_cache[id(soup.rules)] = (soup.rules, carriers)
         return carriers
 
     def _payload_viral(self, atom: Atom, soup: Soup) -> bool:
@@ -228,15 +221,6 @@ class _Qualifier:
         return None
 
 
-def _rule_body_names(rule) -> List[Name]:
-    from .canon import _body_names
-
-    bound = set()
-    for h in rule.heads:
-        bound.update(h.binders)
-    return list(_body_names(rule.body, bound))
-
-
 def _prepare(ctx: Context, p: Process, self_channel: Optional[Name]):
     plugged = ctx.plug(p)
     core = desugar(plugged)
@@ -252,35 +236,12 @@ def _prepare(ctx: Context, p: Process, self_channel: Optional[Name]):
     return soup, emitted, qual
 
 
-@dataclass
-class _Node:
-    soup: Soup
-    depth: int
-    parent: Optional[str]
-    step: Optional[TraceStep]
-
-
-def _witness(nodes: Dict[str, _Node], digest: str, initial: Soup, extra: Optional[TraceStep] = None) -> Trace:
-    steps: List[TraceStep] = []
-    cur: Optional[str] = digest
-    while cur is not None:
-        node = nodes[cur]
-        if node.step is not None:
-            steps.append(node.step)
-        cur = node.parent
-    steps.reverse()
-    if extra is not None:
-        steps.append(extra)
-    return Trace(initial=initial, seed=0, steps=steps)
-
-
 def explore(
     ctx: Context,
     p: Process,
     max_states: int = 10_000,
     max_steps_per_branch: int = 400,
     self_channel: Optional[Name] = None,
-    workers: int = 1,
 ) -> DetectionVerdict:
     """Exhaustive breadth-first search for a qualifying emission.
 
@@ -290,11 +251,8 @@ def explore(
     instead of ``not_vulnerable`` whenever a budget trips with work left.
     """
     soup0, emitted0, qual = _prepare(ctx, p, self_channel)
-    stats = DetectionStats()
+    stats = DetectionStats(states_explored=1)
     notes = [_CLAUSE_NOTE]
-    d0 = canonicalize(soup0).digest
-    nodes: Dict[str, _Node] = {d0: _Node(soup0, 0, None, None)}
-    stats.states_explored = 1
     hit0 = next((m for m in emitted0 if qual.emission_hit(m, soup0)), None)
     if hit0 is not None:
         return DetectionVerdict(
@@ -304,52 +262,17 @@ def explore(
             notes + [f"initial configuration already emits {hit0}"],
         )
 
-    frontier: deque[str] = deque([d0])
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    def hit(edge):
+        return qual.step_hit(edge.step.redex.matched, edge.step.emitted, edge.soup)
+
     try:
-        while frontier:
-            stats.frontier_peak = max(stats.frontier_peak, len(frontier))
-            level = list(frontier)
-            frontier.clear()
-
-            def expand(digest: str):
-                node = nodes[digest]
-                out = []
-                for r in enabled_redexes(node.soup):
-                    s2, emitted = reduce_with_info(node.soup, r)
-                    out.append((digest, r, s2, emitted))
-                return out
-
-            if pool is not None:
-                batches = list(pool.map(expand, level))
-            else:
-                batches = [expand(d) for d in level]
-
-            for batch in batches:
-                for parent_digest, r, s2, emitted in batch:
-                    parent = nodes[parent_digest]
-                    d2 = canonicalize(s2).digest
-                    step = TraceStep(r.label, r, emitted, d2[:16])
-                    hit = qual.step_hit(r.matched, emitted, s2)
-                    if hit is not None:
-                        return DetectionVerdict(
-                            "vulnerable",
-                            _witness(nodes, parent_digest, soup0, extra=step),
-                            stats,
-                            notes + [f"replication event {hit}"],
-                        )
-                    if d2 in nodes:
-                        stats.dedup_hits += 1
-                        continue
-                    if stats.states_explored >= max_states or parent.depth + 1 > max_steps_per_branch:
-                        return DetectionVerdict("budget_exhausted", None, stats, notes)
-                    nodes[d2] = _Node(s2, parent.depth + 1, parent_digest, step)
-                    stats.states_explored += 1
-                    frontier.append(d2)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
-    return DetectionVerdict("not_vulnerable", None, stats, notes)
+        found = search([soup0], max_states, max_steps_per_branch, stats=stats, visit=hit)
+    except BudgetExhausted as e:
+        return DetectionVerdict("budget_exhausted", None, stats, notes + [str(e)])
+    if found is None:
+        return DetectionVerdict("not_vulnerable", None, stats, notes)
+    edge, event = found
+    return DetectionVerdict("vulnerable", edge.trace(), stats, notes + [f"replication event {event}"])
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +292,11 @@ def viral_set_member(
     executed, and each activation of an infected resource must replicate
     again, ``iterations`` times in total.
 
-    Activation messages are sent on resource exec channels with fresh inert
-    arguments, so they cannot simulate viral activity themselves.
+    Each iteration searches from every configuration the previous one
+    completed in, for the program's abstraction firing and a replication
+    event following it.  Activation messages are sent on resource exec
+    channels with fresh inert arguments, so they cannot simulate viral
+    activity themselves.  The state budget is shared by all iterations.
     """
     if iterations < 2:
         raise ValueError("viable replication is defined for at least 2 iterations")
@@ -386,8 +312,16 @@ def viral_set_member(
             if a.base not in exec_bases:
                 raise InvalidActivation(f"{a} is not a resource exec channel")
 
+    def fired(phase: bool, r: Redex, s2: Soup, emitted) -> bool:
+        """Whether the program's abstraction has fired on the way here."""
+        return phase or any(m.channel.base == qual.self_base for m in r.matched)
+
     stats = DetectionStats()
     notes = [_CLAUSE_NOTE, "activations use fresh inert arguments"]
+    # a budget that trips with some completions found leaves the next
+    # iterations searching from a partial start set: none may then report
+    # not_vulnerable
+    tripped: Optional[BudgetExhausted] = None
     witness: Optional[Trace] = None
     states = [soup0]
     for it in range(iterations):
@@ -406,81 +340,30 @@ def viral_set_member(
                     starts.append(
                         inject_message(s, ch, (Name(f"act{it}"), Name(f"act_done{it}")))
                     )
-            if not starts:
-                return DetectionVerdict("not_vulnerable", None, stats, notes)
-        found, witness, budget_hit = _find_replication(starts, qual, stats, max_states, max_steps_per_branch)
-        if not found:
-            outcome = "budget_exhausted" if budget_hit else "not_vulnerable"
-            return DetectionVerdict(outcome, None, stats, notes + [f"iteration {it + 1} failed"])
-        states = found
+        completed: List[Soup] = []
+        traces: List[Trace] = []
+
+        def replicated(edge):
+            if not edge.label or qual.step_hit(edge.step.redex.matched, edge.step.emitted, edge.soup) is None:
+                return None
+            if not traces:
+                traces.append(edge.trace())
+            completed.append(settle(edge.soup, 400)[0])
+            return CUT
+
+        try:
+            search(starts, max_states, max_steps_per_branch, stats=stats,
+                   label=fired, root_label=False, visit=replicated)
+        except BudgetExhausted as e:
+            tripped = e
+        if not completed:
+            outcome = "budget_exhausted" if tripped else "not_vulnerable"
+            budget_note = [str(tripped)] if tripped else []
+            return DetectionVerdict(outcome, None, stats, notes + budget_note + [f"iteration {it + 1} failed"])
+        states = completed
+        witness = traces[0]
         notes.append(f"iteration {it + 1} replicated")
     return DetectionVerdict("vulnerable", witness, stats, notes)
-
-
-def _find_replication(
-    starts: List[Soup],
-    qual: _Qualifier,
-    stats: DetectionStats,
-    max_states: int,
-    max_steps_per_branch: int,
-) -> Tuple[Optional[List[Soup]], Optional[Trace], bool]:
-    """Search from the given soups for the two chained reactions: the
-    program's abstraction fires, then a replication event follows.
-    Returns the completed states (first hit plus alternatives), a replayable
-    witness for the first hit, and whether a budget tripped.
-    """
-    self_base = qual.self_base
-    assert self_base is not None
-    seen: set[tuple[str, int]] = set()
-    queue: deque[tuple[Soup, int, int, tuple[TraceStep, ...]]] = deque()
-    budget_hit = False
-    for i, s in enumerate(starts):
-        d = canonicalize(s).digest
-        if (d, 0) not in seen:
-            seen.add((d, 0))
-            queue.append((s, i, 0, ()))
-    results: List[Soup] = []
-    witness: Optional[Trace] = None
-    while queue:
-        soup, origin, phase, steps = queue.popleft()
-        if len(steps) >= max_steps_per_branch:
-            budget_hit = True
-            continue
-        for r in enabled_redexes(soup):
-            s2, emitted = reduce_with_info(soup, r)
-            new_phase = phase
-            if phase == 0 and any(m.channel.base == self_base for m in r.matched):
-                new_phase = 1
-            if new_phase == 1:
-                hit = qual.step_hit(r.matched, emitted, s2)
-                if hit is not None:
-                    step = TraceStep(r.label, r, emitted, canonicalize(s2).digest[:16])
-                    if witness is None:
-                        witness = Trace(initial=starts[origin].copy(), seed=0, steps=list(steps) + [step])
-                    results.append(_settle(s2))
-                    continue
-            d2 = canonicalize(s2).digest
-            if (d2, new_phase) in seen:
-                stats.dedup_hits += 1
-                continue
-            seen.add((d2, new_phase))
-            stats.states_explored += 1
-            if stats.states_explored > max_states:
-                return (results or None), witness, True
-            step = TraceStep(r.label, r, emitted, d2[:16])
-            queue.append((s2, origin, new_phase, steps + (step,)))
-    return (results or None), witness, budget_hit
-
-
-def _settle(soup: Soup, max_steps: int = 400) -> Soup:
-    """Run deterministically to an inert configuration (or budget)."""
-    cur = soup
-    for _ in range(max_steps):
-        rs = enabled_redexes(cur)
-        if not rs:
-            break
-        cur, _ = reduce_with_info(cur, rs[0])
-    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +430,7 @@ def ground(p: Process, max_instances: int = 1_000_000) -> GroundSystem:
         for combo in _assignments(len(binders), atoms):
             total += 1
             if total > max_instances:
-                raise ExplosionGuard(f"more than {max_instances} rule instances")
+                raise ExplosionGuard("max_instances", max_instances)
             binding = dict(zip(binders, combo))
             guard = tuple(
                 GroundMessage(h.channel, tuple(binding[b] for b in h.binders)) for h in rule.heads

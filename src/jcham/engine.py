@@ -16,9 +16,9 @@ replicated server.
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .desugar import desugar
 from .syntax import (
@@ -52,6 +52,16 @@ class ModelError(Exception):
 
 class StaleRedex(Exception):
     """The redex refers to messages no longer present in the soup."""
+
+
+class BudgetExhausted(Exception):
+    """A bounded analysis stopped with work left, so it has no answer;
+    ``budget`` names the limit that tripped."""
+
+    def __init__(self, budget: str, limit: int):
+        super().__init__(f"budget {budget}={limit} exhausted")
+        self.budget = budget
+        self.limit = limit
 
 
 @dataclass(frozen=True)
@@ -381,6 +391,123 @@ def run(soup: Soup, seed: int, max_steps: int) -> Trace:
     return trace
 
 
+def settle(soup: Soup, max_steps: int) -> tuple[Soup, bool]:
+    """Fire the first enabled redex until the soup is inert or ``max_steps``
+    reductions were made; also says whether it was found inert."""
+    cur = soup
+    for _ in range(max_steps):
+        rs = enabled_redexes(cur)
+        if not rs:
+            return cur, True
+        cur, _ = reduce_with_info(cur, rs[0])
+    return cur, False
+
+
+# ---------------------------------------------------------------------------
+# state-space search
+
+
+@dataclass
+class DetectionStats:
+    states_explored: int = 0
+    dedup_hits: int = 0
+    frontier_peak: int = 0
+
+
+# a ``search`` visitor returns this to drop an edge without deduplicating it
+CUT = object()
+
+
+@dataclass
+class Edge:
+    """One reduction out of a searched state, shown to the visitor before
+    the state it reaches is deduplicated."""
+
+    soup: Soup
+    step: TraceStep
+    label: Hashable
+    parent: tuple
+    tree: dict = field(repr=False)
+
+    def trace(self) -> Trace:
+        """The reductions from the search's start soup to this edge, replayable."""
+        steps = [self.step]
+        entry = self.tree[self.parent]
+        while not isinstance(entry, Soup):
+            key, step = entry
+            steps.append(step)
+            entry = self.tree[key]
+        return Trace(initial=entry.copy(), seed=0, steps=steps[::-1])
+
+
+def search(
+    starts: Sequence[Soup],
+    max_states: int,
+    max_depth: Optional[int] = None,
+    horizon: Optional[int] = None,
+    stats: Optional[DetectionStats] = None,
+    label: Optional[Callable] = None,
+    root_label: Hashable = None,
+    visit: Optional[Callable[[Edge], object]] = None,
+) -> Optional[tuple[Edge, object]]:
+    """Breadth-first walk of the soups reachable from ``starts``.
+
+    A state's key is its canonical digest joined with a caller label:
+    ``root_label`` at the starts, ``label(parent_label, redex, soup,
+    emitted)`` along each edge.  Every edge goes to ``visit`` before its
+    state is deduplicated; ``visit`` answers None to go on, :data:`CUT` to
+    drop the edge, or anything else to end the search, and ``search`` then
+    returns ``(edge, answer)``.  It returns None once the space is
+    exhausted.
+
+    ``horizon`` is part of the question: states that deep are kept but not
+    expanded.  ``max_depth`` and ``max_states`` are budgets: a new state
+    deeper than ``max_depth``, or a new state when ``stats`` already counts
+    ``max_states`` (start soups are not counted), raises
+    :class:`BudgetExhausted` naming that budget.
+    """
+    from .canon import canonicalize
+
+    stats = stats if stats is not None else DetectionStats()
+    tree: dict = {}  # key -> its start soup, or (parent key, step)
+    queue: deque = deque()
+    for s in starts:
+        key = (canonicalize(s).digest, root_label)
+        if key not in tree:
+            tree[key] = s
+            queue.append((key, s, 0))
+    level = -1
+    while queue:
+        key, soup, depth = queue.popleft()
+        if depth != level:
+            level = depth
+            stats.frontier_peak = max(stats.frontier_peak, len(queue) + 1)
+        if depth == horizon:
+            continue
+        for r in enabled_redexes(soup):
+            s2, emitted = reduce_with_info(soup, r)
+            lab = label(key[1], r, s2, emitted) if label is not None else root_label
+            digest = canonicalize(s2).digest
+            edge = Edge(s2, TraceStep(r.label, r, emitted, digest[:16]), lab, key, tree)
+            answer = visit(edge) if visit is not None else None
+            if answer is CUT:
+                continue
+            if answer is not None:
+                return edge, answer
+            key2 = (digest, lab)
+            if key2 in tree:
+                stats.dedup_hits += 1
+                continue
+            if max_depth is not None and depth + 1 > max_depth:
+                raise BudgetExhausted("max_depth", max_depth)
+            if stats.states_explored >= max_states:
+                raise BudgetExhausted("max_states", max_states)
+            tree[key2] = (key, edge.step)
+            stats.states_explored += 1
+            queue.append((key2, s2, depth + 1))
+    return None
+
+
 # ---------------------------------------------------------------------------
 # observation predicates
 
@@ -420,34 +547,15 @@ def message_observable(msg: GroundMessage, channel: Name, value: Optional[Atom])
 
 def barb(soup: Soup, channel: Name, value: Optional[Atom] = None, depth: int = 8, max_states: int = 4000) -> bool:
     """Can some soup reachable within ``depth`` reductions show a message on
-    ``channel`` (carrying ``value``, when given)?"""
-    from .canon import canonicalize
+    ``channel`` (carrying ``value``, when given)?  Raises
+    :class:`BudgetExhausted` when ``max_states`` trips first."""
 
     def shows(s: Soup) -> bool:
         return any(message_observable(m, channel, value) for m in s.messages)
 
     if shows(soup):
         return True
-    seen = {canonicalize(soup).digest}
-    frontier = [soup]
-    for _ in range(depth):
-        nxt: list[Soup] = []
-        for s in frontier:
-            for r in enabled_redexes(s):
-                s2 = reduce(s, r)
-                d = canonicalize(s2).digest
-                if d in seen:
-                    continue
-                seen.add(d)
-                if shows(s2):
-                    return True
-                nxt.append(s2)
-                if len(seen) > max_states:
-                    return False
-        if not nxt:
-            return False
-        frontier = nxt
-    return False
+    return search([soup], max_states, horizon=depth, visit=lambda e: shows(e.soup) or None) is not None
 
 
 def valued_reaction(soup: Soup, channel: Name, value: Atom) -> Optional[Soup]:

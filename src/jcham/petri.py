@@ -14,6 +14,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from .engine import BudgetExhausted
+
 
 @dataclass(frozen=True)
 class Marking:
@@ -127,7 +129,7 @@ def coverable(
                     parent.setdefault(pm, (ti, m))
                     new_frontier.append(pm)
                     if len(parent) > max_basis:
-                        raise RuntimeError("backward basis exploded")
+                        raise BudgetExhausted("max_basis", max_basis)
         still_minimal = set(basis)
         frontier = [m for m in new_frontier if m in still_minimal]
     hits = [b for b in basis if b.leq(init)]

@@ -21,14 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence as Seq, Tuple
 
-from .canon import canonicalize
 from .contexts import Context, TokenGuard, _validate
 from .engine import (
+    BudgetExhausted,
     GroundMessage,
+    Redex,
     Soup,
     enabled_redexes,
     inject,
-    reduce_with_info,
+    search,
+    settle,
 )
 from .syntax import (
     Atom,
@@ -418,40 +420,25 @@ def _observable(soup: Soup, ctx: Context, m: GroundMessage) -> bool:
 
 def observable_traces(soup: Soup, ctx: Context, depth: int, max_paths: int = 20_000) -> frozenset:
     """All sequences of observable emissions along reductions of length
-    <= depth, as a set (the bounded trace semantics used for equivalence)."""
-    out: set[tuple] = set()
-    seen: set[tuple] = set()
-    start = (canonicalize(soup).digest, ())
-    stack: List[Tuple[Soup, tuple, int]] = [(soup, (), 0)]
-    seen.add(start)
-    out.add(())
-    paths = 0
-    while stack:
-        s, obs, d = stack.pop()
-        if d >= depth:
-            continue
-        for r in enabled_redexes(s):
-            s2, emitted = reduce_with_info(s, r)
-            obs2 = obs + tuple(
-                Observation(m.channel.base, tuple(_normalize_atom(a) for a in m.args))
-                for m in emitted
-                if _observable(s2, ctx, m)
-            )
-            key = (canonicalize(s2).digest, obs2)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.add(obs2)
-            paths += 1
-            if paths > max_paths:
-                raise RuntimeError("trace-set exploration exploded")
-            stack.append((s2, obs2, d + 1))
+    <= depth, as a set (the bounded trace semantics used for equivalence).
+    Raises :class:`BudgetExhausted` when more than ``max_paths`` (state,
+    sequence) pairs are reached."""
+
+    def observe(obs: tuple, r: Redex, s2: Soup, emitted: List[GroundMessage]) -> tuple:
+        return obs + tuple(
+            Observation(m.channel.base, tuple(_normalize_atom(a) for a in m.args))
+            for m in emitted
+            if _observable(s2, ctx, m)
+        )
+
+    out: set[tuple] = {()}
+    search([soup], max_paths, horizon=depth, label=observe, root_label=(), visit=lambda e: out.add(e.label))
     return frozenset(out)
 
 
 @dataclass
 class NonInfectionVerdict:
-    outcome: str  # "satisfied_to_depth" | "violated"
+    outcome: str  # "satisfied_to_depth" | "violated" | "budget_exhausted"
     depth: int
     distinguishing: Optional[Tuple[Process, tuple, tuple]] = None
     notes: List[str] = field(default_factory=list)
@@ -459,16 +446,6 @@ class NonInfectionVerdict:
     @property
     def satisfied(self) -> bool:
         return self.outcome == "satisfied_to_depth"
-
-
-def _settle(soup: Soup, budget: int) -> Tuple[Soup, bool]:
-    cur = soup
-    for _ in range(budget):
-        rs = enabled_redexes(cur)
-        if not rs:
-            return cur, True
-        cur, _ = reduce_with_info(cur, rs[0])
-    return cur, False
 
 
 def check_test_harmless(ctx: Context, test: Process) -> None:
@@ -489,14 +466,24 @@ def non_infection_test(
     quiescence_budget: int = 600,
 ) -> NonInfectionVerdict:
     """Compare the environment before and after hosting ``p``, through the
-    eyes of each test process, on observable traces bounded by ``depth``."""
+    eyes of each test process, on observable traces bounded by ``depth``;
+    the outcome is ``budget_exhausted`` when a trace set grows past its
+    budget."""
+    try:
+        return _non_infection(ctx, p, tests, depth, quiescence_budget)
+    except BudgetExhausted as e:
+        return NonInfectionVerdict("budget_exhausted", depth, None, [str(e)])
+
+
+def _non_infection(ctx: Context, p: Process, tests: Seq[Process], depth: int, quiescence_budget: int = 600):
+    """``non_infection_test`` with a tripped budget raised, not reported."""
     null_soup = inject(ctx.plug(Null()))
     if enabled_redexes(null_soup):
         raise UnstableContext("the environment reacts without any plugged process")
     for t in tests:
         check_test_harmless(ctx, t)
 
-    evolved, quiet = _settle(inject(ctx.plug(p)), quiescence_budget)
+    evolved, quiet = settle(inject(ctx.plug(p)), quiescence_budget)
     notes = [] if quiet else [f"quiescence budget hit after {quiescence_budget} steps; comparing at that horizon"]
 
     from .engine import graft
@@ -686,7 +673,8 @@ def _reader_tests(ctx: Context) -> List[Process]:
 
 def enforcement_sound(ctx_guarded: Context, depth: int = 6) -> bool:
     """True when tokenless probes cannot distinguish the environment from an
-    untouched one, i.e. the checks cannot be bypassed without the token."""
+    untouched one, i.e. the checks cannot be bypassed without the token.
+    Raises :class:`BudgetExhausted` when a comparison runs out of budget."""
     if ctx_guarded.guard is not None and ctx_guarded.guard.distributor_base:
         dist = ctx_guarded.guard.distributor_base
         if Name(dist) in ctx_guarded.services:
@@ -702,10 +690,10 @@ def enforcement_sound(ctx_guarded: Context, depth: int = 6) -> bool:
                         Message(Name("probe_done"), ()),
                     ),
                 )
-                verdict = non_infection_test(ctx_guarded, acquire, _reader_tests(ctx_guarded), depth)
+                verdict = _non_infection(ctx_guarded, acquire, _reader_tests(ctx_guarded), depth)
                 return verdict.satisfied
     for probe in _probe_battery(ctx_guarded):
-        verdict = non_infection_test(ctx_guarded, probe, _reader_tests(ctx_guarded), depth)
+        verdict = _non_infection(ctx_guarded, probe, _reader_tests(ctx_guarded), depth)
         if not verdict.satisfied:
             return False
     return True
@@ -713,31 +701,20 @@ def enforcement_sound(ctx_guarded: Context, depth: int = 6) -> bool:
 
 def token_leak_free(ctx_guarded: Context, depth: int = 6, max_states: int = 4000) -> bool:
     """No reachable state shows the token on a published channel when a
-    tokenless probe runs inside."""
+    tokenless probe runs inside.  Raises :class:`BudgetExhausted` when
+    ``max_states`` trips before ``depth`` is covered."""
     if ctx_guarded.guard is None:
         return True
     tok_base = ctx_guarded.guard.token_base
     published = {n.base for n in ctx_guarded.services} | {n.base for n in ctx_guarded.resources}
-    for probe in _probe_battery(ctx_guarded):
-        soup = inject(ctx_guarded.plug(probe))
-        seen = {canonicalize(soup).digest}
-        frontier = [soup]
-        for _ in range(depth):
-            nxt = []
-            for s in frontier:
-                for r in enabled_redexes(s):
-                    s2, emitted = reduce_with_info(s, r)
-                    for m in emitted:
-                        if m.channel.base in published and any(
-                            isinstance(a, Name) and a.base == tok_base for a in m.args
-                        ):
-                            return False
-                    d = canonicalize(s2).digest
-                    if d in seen or len(seen) > max_states:
-                        continue
-                    seen.add(d)
-                    nxt.append(s2)
-            frontier = nxt
-            if not frontier:
-                break
-    return True
+
+    def leak(edge):
+        for m in edge.step.emitted:
+            if m.channel.base in published and any(isinstance(a, Name) and a.base == tok_base for a in m.args):
+                return m
+        return None
+
+    return all(
+        search([inject(ctx_guarded.plug(probe))], max_states, horizon=depth, visit=leak) is None
+        for probe in _probe_battery(ctx_guarded)
+    )

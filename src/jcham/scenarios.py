@@ -29,7 +29,7 @@ from typing import Dict, Optional
 
 from .contexts import Context, refined_context, rootkit_kernel, worm_topology
 from .detector import DetectionVerdict, detect_via_coverability, explore, viral_set_member
-from .engine import barb, inject
+from .engine import BudgetExhausted, barb, inject
 from .filesystem import file_system
 from .malware import (
     MalwareSpec,
@@ -235,7 +235,10 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     if sc.mode == "barb":
         channel = Name(sc.knobs.get("channel", "table"))
         value = _parse_atom(sc.knobs["value"]) if "value" in sc.knobs else None
-        seen = barb(inject(ctx.plug(proc)), channel, value, depth=int(sc.knobs.get("barb_depth", "30")))
+        try:
+            seen = barb(inject(ctx.plug(proc)), channel, value, depth=int(sc.knobs.get("barb_depth", "30")))
+        except BudgetExhausted:
+            return ScenarioResult("budget_exhausted", None, sc.expect)
         return ScenarioResult("observed" if seen else "not_observed", None, sc.expect)
     raise ScenarioError(f"unknown mode {sc.mode!r}")
 

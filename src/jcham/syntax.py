@@ -33,9 +33,6 @@ class Name:
     base: str
     index: Optional[int] = None
 
-    def is_source(self) -> bool:
-        return self.index is None
-
     def __str__(self) -> str:
         return self.base if self.index is None else f"{self.base}~{self.index}"
 

@@ -4,7 +4,6 @@ PASS/FAIL line with its timing.  Run with ``pytest tests/test_acceptance.py -v -
 
 import random
 import time
-from collections import deque
 
 import pytest
 
@@ -12,12 +11,12 @@ from jcham.canon import canonicalize
 from jcham.contexts import refined_context, rootkit_kernel, worm_topology
 from jcham.detector import detect_via_coverability, explore, viral_set_member
 from jcham.engine import (
-    enabled_redexes,
+    BudgetExhausted,
     inject,
     inject_message,
-    reduce,
     replay,
     run,
+    search,
 )
 from jcham.filesystem import file_system
 from jcham.malware import (
@@ -68,18 +67,18 @@ def _class_iii_virus(targets=(Name("sw1"), Name("sw2"))):
 
 
 def _state_space(soup, max_states):
-    """All reachable soups up to the cap, breadth first."""
-    seen = {canonicalize(soup).digest: soup}
-    frontier = deque([soup])
-    while frontier and len(seen) < max_states:
-        s = frontier.popleft()
-        for r in enabled_redexes(s):
-            nxt = reduce(s, r)
-            d = canonicalize(nxt).digest
-            if d not in seen:
-                seen[d] = nxt
-                frontier.append(nxt)
-    return list(seen.values()), not frontier
+    """The reachable soups, breadth first, and whether they are all of them
+    (False when more than ``max_states`` new states turned up)."""
+    seen = {canonicalize(soup).digest[:16]: soup}
+
+    def keep(edge):
+        seen.setdefault(edge.step.digest, edge.soup)
+
+    try:
+        search([soup], max_states, visit=keep)
+    except BudgetExhausted:
+        return list(seen.values()), False
+    return list(seen.values()), True
 
 
 def _has(soup, base, payload_base=None):

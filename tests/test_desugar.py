@@ -1,7 +1,7 @@
 import pytest
 
 from jcham.desugar import DesugarError, check_core_fragment, desugar
-from jcham.engine import enabled_redexes, inject, reduce_with_info
+from jcham.engine import inject, search
 from jcham.canon import canonicalize
 from jcham.parser import parse
 from jcham.syntax import (
@@ -62,10 +62,12 @@ def test_desugar_free_names_do_not_grow():
 
 def _bounded_obs(soup, depth=6):
     """All multisets of free-channel messages reachable within depth."""
-    from jcham.engine import reduce
+    states = {canonicalize(soup).digest[:16]: soup}
 
-    seen = set()
-    out = set()
+    def keep(edge):
+        states.setdefault(edge.step.digest, edge.soup)
+
+    search([soup], 10_000, horizon=depth, visit=keep)
 
     def snap(s):
         return frozenset(
@@ -74,22 +76,7 @@ def _bounded_obs(soup, depth=6):
             if not any(r.defines(m.channel.base) for r in s.rules)
         )
 
-    stack = [(soup, 0)]
-    seen.add(canonicalize(soup).digest)
-    out.add(snap(soup))
-    while stack:
-        s, d = stack.pop()
-        if d >= depth:
-            continue
-        for r in enabled_redexes(s):
-            s2, _ = reduce_with_info(s, r)
-            dig = canonicalize(s2).digest
-            if dig in seen:
-                continue
-            seen.add(dig)
-            out.add(snap(s2))
-            stack.append((s2, d + 1))
-    return out
+    return {snap(s) for s in states.values()}
 
 
 def test_let_call_equivalent_to_manual_continuation():

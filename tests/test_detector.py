@@ -74,15 +74,6 @@ def test_diverging_program_exhausts_any_budget():
         assert v.outcome == "budget_exhausted", budget
 
 
-def test_workers_agree_with_sequential():
-    ctx = refined_context(2)
-    v1 = explore(ctx, virus("III"), workers=1)
-    v4 = explore(ctx, virus("III"), workers=4)
-    assert v1.outcome == v4.outcome == "vulnerable"
-    n1 = explore(ctx, Null(), workers=4)
-    assert n1.outcome == "not_vulnerable"
-
-
 def test_viral_set_two_iterations():
     ctx = refined_context(2)
     v = viral_set_member(ctx, virus("III"), iterations=2)

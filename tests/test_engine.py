@@ -5,6 +5,7 @@ import pytest
 
 from jcham.canon import canonicalize
 from jcham.engine import (
+    BudgetExhausted,
     GroundMessage,
     StaleRedex,
     barb,
@@ -176,6 +177,18 @@ def test_barb_direct_and_value():
     assert barb(s, Name("x"), Name("a"))
     assert not barb(s, Name("x"), Name("b"))
     assert not barb(s, Name("y"))
+
+
+def test_barb_reports_a_tripped_budget():
+    # goal is 4 reductions away while t mints a new state on every step
+    s = inject(parse(
+        "def t<> |> t<> | x<> and t<> |> t<> | y<> and g1<> |> g2<> and g2<> |> g3<> "
+        "and g3<> |> g4<> and g4<> |> goal<> in t<> | g1<>"
+    ))
+    with pytest.raises(BudgetExhausted) as tripped:
+        barb(s, Name("goal"), depth=4, max_states=10)
+    assert tripped.value.budget == "max_states"
+    assert barb(s, Name("goal"), depth=4)
 
 
 def test_barb_empty_soup():

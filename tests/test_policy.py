@@ -1,8 +1,11 @@
+from functools import partial
+
 import pytest
 
+import jcham.policy as policy
 from jcham.contexts import Context, ResourceSpec, _validate, base_context, refined_context
 from jcham.detector import explore, viral_set_member
-from jcham.engine import inject, is_inert
+from jcham.engine import BudgetExhausted, inject, is_inert
 from jcham.malware import MalwareSpec, ReplicationMech, TargetRoutine, build_virus, token_aware_overwrite
 from jcham.parser import parse
 from jcham.policy import (
@@ -14,6 +17,7 @@ from jcham.policy import (
     classify_context,
     enforcement_sound,
     non_infection_test,
+    observable_traces,
     token_leak_free,
     tokenize_context,
 )
@@ -119,6 +123,33 @@ def test_non_infection_rejects_unstable_context():
     )
     with pytest.raises(UnstableContext):
         non_infection_test(busy, Null(), [], depth=2)
+
+
+def test_trace_sets_do_not_depend_on_rule_order():
+    # s -> b1 -> m -> y1 -> y2 -> out takes 5 reductions; the a-branch reaches
+    # m at depth 4, which must not hide the shorter path
+    a_branch = "s<> |> a1<> and a1<> |> a2<> and a2<> |> a3<> and a3<> |> m<>"
+    rest = "m<> |> y1<> and y1<> |> y2<> and y2<> |> out<> in s<>"
+    written = parse(f"def s<> |> b1<> and b1<> |> m<> and {a_branch} and {rest}")
+    swapped = parse(f"def {a_branch} and s<> |> b1<> and b1<> |> m<> and {rest}")
+    ctx = Context(template=Hole())
+    traces = observable_traces(inject(written), ctx, depth=5)
+    assert traces == observable_traces(inject(swapped), ctx, depth=5)
+    assert ("out<>",) in {tuple(map(str, t)) for t in traces}
+
+
+def test_tripped_budgets_are_not_verdicts(monkeypatch):
+    ctx = refined_context(2)
+    growing = parse("def a<> |> x<> | a<> and b<> |> y<> | b<> in a<> | b<>")
+    with pytest.raises(BudgetExhausted):
+        observable_traces(inject(ctx.plug(growing)), ctx, depth=6, max_paths=5)
+    with pytest.raises(BudgetExhausted):
+        token_leak_free(guarded2(), max_states=0)
+    monkeypatch.setattr(policy, "observable_traces", partial(observable_traces, max_paths=0))
+    verdict = non_infection_test(ctx, parse("let y = sr1() in 0"), [READ_TEST], depth=6)
+    assert verdict.outcome == "budget_exhausted" and not verdict.satisfied
+    with pytest.raises(BudgetExhausted):
+        enforcement_sound(guarded2())
 
 
 def test_violation_persists_at_greater_depth():

@@ -2,10 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
+import jcham.cli
+import jcham.policy
+import jcham.scenarios
 from jcham.cli import corpus_path, main
+from jcham.engine import BudgetExhausted, barb
+from jcham.policy import observable_traces
 from jcham.scenarios import Scenario, ScenarioError, build_context, load_scenario, run_scenario
 
 
@@ -156,6 +162,38 @@ def test_cli_policy_noninfect(tmp_path):
     )
     assert code == 1
     assert "violated" in out
+
+
+def test_cli_tripped_budgets_exit_2(tmp_path, monkeypatch, capsys):
+    net = tmp_path / "n.net"
+    net.write_text("place 0 start\nplace 1 goal\ntrans 0 pre 0:1 post 1:1\ninit 0:1\ntarget 1:1\n")
+
+    def basis_exploded(*args, **kwargs):
+        raise BudgetExhausted("max_basis", 1)
+
+    monkeypatch.setattr(jcham.cli, "coverable", basis_exploded)
+    assert main(["petri", "cover", "--net", str(net)]) == 2
+    assert capsys.readouterr().err == "budget max_basis=1 exhausted\n"
+
+    probe = tmp_path / "probe.jc"
+    probe.write_text("let y = sr1() in 0")
+    test = tmp_path / "t.jc"
+    test.write_text("let x = sr1() in observed<x>")
+    monkeypatch.setattr(jcham.policy, "observable_traces", partial(observable_traces, max_paths=0))
+    argv = ["policy", "noninfect", "--context", "refined(n=2)", "--process", str(probe), "--tests", str(test)]
+    assert main(argv) == 2
+    assert "outcome: budget_exhausted(depth=6)" in capsys.readouterr().out
+    assert main(["policy", "enforce", "--context", "tokenized(n=2)"]) == 2
+    assert capsys.readouterr().err == "budget max_states=0 exhausted\n"
+
+    scn = tmp_path / "barb.scn"
+    scn.write_text("context=bare() process_file=goal.jc mode=barb channel=goal barb_depth=4 expect=budget_exhausted\n")
+    (tmp_path / "goal.jc").write_text(
+        "def t<> |> t<> | x<> and t<> |> t<> | y<> and g1<> |> g2<> and g2<> |> g3<> "
+        "and g3<> |> g4<> and g4<> |> goal<> in t<> | g1<>"
+    )
+    monkeypatch.setattr(jcham.scenarios, "barb", partial(barb, max_states=10))
+    assert main(["scenario", str(scn)]) == 2
 
 
 def test_cli_policy_tokenize_round_trip(tmp_path):
