@@ -42,6 +42,7 @@ from .syntax import (  # noqa: F401
     par,
     pretty,
     substitute,
+    subterms,
 )
 from .parser import ParseError, parse, parse_definition  # noqa: F401
 from .desugar import DesugarError, FragmentReport, check_core_fragment, desugar  # noqa: F401

@@ -144,7 +144,12 @@ def cmd_detect(args) -> int:
             v = detect_via_coverability(ctx, proc, self_channel=self_ch)
         elif args.iterations > 0:
             v = viral_set_member(
-                ctx, proc, iterations=args.iterations, max_states=args.max_states, self_channel=self_ch
+                ctx,
+                proc,
+                iterations=args.iterations,
+                max_states=args.max_states,
+                max_steps_per_branch=args.max_depth,
+                self_channel=self_ch,
             )
         else:
             v = explore(

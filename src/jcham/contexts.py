@@ -19,6 +19,7 @@ from .syntax import (
     Atom,
     CallPat,
     Conditional,
+    ExprDef,
     Hole,
     Let,
     LocalDef,
@@ -39,6 +40,8 @@ from .syntax import (
     def_dv,
     par,
     pretty,
+    rules_of,
+    subterms,
 )
 from .parser import parse
 
@@ -101,66 +104,30 @@ class Context:
     def resource_bases(self) -> frozenset[str]:
         return frozenset(n.base for n in self.resources)
 
-    def defined_bases(self) -> frozenset[str]:
-        out: set[str] = set()
-        _collect_defined(self.template, out)
-        return frozenset(out)
 
-
-def _collect_defined(p: Process, out: set[str]) -> None:
-    match p:
-        case LocalDef(d, body):
-            out.update(n.base for n in def_dv(d))
-            from .syntax import rules_of
-
-            for r in rules_of(d):
-                _collect_defined(r.body, out)
-            _collect_defined(body, out)
-        case Parallel(l, r):
-            _collect_defined(l, out)
-            _collect_defined(r, out)
-        case Sequence(_, rest):
-            _collect_defined(rest, out)
-        case Let(_, _, body):
-            _collect_defined(body, out)
-        case Conditional(_, _, t, o):
-            _collect_defined(t, out)
-            _collect_defined(o, out)
-        case _:
-            pass
+def defined_bases(p: Process) -> frozenset[str]:
+    """Bases of every channel some definition inside ``p`` defines."""
+    return frozenset(
+        n.base for t in subterms(p) if isinstance(t, (LocalDef, ExprDef)) for n in def_dv(t.defs)
+    )
 
 
 def count_holes(p: Process) -> int:
-    from .syntax import rules_of
-
-    match p:
-        case Hole():
-            return 1
-        case LocalDef(d, body):
-            return count_holes(body) + sum(count_holes(r.body) for r in rules_of(d))
-        case Parallel(l, r):
-            return count_holes(l) + count_holes(r)
-        case Sequence(_, rest):
-            return count_holes(rest)
-        case Let(_, _, body):
-            return count_holes(body)
-        case Conditional(_, _, t, o):
-            return count_holes(t) + count_holes(o)
-        case _:
-            return 0
+    return sum(isinstance(t, Hole) for t in subterms(p))
 
 
 def plug(template: Process, filler: Process) -> Process:
     """Replace the hole; deliberately *not* capture-avoiding, since the
     point of a context is to bind the plugged process's free names."""
 
+    filled = []
+
     def go(t: Process) -> Process:
         match t:
             case Hole():
+                filled.append(t)
                 return filler
             case LocalDef(d, body):
-                from .syntax import rules_of
-
                 rules = [Rule(r.pattern, go(r.body)) for r in rules_of(d)]
                 return LocalDef(conj_of(rules), go(body))
             case Parallel(l, r):
@@ -176,7 +143,10 @@ def plug(template: Process, filler: Process) -> Process:
 
     if count_holes(template) != 1:
         raise ContextError("template must contain exactly one hole")
-    return go(template)
+    plugged = go(template)
+    if not filled:
+        raise ContextError("the hole sits inside an expression, where nothing can be plugged")
+    return plugged
 
 
 def _validate(ctx: Context) -> Context:
@@ -186,7 +156,7 @@ def _validate(ctx: Context) -> Context:
         raise ContextError("a channel cannot be both service and resource")
     if ctx.privileged & (ctx.services | ctx.resources):
         raise ContextError("privileged channels must stay unpublished")
-    defined = ctx.defined_bases()
+    defined = defined_bases(ctx.template)
     for n in ctx.services | ctx.resources:
         if n.base not in defined:
             raise ContextError(f"published channel {n} is not defined by the template")
@@ -266,6 +236,30 @@ def resource_rules(spec: ResourceSpec, read: Name, write: Name, execute: Optiona
     return rules
 
 
+def managed_execution_rules() -> list[Rule]:
+    """``proc_exec(p, a)`` records ``p`` as the active process on the
+    internal ``current`` channel, then runs it; ``sys_updt`` sets and
+    ``sys_ref`` reads that pointer."""
+    p_, a_, rn, rc = Name("p"), Name("a"), Name("rnew"), Name("rcur")
+    return [
+        Rule(
+            CallPat(_n("proc_exec"), (p_, a_)),
+            Sequence(
+                SyncCall(_n("sys_updt"), (NameRef(p_),)),
+                Return((SyncCall(p_, (NameRef(a_),)),), _n("proc_exec")),
+            ),
+        ),
+        Rule(
+            _join(CallPat(_n("sys_updt"), (rn,)), MsgPat(_n("current"), (rc,))),
+            Message(_n("current"), (NameRef(rn),)),
+        ),
+        Rule(
+            _join(CallPat(_n("sys_ref"), ()), MsgPat(_n("current"), (rc,))),
+            Parallel(Message(_n("current"), (NameRef(rc),)), Return((NameRef(rc),), _n("sys_ref"))),
+        ),
+    ]
+
+
 def base_context(services: Seq[tuple[Name, Name]] = (), resources: Seq[ResourceSpec] = ()) -> Context:
     """Environment with plain execution-server services and storage resources.
 
@@ -335,26 +329,7 @@ def refined_context(n: int, initial: Optional[Seq[Atom]] = None) -> Context:
     if len(initial) != n:
         raise ArityMismatch(f"expected {n} initial contents, got {len(initial)}")
 
-    p_, a_, rn, rc = Name("p"), Name("a"), Name("rnew"), Name("rcur")
     in_, out_ = Name("inp"), Name("out")
-
-    d_proc = Rule(
-        CallPat(_n("proc_exec"), (p_, a_)),
-        Sequence(
-            SyncCall(_n("sys_updt"), (NameRef(p_),)),
-            Return((SyncCall(p_, (NameRef(a_),)),), _n("proc_exec")),
-        ),
-    )
-    d_ref = [
-        Rule(
-            _join(CallPat(_n("sys_updt"), (rn,)), MsgPat(_n("current"), (rc,))),
-            Message(_n("current"), (NameRef(rn),)),
-        ),
-        Rule(
-            _join(CallPat(_n("sys_ref"), ()), MsgPat(_n("current"), (rc,))),
-            Parallel(Message(_n("current"), (NameRef(rc),)), Return((NameRef(rc),), _n("sys_ref"))),
-        ),
-    ]
     d_rep = Rule(
         CallPat(_n("sys_rep"), (in_, out_)),
         Return((SyncCall(_n("sys_copy"), (NameRef(in_), NameRef(out_))),), _n("sys_rep")),
@@ -362,7 +337,7 @@ def refined_context(n: int, initial: Optional[Seq[Atom]] = None) -> Context:
     # the system copy routine forwards its input to the output channel
     d_copy = Rule(CallPat(_n("sys_copy"), (Name("v"), Name("w"))), _do(SyncCall(Name("w"), (NameRef(Name("v")),))))
 
-    rules: list[Rule] = [d_proc, *d_ref, d_rep, d_copy]
+    rules: list[Rule] = [*managed_execution_rules(), d_rep, d_copy]
     initial_msgs: list[Process] = [Message(_n("current"), (NameRef(Name("null")),))]
     r_set: set[Name] = set()
     priv: set[Name] = {_n("current"), _n("sys_updt"), _n("sys_copy"), _n("mk_res")}
@@ -427,24 +402,6 @@ def worm_topology(remote_handler: Optional[Process] = None) -> Context:
         Return((_ref("m"),), _n("rcv")),
     )
 
-    p_, a_, rn, rc = Name("p"), Name("a"), Name("rnew"), Name("rcur")
-    d_proc = Rule(
-        CallPat(_n("proc_exec"), (p_, a_)),
-        Sequence(
-            SyncCall(_n("sys_updt"), (NameRef(p_),)),
-            Return((SyncCall(p_, (NameRef(a_),)),), _n("proc_exec")),
-        ),
-    )
-    d_ref = [
-        Rule(
-            _join(CallPat(_n("sys_updt"), (rn,)), MsgPat(_n("current"), (rc,))),
-            Message(_n("current"), (NameRef(rn),)),
-        ),
-        Rule(
-            _join(CallPat(_n("sys_ref"), ()), MsgPat(_n("current"), (rc,))),
-            Parallel(Message(_n("current"), (NameRef(rc),)), Return((NameRef(rc),), _n("sys_ref"))),
-        ),
-    ]
     d_prop = Rule(
         CallPat(_n("sys_prop"), (Name("inp"), Name("out"))),
         Return((SyncCall(_n("prop_copy"), (_ref("inp"), _ref("out"))),), _n("sys_prop")),
@@ -453,7 +410,7 @@ def worm_topology(remote_handler: Optional[Process] = None) -> Context:
     d_copy = Rule(CallPat(_n("prop_copy"), (Name("v"), Name("w"))), Message(Name("w"), (_ref("v"),)))
 
     local = LocalDef(
-        conj_of([d_proc, *d_ref, d_prop, d_copy]),
+        conj_of([*managed_execution_rules(), d_prop, d_copy]),
         par(Message(_n("current"), (NameRef(Name("null")),)), Hole()),
     )
     template = LocalDef(conj_of([com]), Parallel(remote_handler, local))
@@ -538,46 +495,58 @@ def save_context(ctx: Context) -> str:
         lines.append("#! exports: %s" % ",".join(sorted(ctx.exports)))
     if ctx.dynamic_resource_bases:
         lines.append("#! dynamic: %s" % ",".join(sorted(ctx.dynamic_resource_bases)))
+    if ctx.exec_bases:
+        lines.append("#! exec: %s" % ",".join(sorted(ctx.exec_bases)))
+    if ctx.guard is not None:
+        g = ctx.guard
+        guard = f"#! guard: token={g.token_base} mode={g.mode} count={g.count} guarded={','.join(g.guarded)}"
+        lines.append(guard + (f" distributor={g.distributor_base}" if g.distributor_base else ""))
     lines.append(pretty(ctx.template))
     return "\n".join(lines) + "\n"
 
 
+def _load_guard(text: str) -> TokenGuard:
+    try:
+        f = dict(item.split("=", 1) for item in text.split())
+        guarded = tuple(g for g in f["guarded"].split(",") if g)
+        return TokenGuard(f["token"], f["mode"], int(f["count"]), guarded, f.get("distributor"))
+    except (KeyError, ValueError) as e:
+        raise ContextError(f"malformed guard header {text.strip()!r}") from e
+
+
 def load_context(text: str) -> Context:
-    services: set[Name] = set()
-    resources: set[Name] = set()
-    privileged: set[Name] = set()
-    exports: set[str] = set()
-    dynamic: set[str] = set()
+    """Read what :func:`save_context` wrote."""
+    fields: dict[str, list[str]] = {}
+    guard: Optional[TokenGuard] = None
     body_lines = []
     for line in text.splitlines():
-        if line.startswith("#!"):
-            content = line[2:].strip()
-            for part in content.split("  "):
-                part = part.strip()
-                if not part or ":" not in part:
-                    continue
-                key, vals = part.split(":", 1)
-                names = [v for v in vals.strip().split(",") if v]
-                if key.strip() == "services":
-                    services.update(Name(v) for v in names)
-                elif key.strip() == "resources":
-                    resources.update(Name(v) for v in names)
-                elif key.strip() == "privileged":
-                    privileged.update(Name(v) for v in names)
-                elif key.strip() == "exports":
-                    exports.update(names)
-                elif key.strip() == "dynamic":
-                    dynamic.update(names)
-        else:
+        if not line.startswith("#!"):
             body_lines.append(line)
-    template = parse("\n".join(body_lines))
+            continue
+        for part in line[2:].split("  "):
+            key, sep, vals = part.partition(":")
+            if not sep:
+                continue
+            if key.strip() == "guard":
+                guard = _load_guard(vals)
+            else:
+                fields.setdefault(key.strip(), []).extend(v for v in vals.strip().split(",") if v)
+
+    def bases(key: str) -> frozenset[str]:
+        return frozenset(fields.get(key, ()))
+
+    def names(key: str) -> frozenset[Name]:
+        return frozenset(Name(v) for v in bases(key))
+
     return _validate(
         Context(
-            template=template,
-            services=frozenset(services),
-            resources=frozenset(resources),
-            privileged=frozenset(privileged),
-            exports=frozenset(exports),
-            dynamic_resource_bases=frozenset(dynamic),
+            template=parse("\n".join(body_lines)),
+            services=names("services"),
+            resources=names("resources"),
+            privileged=names("privileged"),
+            exports=bases("exports"),
+            dynamic_resource_bases=bases("dynamic"),
+            exec_bases=bases("exec"),
+            guard=guard,
         )
     )

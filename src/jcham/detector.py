@@ -22,17 +22,19 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence as Seq, Tuple
 
 from .canon import canonicalize
-from .contexts import Context
+from .contexts import Context, defined_bases
 from .desugar import FragmentReport, check_core_fragment, desugar
 from .engine import (
     CUT,
     BudgetExhausted,
     DetectionStats,
     GroundMessage,
+    ModelError,
     Redex,
     Soup,
     Trace,
     TraceStep,
+    eval_atom,
     inject,
     inject_message,
     reduce_with_info,
@@ -44,7 +46,6 @@ from .petri import Marking, PetriNet, Transition, coverable
 from .syntax import (
     Atom,
     Conditional,
-    LocalDef,
     Message,
     Name,
     Null,
@@ -52,9 +53,9 @@ from .syntax import (
     Parallel,
     Process,
     free_names,
-    pattern_atoms,
-    rules_of,
+    is_atom_expr,
     substitute,
+    subterms,
 )
 
 
@@ -91,32 +92,6 @@ _CLAUSE_NOTE = (
 )
 
 
-def _defined_bases(p: Process) -> set[str]:
-    out: set[str] = set()
-
-    def go(t) -> None:
-        match t:
-            case LocalDef(d, body):
-                for r in rules_of(d):
-                    for h in pattern_atoms(r.pattern):
-                        out.add(h.channel.base)
-                    go(r.body)
-                go(body)
-            case Parallel(l, r):
-                go(l)
-                go(r)
-            case Conditional(_, _, a, b):
-                go(a)
-                go(b)
-            case Message() | Null():
-                pass
-            case _:
-                pass
-
-    go(p)
-    return out
-
-
 class _Qualifier:
     """Decides which reactions count as replication of the tested program.
 
@@ -137,7 +112,7 @@ class _Qualifier:
         self.r_bases = set(ctx.resource_bases()) | set(ctx.dynamic_resource_bases)
         self.export_bases = set(ctx.exports)
         self.s_bases = set(ctx.service_bases())
-        self.known = _defined_bases(plugged_core) | self.s_bases | self.r_bases
+        self.known = defined_bases(plugged_core) | self.s_bases | self.r_bases
         # id(rules) -> (rules, carriers); holding the tuple keeps its id from
         # being reused while the entry lives
         self._carrier_cache: Dict[int, Tuple[tuple, set[Name]]] = {}
@@ -417,8 +392,15 @@ def ground(p: Process, max_instances: int = 1_000_000) -> GroundSystem:
     for m in soup.messages:
         for a in m.args:
             see_atom(a)
+    # constant payloads of body emissions; channel names and conditional
+    # operands never become received values on their own
     for r in soup.rules:
-        _collect_body_atoms(r.body, {b for h in r.heads for b in h.binders}, see_atom)
+        bound = {b for h in r.heads for b in h.binders}
+        for t in subterms(r.body):
+            if isinstance(t, Message):
+                for a in t.args:
+                    if is_atom_expr(a) and not (free_names(a) & bound):
+                        see_atom(eval_atom(a))
 
     atoms = sorted(universe, key=str)
     rules: List[GroundRule] = []
@@ -451,31 +433,9 @@ def _assignments(k: int, atoms: List[Atom]):
             yield (a,) + rest
 
 
-def _collect_body_atoms(p: Process, bound: set[Name], see) -> None:
-    """Ground atoms in payload position of body emissions; channel names and
-    conditional operands never become received values on their own."""
-    from .engine import eval_atom
-    from .syntax import free_names, is_atom_expr
-
-    match p:
-        case Message(_, args):
-            for a in args:
-                if is_atom_expr(a) and not (free_names(a) & bound):
-                    see(eval_atom(a))
-        case Parallel(l, r):
-            _collect_body_atoms(l, bound, see)
-            _collect_body_atoms(r, bound, see)
-        case Conditional(_, _, t, o):
-            _collect_body_atoms(t, bound, see)
-            _collect_body_atoms(o, bound, see)
-        case _:
-            pass
-
-
 def _instantiate_body(body: Process, binding: Dict[Name, Atom]) -> Optional[List[GroundMessage]]:
     """Resolve one rule body under a binding; None marks a type-inconsistent
     instance (non-channel atom in channel position)."""
-    from .engine import ModelError, eval_atom
     from .syntax import SubstitutionError
 
     try:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence as Seq
 
-from .contexts import Context, ContextError, _validate, resource_rules, ResourceSpec
+from .contexts import Context, ContextError, ResourceSpec, _validate, managed_execution_rules, resource_rules
 from .syntax import (
     Atom,
     Concat,
@@ -36,9 +36,7 @@ from .syntax import (
     PatJoin,
     Process,
     Proj,
-    Return,
     Rule,
-    CallPat,
     SyncCall,
     Sequence,
     conj_of,
@@ -133,35 +131,10 @@ def file_system(
     if len(names) != len(set(map(str, names))):
         raise ContextError("file names must be distinct")
 
-    rules: list[Rule] = []
-    priv: set[Name] = set()
+    rules: list[Rule] = managed_execution_rules()
+    priv: set[Name] = {_n("current"), _n("sys_updt")}
     r_set: set[Name] = set()
     initial: list[Process] = [Message(_n("current"), (_r("null"),))]
-
-    # managed execution (as in the replication environment)
-    p_, a_, rn, rc = Name("p"), Name("a"), Name("rnew"), Name("rcur")
-    rules.append(
-        Rule(
-            CallPat(_n("proc_exec"), (p_, a_)),
-            Sequence(
-                SyncCall(_n("sys_updt"), (NameRef(p_),)),
-                Return((SyncCall(p_, (NameRef(a_),)),), _n("proc_exec")),
-            ),
-        )
-    )
-    rules.append(
-        Rule(
-            PatJoin(CallPat(_n("sys_updt"), (rn,)), MsgPat(_n("current"), (rc,))),
-            Message(_n("current"), (NameRef(rn),)),
-        )
-    )
-    rules.append(
-        Rule(
-            PatJoin(CallPat(_n("sys_ref"), ()), MsgPat(_n("current"), (rc,))),
-            Parallel(Message(_n("current"), (NameRef(rc),)), Return((NameRef(rc),), _n("sys_ref"))),
-        )
-    )
-    priv.update({_n("current"), _n("sys_updt")})
 
     # per-file resources, registry cells; building the registry by
     # prepending in entry order makes listings come out oldest first

@@ -19,9 +19,9 @@ a battery of tokenless probes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence as Seq, Tuple
+from typing import Dict, List, Optional, Sequence as Seq, Tuple, Union
 
-from .contexts import Context, TokenGuard, _validate
+from .contexts import Context, TokenGuard, _validate, defined_bases
 from .engine import (
     BudgetExhausted,
     GroundMessage,
@@ -38,7 +38,6 @@ from .syntax import (
     Conditional,
     Expression,
     Let,
-    Lit,
     LocalDef,
     Message,
     MsgPat,
@@ -59,6 +58,7 @@ from .syntax import (
     free_names,
     pattern_atoms,
     rules_of,
+    subterms,
 )
 
 
@@ -136,98 +136,56 @@ def _initial_contents(ctx: Context) -> Dict[str, List[Atom]]:
     return out
 
 
-def _body_channel_uses(p: Process) -> Tuple[set[Name], set[Name], List[Tuple[Name, Tuple[Expression, ...]]]]:
-    """Channels used in channel position, channels whose values are sent,
-    and the concrete emissions of a rule body (enriched syntax)."""
+@dataclass
+class _RuleShape:
+    """A rule's heads split into state heads (channels its body re-emits,
+    holding stored content) and access heads (requests)."""
+
+    state_heads: List[Union[MsgPat, CallPat]]
+    access_heads: List[Union[MsgPat, CallPat]]
+    chans: set[Name]  # channels the body uses in channel position
+    stores_access: bool  # some access binder is stored back into state
+
+
+def _rule_shape(rule: Rule) -> _RuleShape:
     chans: set[Name] = set()
-    emissions: List[Tuple[Name, Tuple[Expression, ...]]] = []
-
-    def expr(e: Expression):
-        match e:
-            case SyncCall(ch, args):
-                chans.add(ch)
-                for a in args:
-                    expr(a)
-            case Proj(inner, _):
-                expr(inner)
-            case NameRef(_) | Lit(_):
-                pass
-            case _:
-                for sub in getattr(e, "__dict__", {}).values():
-                    if isinstance(sub, tuple):
-                        for x in sub:
-                            if not isinstance(x, Name):
-                                expr(x)
-
-    def walk(t: Process):
-        match t:
-            case Message(ch, args):
-                chans.add(ch)
-                emissions.append((ch, args))
-                for a in args:
-                    expr(a)
-            case LocalDef(d, body):
-                for r in rules_of(d):
-                    walk(r.body)
-                walk(body)
-            case Parallel(l, r):
-                walk(l)
-                walk(r)
-            case Sequence(e, rest):
-                expr(e)
-                walk(rest)
-            case Let(_, e, body):
-                expr(e)
-                walk(body)
-            case Return(vals, _):
-                for v in vals:
-                    expr(v)
-            case Conditional(a, b, t1, t2):
-                expr(a)
-                expr(b)
-                walk(t1)
-                walk(t2)
-            case _:
-                pass
-
-    walk(p)
-    return chans, set(), emissions
+    emissions: List[Message] = []
+    for t in subterms(rule.body):
+        if isinstance(t, (Message, SyncCall)):
+            chans.add(t.channel)
+        if isinstance(t, Message):
+            emissions.append(t)
+    emitted_bases = {m.channel.base for m in emissions}
+    heads = pattern_atoms(rule.pattern)
+    state_heads = [h for h in heads if h.channel.base in emitted_bases]
+    access_heads = [h for h in heads if h not in state_heads]
+    state_bases = {h.channel.base for h in state_heads}
+    access_binders = {b for h in access_heads for b in h.binders}
+    stores_access = any(
+        m.channel.base in state_bases and any(free_names(a) & access_binders for a in m.args) for m in emissions
+    )
+    return _RuleShape(state_heads, access_heads, chans, stores_access)
 
 
 def _classify_rule(rule: Rule, ctx: Context, contents: Dict[str, List[Atom]], abstractions: Dict[str, Rule], seen: set[str]) -> str:
-    heads = pattern_atoms(rule.pattern)
+    if ctx.dynamic_resource_bases & defined_bases(rule.body):
+        return SERVICE_WRITE  # activates storage behind published dynamic channels
+    shape = _rule_shape(rule)
     r_bases = {n.base for n in ctx.resources} | set(ctx.dynamic_resource_bases)
-    chans, _, emissions = _body_channel_uses(rule.body)
-    emitted_bases = {c.base for c, _ in emissions}
+    state_binders = {b for h in shape.state_heads for b in h.binders}
+    access_binders = {b for h in shape.access_heads for b in h.binders}
+    is_resource = any(h.channel.base in r_bases for h in shape.access_heads)
+    executed = shape.chans & (state_binders | access_binders)
 
-    state_heads = [h for h in heads if h.channel.base in emitted_bases]
-    access_heads = [h for h in heads if h not in state_heads]
-    state_binders = {b for h in state_heads for b in h.binders}
-    access_binders = {b for h in access_heads for b in h.binders}
-    is_resource = any(h.channel.base in r_bases for h in access_heads)
-
-    executed = chans & (state_binders | access_binders)
-    # handing stored content to an executing service is execution too
-    delegated = _delegated_to_exec(rule.body, state_binders, _exec_access_bases(ctx))
-    if _creates_resources(rule.body, ctx):
-        return SERVICE_WRITE
-
-    if state_heads and is_resource:
-        if (executed & state_binders) or delegated:
-            return _chase_exec(rule, ctx, contents, abstractions, state_heads, seen)
-        for ch, args in emissions:
-            if ch.base in {h.channel.base for h in state_heads}:
-                arg_names = set()
-                for a in args:
-                    arg_names |= free_names(a)
-                if arg_names & access_binders:
-                    return RESOURCE_WRITE
-        return READ_ONLY
+    if shape.state_heads and is_resource:
+        # handing stored content to an executing service is execution too
+        if (executed & state_binders) or _delegated_to_exec(rule.body, state_binders, _exec_access_bases(ctx)):
+            return _chase_exec(rule, ctx, contents, abstractions, shape.state_heads, seen)
+        return RESOURCE_WRITE if shape.stores_access else READ_ONLY
 
     # service definition
-    uses = {c.base for c in chans} | emitted_bases
-    write_bases = _write_access_bases(ctx)
-    if uses & write_bases or uses & {"mk_res", "mk_file", "new"}:
+    uses = {c.base for c in shape.chans}
+    if uses & _write_access_bases(ctx) or uses & {"mk_res", "mk_file", "new"}:
         return SERVICE_WRITE
     if executed:
         return SERVICE_EXEC_UNRESOLVED
@@ -235,87 +193,12 @@ def _classify_rule(rule: Rule, ctx: Context, contents: Dict[str, List[Atom]], ab
 
 
 def _delegated_to_exec(body: Process, state_binders: set[Name], exec_bases: set[str]) -> bool:
-    found = False
-
-    def expr(e: Expression):
-        nonlocal found
-        if isinstance(e, SyncCall):
-            if e.channel.base in exec_bases and any(free_names(a) & state_binders for a in e.args):
-                found = True
-            for a in e.args:
-                expr(a)
-        elif isinstance(e, Proj):
-            expr(e.expr)
-
-    def walk(t: Process):
-        match t:
-            case Message(ch, args):
-                if ch.base in exec_bases and any(free_names(a) & state_binders for a in args):
-                    nonlocal found
-                    found = True
-                for a in args:
-                    expr(a)
-            case LocalDef(d, b):
-                for r in rules_of(d):
-                    walk(r.body)
-                walk(b)
-            case Parallel(l, r):
-                walk(l)
-                walk(r)
-            case Sequence(e, rest):
-                expr(e)
-                walk(rest)
-            case Let(_, e, b):
-                expr(e)
-                walk(b)
-            case Return(vals, _):
-                for v in vals:
-                    expr(v)
-            case Conditional(a, b2, t1, t2):
-                expr(a)
-                expr(b2)
-                walk(t1)
-                walk(t2)
-            case _:
-                pass
-
-    walk(body)
-    return found
-
-
-def _creates_resources(body: Process, ctx: Context) -> bool:
-    """A definition that activates storage with published dynamic access
-    channels is a creation path."""
-    dyn = set(ctx.dynamic_resource_bases)
-    if not dyn:
-        return False
-    found = False
-
-    def walk(t: Process):
-        nonlocal found
-        match t:
-            case LocalDef(d, b):
-                for r in rules_of(d):
-                    for h in pattern_atoms(r.pattern):
-                        if h.channel.base in dyn:
-                            found = True
-                    walk(r.body)
-                walk(b)
-            case Parallel(l, r):
-                walk(l)
-                walk(r)
-            case Sequence(_, rest):
-                walk(rest)
-            case Let(_, _, b):
-                walk(b)
-            case Conditional(_, _, t1, t2):
-                walk(t1)
-                walk(t2)
-            case _:
-                pass
-
-    walk(body)
-    return found
+    return any(
+        isinstance(t, (Message, SyncCall))
+        and t.channel.base in exec_bases
+        and any(free_names(a) & state_binders for a in t.args)
+        for t in subterms(body)
+    )
 
 
 def _chase_exec(rule: Rule, ctx: Context, contents, abstractions, state_heads, seen: set[str]) -> str:
@@ -335,24 +218,11 @@ def _write_access_bases(ctx: Context) -> set[str]:
     """Resource access channels that can change stored state, derived from
     the resource rules themselves."""
     out: set[str] = set()
-    contents = _initial_contents(ctx)
     r_bases = {n.base for n in ctx.resources} | set(ctx.dynamic_resource_bases)
     for rule in _top_rules(ctx):
-        heads = pattern_atoms(rule.pattern)
-        _, _, emissions = _body_channel_uses(rule.body)
-        emitted_bases = {c.base for c, _ in emissions}
-        state_heads = [h for h in heads if h.channel.base in emitted_bases]
-        access_heads = [h for h in heads if h not in state_heads]
-        access_binders = {b for h in access_heads for b in h.binders}
-        if not state_heads:
-            continue
-        for ch, args in emissions:
-            if ch.base in {h.channel.base for h in state_heads}:
-                arg_names: set[Name] = set()
-                for a in args:
-                    arg_names |= free_names(a)
-                if arg_names & access_binders:
-                    out.update(h.channel.base for h in access_heads if h.channel.base in r_bases)
+        shape = _rule_shape(rule)
+        if shape.stores_access:
+            out.update(h.channel.base for h in shape.access_heads if h.channel.base in r_bases)
     # file-system style name-indexed commands mutate state through dispatch
     for cmd in ("write", "new", "delete", "move", "preempt"):
         if cmd in {n.base for n in ctx.services}:
@@ -494,8 +364,8 @@ def _non_infection(ctx: Context, p: Process, tests: Seq[Process], depth: int, qu
         ta = observable_traces(baseline, ctx, depth)
         tb = observable_traces(mutated, ctx, depth)
         if ta != tb:
-            only_a = tuple(sorted(ta - tb))[:4]
-            only_b = tuple(sorted(tb - ta))[:4]
+            only_a = tuple(sorted(ta - tb, key=str))[:4]
+            only_b = tuple(sorted(tb - ta, key=str))[:4]
             return NonInfectionVerdict("violated", depth, (t, only_a, only_b), notes)
     return NonInfectionVerdict("satisfied_to_depth", depth, None, notes)
 

@@ -230,7 +230,9 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
         return ScenarioResult(v.outcome, v, sc.expect)
     if sc.mode == "viral_set":
         iters = int(sc.knobs.get("iterations", "2"))
-        v = viral_set_member(ctx, proc, iterations=iters, max_states=max_states, self_channel=self_ch)
+        v = viral_set_member(
+            ctx, proc, iterations=iters, max_states=max_states, max_steps_per_branch=depth, self_channel=self_ch
+        )
         return ScenarioResult(v.outcome, v, sc.expect)
     if sc.mode == "barb":
         channel = Name(sc.knobs.get("channel", "table"))

@@ -332,6 +332,40 @@ def parallel_parts(p: Process) -> list[Process]:
 
 
 # ---------------------------------------------------------------------------
+# sub-term traversal
+
+
+def subterms(t: Union[Process, Expression]) -> Iterator[Union[Process, Expression]]:
+    """``t`` and every process and expression inside it, rule bodies
+    included, in left-to-right pre-order.  Scoping is ignored: a sub-term
+    under a binder is visited like any other."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        stack.extend(reversed(_children(t)))
+
+
+def _children(t: Union[Process, Expression]) -> tuple:
+    match t:
+        case Message(_, args) | SyncCall(_, args):
+            return args
+        case Return(vals, _):
+            return vals
+        case LocalDef(d, body) | ExprDef(d, body):
+            return (*(r.body for r in rules_of(d)), body)
+        case Parallel(l, r) | Concat(l, r) | ExprSeq(l, r):
+            return (l, r)
+        case Sequence(e, p) | Let(_, e, p) | ExprLet(_, e, p):
+            return (e, p)
+        case Conditional(a, b, th, el):
+            return (a, b, th, el)
+        case Proj(e, _):
+            return (e,)
+    return ()
+
+
+# ---------------------------------------------------------------------------
 # name sets
 
 

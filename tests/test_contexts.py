@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from jcham.contexts import (
@@ -15,6 +17,7 @@ from jcham.contexts import (
 )
 from jcham.engine import barb, enabled_redexes, inject, inject_message, is_inert, run
 from jcham.parser import parse
+from jcham.scenarios import build_context
 from jcham.syntax import Hole, Name, Null
 
 
@@ -166,6 +169,28 @@ def test_context_serialization_round_trip():
     assert is_inert(inject(back.plug(Null())))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "refined(n=2)",
+        "worm()",
+        "rootkit(syscalls=sc1,sc2)",
+        "filesystem(files=n1=f1,n2=f2; complements=com,exe)",
+        "tokenized(n=2; mode=counted; count=3; guard=sw2,sw1)",
+        "tokenized(n=2; guard=sw1,sw2; distribute=yes)",
+    ],
+)
+def test_context_files_keep_every_field(spec):
+    ctx = build_context(spec)
+    back = load_context(save_context(ctx))
+    for f in fields(Context):
+        if f.name != "template":
+            assert getattr(back, f.name) == getattr(ctx, f.name), f.name
+
+
 def test_plug_requires_one_hole():
     with pytest.raises(ContextError):
         Context(template=Null()).plug(Null())
+    # a hole under an expression-level definition cannot be filled
+    with pytest.raises(ContextError):
+        Context(template=parse("let x = def f() |> (HOLE | return 1 to f) in f() in out<x>")).plug(Null())

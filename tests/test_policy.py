@@ -23,6 +23,7 @@ from jcham.policy import (
 )
 from jcham.syntax import (
     CallPat,
+    ExprSeq,
     Hole,
     LocalDef,
     Message,
@@ -34,6 +35,7 @@ from jcham.syntax import (
     PatJoin,
     Return,
     Rule,
+    SyncCall,
     conj_of,
     par,
 )
@@ -84,6 +86,21 @@ def test_classify_exec_chases_content():
     kinds = dict(rep.classifications)
     exec_rules = [k for label, k in rep.classifications if label.startswith("ex_exec")]
     assert exec_rules == ["I.3"]
+
+
+def test_classify_finds_calls_nested_in_expressions():
+    def one_service(svc, body):
+        x = Name("x")
+        rule = Rule(CallPat(svc, (x,)), Return((body(x),), svc))
+        return _validate(Context(template=LocalDef(rule, Hole()), services=frozenset({svc})))
+
+    # svc(x) |> return (x(); x) to svc   and   svc2(x) |> return x() to svc2
+    nested = one_service(Name("svc"), lambda x: ExprSeq(SyncCall(x, ()), NameRef(x)))
+    plain = one_service(Name("svc2"), lambda x: SyncCall(x, ()))
+    for ctx in (nested, plain):
+        rep = classify_context(ctx)
+        assert rep.kinds() == {"II.3-unresolved"}
+        assert not rep.isolation_holds
 
 
 def test_non_infection_write_probe_violated():

@@ -11,8 +11,10 @@ import jcham.policy
 import jcham.scenarios
 from jcham.cli import corpus_path, main
 from jcham.engine import BudgetExhausted, barb
+from jcham.malware import MalwareSpec, ReplicationMech, TargetRoutine, build_virus
 from jcham.policy import observable_traces
 from jcham.scenarios import Scenario, ScenarioError, build_context, load_scenario, run_scenario
+from jcham.syntax import Name, pretty
 
 
 def cli(*args):
@@ -102,12 +104,8 @@ def test_cli_parse_error_exit(tmp_path):
     assert "1:5" in err
 
 
-def test_cli_detect_json(tmp_path):
-    proc_file = tmp_path / "v.jc"
-    from jcham.malware import MalwareSpec, ReplicationMech, TargetRoutine, build_virus
-    from jcham.syntax import Name, pretty
-
-    v = build_virus(
+def class_iii_virus():
+    return build_virus(
         MalwareSpec(
             family="virus",
             klass="III",
@@ -115,7 +113,11 @@ def test_cli_detect_json(tmp_path):
             targets=TargetRoutine("hardcoded", (Name("sw1"), Name("sw2"))),
         )
     )
-    proc_file.write_text(pretty(v))
+
+
+def test_cli_detect_json(tmp_path):
+    proc_file = tmp_path / "v.jc"
+    proc_file.write_text(pretty(class_iii_virus()))
     trace_file = tmp_path / "w.trace"
     code, out, err = cli(
         "detect", "--context", "refined(n=2)", "--process", str(proc_file), "--json", "--trace", str(trace_file)
@@ -164,6 +166,30 @@ def test_cli_policy_noninfect(tmp_path):
     assert "violated" in out
 
 
+def test_cli_policy_noninfect_prints_distinguishing_traces(tmp_path):
+    # the traces differ after a shared prefix, so formatting them sorts
+    # tuples of observations
+    proc = tmp_path / "P.jc"
+    proc.write_text("def tick<> |> tick<> in def go<> |> (sw1(evil); 0) in tick<> | go<>")
+    code, out, err = cli(
+        "policy", "noninfect", "--context", "refined(n=2)", "--process", str(proc),
+        "--tests", corpus_path("probe_read.jc"),
+    )
+    assert code == 1, err
+    assert "Traceback" not in err
+    assert "evolved-only traces:  [('observed<f1>', 'sw1<evil, k>')," in out
+
+
+def test_cli_viral_set_honours_max_depth(tmp_path):
+    proc_file = tmp_path / "v.jc"
+    proc_file.write_text(pretty(class_iii_virus()))
+    code, out, err = cli(
+        "detect", "--context", "refined(n=2)", "--process", str(proc_file), "--iterations", "2", "--max-depth", "1"
+    )
+    assert code == 2, err
+    assert "note: budget max_depth=1 exhausted" in out
+
+
 def test_cli_tripped_budgets_exit_2(tmp_path, monkeypatch, capsys):
     net = tmp_path / "n.net"
     net.write_text("place 0 start\nplace 1 goal\ntrans 0 pre 0:1 post 1:1\ninit 0:1\ntarget 1:1\n")
@@ -207,6 +233,17 @@ def test_cli_policy_tokenize_round_trip(tmp_path):
     assert text.startswith("#! services:")
     code2, out2, err2 = cli("policy", "isolate", "--context", str(out_file))
     assert code2 in (0, 1)
+
+
+def test_cli_file_loaded_context_enforces_like_inline(tmp_path):
+    out_file = tmp_path / "g.jc"
+    code, _, err = cli(
+        "policy", "tokenize", "--context", "refined(n=2)", "--guard", "sw1,sw2", "--distribute", "--out", str(out_file)
+    )
+    assert code == 0, err
+    from_file = cli("policy", "enforce", "--context", str(out_file))
+    inline = cli("policy", "enforce", "--context", "tokenized(n=2; mode=spatial; guard=sw1,sw2; distribute=yes)")
+    assert from_file == inline == (1, "enforcement_sound: False\n", "")
 
 
 def test_cli_scenario_expectation_mismatch(tmp_path):

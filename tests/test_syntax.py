@@ -7,6 +7,8 @@ from jcham.syntax import (
     CallPat,
     Concat,
     Conditional,
+    ExprLet,
+    ExprSeq,
     Lit,
     LocalDef,
     Message,
@@ -26,6 +28,7 @@ from jcham.syntax import (
     name_sets,
     pretty,
     substitute,
+    subterms,
 )
 
 
@@ -200,3 +203,19 @@ def test_round_trip_generated():
     for _ in range(200):
         t = _random_term(rng, 3)
         assert parse(pretty(t)) == t
+
+
+def test_subterms_pre_order_enters_rule_bodies_and_expressions():
+    p = parse(
+        'def f(a) |> (return g(fst(a) ++ "s") to f) in '
+        "let r = f(def k() |> return 1 to k in k()) in (out<r> | if [r = 2] then (h(r); 0) else HOLE)"
+    )
+    assert [type(t).__name__ for t in subterms(p)] == [
+        "LocalDef", "Return", "SyncCall", "Concat", "Proj", "NameRef", "Lit",
+        "Let", "SyncCall", "ExprDef", "Return", "Lit", "SyncCall",
+        "Parallel", "Message", "NameRef",
+        "Conditional", "NameRef", "Lit", "Sequence", "SyncCall", "NameRef", "Null", "Hole",
+    ]
+    x = Name("x")
+    e = ExprLet((x,), ExprSeq(SyncCall(Name("a")), NameRef(Name("b"))), NameRef(x))
+    assert list(subterms(e)) == [e, e.expr, e.expr.first, e.expr.then, e.body]
