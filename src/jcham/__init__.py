@@ -104,7 +104,7 @@ from .detector import (  # noqa: F401
     to_petri,
     viral_set_member,
 )
-from .petri import Marking, PetriNet, Transition, coverable, forward_enumerate, parse_net  # noqa: F401
+from .petri import Marking, PetriNet, Transition, coverable, parse_net  # noqa: F401
 from .policy import (  # noqa: F401
     InfectingTest,
     IsolationReport,

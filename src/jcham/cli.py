@@ -7,8 +7,8 @@ byte-identical output.
 
 Exit codes: analysis outcomes use 0 (not vulnerable / holds), 1
 (vulnerable / violated), 2 (budget exhausted), 3 (outside the decidable
-fragment); 64 parse error, 65 invalid scenario or usage, 70 expectation
-mismatch.
+fragment); 64 parse error, 65 invalid scenario, context or usage, 70
+expectation mismatch.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 from importlib import resources as importlib_resources
 
 from . import __version__
-from .contexts import Context, load_context, save_context
+from .contexts import Context, ContextError, load_context, save_context
 from .detector import DetectionVerdict, FragmentViolation, detect_via_coverability, explore, viral_set_member
 from .engine import BudgetExhausted, inject, run
 from .parser import ParseError, parse
@@ -74,11 +74,9 @@ def _load_program(path: str):
 
 
 def _load_context_arg(spec: str) -> Context:
-    if os.path.exists(spec):
-        return load_context(_read(spec))
     try:
-        return build_context(spec)
-    except ScenarioError as e:
+        return load_context(_read(spec)) if os.path.exists(spec) else build_context(spec)
+    except (ContextError, ScenarioError) as e:
         print(str(e), file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 

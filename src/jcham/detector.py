@@ -42,7 +42,7 @@ from .engine import (
     settle,
 )
 from .malware import abstraction_channel
-from .petri import Marking, PetriNet, Transition, coverable
+from .petri import Marking, PetriNet, Transition, coverable, fire_sequence
 from .syntax import (
     Atom,
     Conditional,
@@ -196,14 +196,16 @@ class _Qualifier:
         return None
 
 
+def _self_base(p: Process, self_channel: Optional[Name]) -> Optional[str]:
+    """The program's own channel base: the one given, else its abstraction's."""
+    ch = self_channel if self_channel is not None else abstraction_channel(p)
+    return ch.base if ch is not None else None
+
+
 def _prepare(ctx: Context, p: Process, self_channel: Optional[Name]):
     plugged = ctx.plug(p)
     core = desugar(plugged)
-    base = self_channel.base if self_channel is not None else None
-    if base is None:
-        ch = abstraction_channel(p)
-        base = ch.base if ch is not None else None
-    qual = _Qualifier(ctx, core, base)
+    qual = _Qualifier(ctx, core, _self_base(p, self_channel))
     soup = Soup()
     from .engine import heat
 
@@ -503,8 +505,8 @@ def to_petri(gs: GroundSystem) -> Tuple[PetriNet, Marking, List[GroundMessage]]:
 
 def detect_via_coverability(ctx: Context, p: Process, self_channel: Optional[Name] = None) -> DetectionVerdict:
     """Exact decision on the no-name-generation fragment: build the ground
-    system, convert to a net, and ask coverability for every place that
-    would witness a qualifying emission.
+    system, convert to a net, and ask one coverability question for all
+    the markings that would witness a qualifying emission.
 
     The fragment check runs on the plugged program as written: synchronous
     calls are rejected even when their compilation would happen to stay
@@ -516,11 +518,7 @@ def detect_via_coverability(ctx: Context, p: Process, self_channel: Optional[Nam
         raise FragmentViolation(report)
     core = desugar(plugged)
     gs = ground(core)
-    base = self_channel.base if self_channel is not None else None
-    if base is None:
-        ch = abstraction_channel(p)
-        base = ch.base if ch is not None else None
-    qual = _Qualifier(ctx, core, base)
+    qual = _Qualifier(ctx, core, _self_base(p, self_channel))
     net, init, place_msgs = to_petri(gs)
     stats = DetectionStats(states_explored=len(gs.rules))
     notes = [_CLAUSE_NOTE, f"{len(place_msgs)} places, {len(net.transitions)} transitions"]
@@ -550,12 +548,13 @@ def detect_via_coverability(ctx: Context, p: Process, self_channel: Optional[Nam
         if qual.emission_hit(m, gs.soup):
             targets.append((Marking.of({i: 1}), f"emission {m}"))
 
-    for target, label in targets:
-        ok, seq = coverable(net, init, target)
-        if ok:
-            assert seq is not None
-            return DetectionVerdict("vulnerable", _replay(gs, seq), stats, notes + [f"coverability witness: {label}"])
-    return DetectionVerdict("not_vulnerable", None, stats, notes)
+    ok, seq = coverable(net, init, *(target for target, _ in targets)) if targets else (False, None)
+    if not ok:
+        return DetectionVerdict("not_vulnerable", None, stats, notes)
+    # name the first target, in the order above, that the witness covers
+    final = fire_sequence(init, net, seq)
+    label = next(label for target, label in targets if target.leq(final))
+    return DetectionVerdict("vulnerable", _replay(gs, seq), stats, notes + [f"coverability witness: {label}"])
 
 
 def _replay(gs: GroundSystem, transition_seq: List[int]) -> Trace:

@@ -1,16 +1,19 @@
 """Place/transition nets with an exact coverability decision.
 
-Coverability is decided backwards: starting from the upward closure of the
-target marking, pre-images under all transitions are added until fixpoint,
-keeping only the minimal elements (an antichain); well-quasi-ordering of
-markings guarantees termination.  The pre-image of marking ``m`` under a
-transition is ``max(m - post, 0) + pre``, component-wise.  A forward
-breadth-first enumerator doubles as a testing oracle on bounded nets.
+Coverability is decided backwards (Abdulla, Čerāns, Jonsson & Tsay 1996).
+One antichain is seeded with every target marking and grown by rounds of
+pre-images under all transitions, keeping only its minimal elements.  The
+pre-image of marking ``m`` under a transition is ``max(m - post, 0) + pre``,
+component-wise.  The run stops at the first minimal marking that lies below
+the initial marking: the parent pointers from that marking back to its
+target spell a firing sequence, which is replayed forwards before it is
+returned.  When no such marking appears, the antichain saturates, which
+well-quasi-ordering of markings guarantees, and the targets are
+uncoverable.  A text format exchanges nets with the command line.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -27,12 +30,6 @@ class Marking:
 
     def as_dict(self) -> Dict[int, int]:
         return dict(self.counts)
-
-    def get(self, place: int) -> int:
-        for p, c in self.counts:
-            if p == place:
-                return c
-        return 0
 
     def leq(self, other: "Marking") -> bool:
         o = other.as_dict()
@@ -98,109 +95,77 @@ def pre_image(m: Marking, t: Transition) -> Marking:
 def _insert_minimal(basis: List[Marking], cand: Marking) -> bool:
     """Add ``cand`` to the antichain unless it is already covered; prune
     elements it covers.  Returns True when the basis changed."""
-    for b in basis:
-        if b.leq(cand):
-            return False
+    have = cand.as_dict()  # built once: every candidate scans the whole basis
+    if any(all(have.get(p, 0) >= c for p, c in b.counts) for b in basis):
+        return False
     basis[:] = [b for b in basis if not cand.leq(b)]
     basis.append(cand)
     return True
 
 
-def coverable(
-    net: PetriNet, init: Marking, target: Marking, max_basis: int = 200_000
-) -> Tuple[bool, Optional[List[int]]]:
-    """Decide whether a reachable marking dominates ``target``.
-
-    Returns the verdict and, when coverable, a transition-index witness that
-    is validated by forward simulation before being returned.
-    """
-    if target.size() == 0:
-        raise ValueError("target marking must be nonzero")
-    net.check()
-    basis: List[Marking] = [target]
-    parent: Dict[Marking, Optional[Tuple[int, Marking]]] = {target: None}
-    frontier: List[Marking] = [target]
-    while frontier:
-        new_frontier: List[Marking] = []
-        for m in frontier:
-            for ti, t in enumerate(net.transitions):
-                pm = pre_image(m, t)
-                if _insert_minimal(basis, pm):
-                    parent.setdefault(pm, (ti, m))
-                    new_frontier.append(pm)
-                    if len(parent) > max_basis:
-                        raise BudgetExhausted("max_basis", max_basis)
-        still_minimal = set(basis)
-        frontier = [m for m in new_frontier if m in still_minimal]
-    hits = [b for b in basis if b.leq(init)]
-    if not hits:
-        return False, None
-    start = min(hits, key=lambda m: (m.size(), str(m)))
-    seq: List[int] = []
-    cur: Optional[Tuple[int, Marking]] = parent.get(start)
-    while cur is not None:
-        ti, nxt = cur
-        seq.append(ti)
-        cur = parent.get(nxt)
-    # forward validation; a failure here is a bug, not an input error
-    m = init
+def fire_sequence(m: Marking, net: PetriNet, seq: Iterable[int]) -> Optional[Marking]:
+    """The marking reached by firing ``seq`` from ``m``, or None when one of
+    its transitions is not enabled on the way."""
     for ti in seq:
         nxt = fire(m, net.transitions[ti])
         if nxt is None:
-            raise AssertionError("backward witness failed forward validation")
+            return None
         m = nxt
-    if not target.leq(m):
-        raise AssertionError("witness does not dominate the target")
-    return True, seq
+    return m
 
 
-def forward_enumerate(net: PetriNet, init: Marking, cap: int) -> Tuple[set, bool]:
-    """Breadth-first reachable markings, up to ``cap`` distinct ones.
+def coverable(
+    net: PetriNet, init: Marking, *targets: Marking, max_basis: int = 200_000
+) -> Tuple[bool, Optional[List[int]]]:
+    """Decide whether a reachable marking dominates one of ``targets``.
 
-    ``saturated`` is False when the cap was hit, meaning the result is a
-    strict under-approximation.
+    Returns the verdict and, when coverable, a transition-index witness
+    whose firing from ``init`` ends in a marking that dominates one of the
+    targets; it is validated by forward simulation before being returned.
+    ``max_basis`` bounds the markings the search inserts.
     """
-    if cap < 1:
-        raise ValueError("cap must be positive")
+    if not targets or any(t.size() == 0 for t in targets):
+        raise ValueError("need at least one target marking, each nonzero")
     net.check()
-    seen = {init}
-    queue = deque([init])
-    saturated = True
-    while queue:
-        m = queue.popleft()
-        for t in net.transitions:
-            nxt = fire(m, t)
-            if nxt is None or nxt in seen:
+    basis: List[Marking] = []
+    parent: Dict[Marking, Optional[Tuple[int, Marking]]] = {}  # (transition, successor) back to a target
+    candidates: Iterable[Tuple[Marking, Optional[Tuple[int, Marking]]]] = [(t, None) for t in targets]
+    while True:
+        inserted: List[Marking] = []
+        for pm, via in candidates:
+            if not _insert_minimal(basis, pm):
                 continue
-            if len(seen) >= cap:
-                saturated = False
-                queue.clear()
-                break
-            seen.add(nxt)
-            queue.append(nxt)
-    return seen, saturated
+            parent[pm] = via  # a marking once inserted stays covered, so never returns
+            if pm.leq(init):
+                return True, _witness(net, init, targets, parent, pm)
+            if len(parent) > max_basis:
+                raise BudgetExhausted("max_basis", max_basis)
+            inserted.append(pm)
+        still_minimal = set(basis)
+        frontier = [m for m in inserted if m in still_minimal]
+        if not frontier:
+            return False, None
+        candidates = ((pre_image(m, t), (ti, m)) for m in frontier for ti, t in enumerate(net.transitions))
 
 
-def covers_any(markings: Iterable[Marking], target: Marking) -> bool:
-    return any(target.leq(m) for m in markings)
+def _witness(net: PetriNet, init: Marking, targets: Tuple[Marking, ...], parent, start: Marking) -> List[int]:
+    seq: List[int] = []
+    cur = parent[start]
+    while cur is not None:
+        ti, nxt = cur
+        seq.append(ti)
+        cur = parent[nxt]
+    # forward validation; a failure here is a bug, not an input error
+    final = fire_sequence(init, net, seq)
+    if final is None:
+        raise AssertionError("backward witness failed forward validation")
+    if not any(t.leq(final) for t in targets):
+        raise AssertionError("witness does not dominate a target")
+    return seq
 
 
 # ---------------------------------------------------------------------------
 # text exchange format
-
-
-def format_net(net: PetriNet, init: Marking, target: Optional[Marking] = None) -> str:
-    lines = []
-    for i, label in enumerate(net.place_labels):
-        lines.append(f"place {i} {label}")
-    for i, t in enumerate(net.transitions):
-        pre = ",".join(f"{p}:{c}" for p, c in t.pre) or "-"
-        post = ",".join(f"{p}:{c}" for p, c in t.post) or "-"
-        lines.append(f"trans {i} pre {pre} post {post}")
-    lines.append(f"init {init}")
-    if target is not None:
-        lines.append(f"target {target}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_net(text: str) -> Tuple[PetriNet, Marking, Optional[Marking]]:

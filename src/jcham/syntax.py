@@ -740,11 +740,14 @@ def _rename_pattern_binders(j: JoinPattern, ren: dict[Name, Atom]) -> JoinPatter
 
 
 def pretty(term: Term) -> str:
-    """Render a term in the concrete grammar; ``parse(pretty(t)) == t``."""
+    """Render a term in the concrete grammar; ``parse(pretty(t)) == t`` for
+    every term the parser builds.  The parser reads no ``let`` or ``;`` in
+    expression position, so ``ExprLet`` and ``ExprSeq`` print for reading
+    only, in the notation of their process-level counterparts."""
     match term:
         case Message(ch, args):
             return f"{ch}<{_expr_list(args)}>"
-        case LocalDef(d, p):
+        case LocalDef(d, p) | ExprDef(d, p):
             return f"def {pretty(d)} in {pretty(p)}"
         case Parallel(l, r):
             # the parser is left-associative; right-nested composition keeps
@@ -757,8 +760,10 @@ def pretty(term: Term) -> str:
             if isinstance(rest, Null) and isinstance(e, SyncCall):
                 return pretty(e)
             return f"{pretty(e)}; {pretty(rest)}"
-        case Let(xs, e, p):
+        case Let(xs, e, p) | ExprLet(xs, e, p):
             return f"let {', '.join(str(x) for x in xs)} = {pretty(e)} in {pretty(p)}"
+        case ExprSeq(a, b):
+            return f"{pretty(a)}; {pretty(b)}"
         case Return(vals, to):
             if vals:
                 return f"return {_expr_list(vals)} to {to}"

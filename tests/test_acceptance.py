@@ -30,7 +30,7 @@ from jcham.malware import (
     token_aware_overwrite,
 )
 from jcham.parser import parse
-from jcham.petri import Marking, covers_any, coverable, forward_enumerate
+from jcham.petri import Marking, coverable
 from jcham.policy import (
     TokenPolicy,
     add_token_distributor,
@@ -41,6 +41,7 @@ from jcham.policy import (
 from jcham.syntax import Name, Null, Pair
 
 from _gen import fragment_instance
+from _petri_referee import covers_any, forward_enumerate
 from _props import (
     check_canonical_brute_agreement,
     check_heating_reversibility,

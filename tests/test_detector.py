@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -16,10 +17,12 @@ from jcham.detector import (
 from jcham.engine import replay
 from jcham.malware import MalwareSpec, ReplicationMech, TargetRoutine, build_virus, build_worm
 from jcham.parser import parse
-from jcham.petri import Marking, covers_any, forward_enumerate
+from jcham.petri import Marking, coverable
+from jcham.scenarios import build_context
 from jcham.syntax import Hole, Name, Null, Pair
 
 from _gen import fragment_instance
+from _petri_referee import covers_any, forward_enumerate
 
 
 def virus(klass, mech="overwrite", targets=(Name("sw1"), Name("sw2"))):
@@ -171,6 +174,30 @@ def test_coverability_unreachable_target():
     assert detect_via_coverability(ctx, toy, self_channel=Name("p")).outcome == "not_vulnerable"
 
 
+def test_coverability_stops_at_the_first_cover(monkeypatch):
+    # a program that grounds to 25 places and 155 transitions; run to
+    # saturation the backward search took over 40 s on it
+    import jcham.detector as detector
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return coverable(*args, **kwargs)
+
+    monkeypatch.setattr(detector, "coverable", counted)
+    prog = parse(
+        "def ca<x> | cb<y> | cc<z> |> cb<x> | cc<y> | r1<z> and cb<x> |> cc<x> and cc<x> | ca<y> |> ca<x> | out<y> "
+        "in ca<a0> | ca<a1> | ca<a2> | ca<a3> | cb<p> | cc<a0>"
+    )
+    t0 = time.perf_counter()
+    v = detect_via_coverability(build_context("bare(resources=r1)"), prog, self_channel=Name("p"))
+    elapsed = time.perf_counter() - t0
+    assert v.vulnerable and elapsed < 5.0
+    assert len(calls) == 1
+    replay(v.witness)
+
+
 def test_coverability_agrees_with_explore_on_generated_corpus():
     rng = random.Random(1234)
     decided = 0
@@ -204,7 +231,7 @@ def test_forward_enumerate_agrees_with_coverable_on_generated_nets():
             continue
         for i in rng.sample(range(len(places)), min(3, len(places))):
             target = Marking.of({i: 1})
-            ok, _ = __import__("jcham.petri", fromlist=["coverable"]).coverable(net, init, target)
+            ok, _ = coverable(net, init, target)
             assert ok == covers_any(seen, target)
             checked += 1
     assert checked >= 20

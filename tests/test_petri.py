@@ -7,13 +7,13 @@ from jcham.petri import (
     PetriNet,
     Transition,
     coverable,
-    covers_any,
     fire,
-    format_net,
-    forward_enumerate,
+    fire_sequence,
     parse_net,
     pre_image,
 )
+
+from _petri_referee import OMEGA, format_net, forward_enumerate, karp_miller, km_covers
 
 
 def net_of(places, transitions):
@@ -77,6 +77,31 @@ def test_forward_enumerate_cap():
     assert len(seen) == 10 and not saturated
 
 
+def test_karp_miller_marks_unbounded_places():
+    # p0 pumps p1 without bound; p2 is never marked
+    net = net_of(3, [({0: 1}, {0: 1, 1: 1})])
+    nodes = karp_miller(net, Marking.of({0: 1}))
+    assert nodes == {(1, 0, 0), (1, OMEGA, 0)}
+    assert km_covers(nodes, Marking.of({1: 50}))
+    assert not km_covers(nodes, Marking.of({2: 1}))
+
+
+def test_target_covered_by_init_needs_no_step():
+    net = net_of(2, [({0: 1}, {1: 1})])
+    assert coverable(net, Marking.of({0: 2}), Marking.of({0: 1})) == (True, [])
+
+
+def test_one_run_answers_for_the_coverable_target():
+    # p2 has no producer; p1 is one step away
+    net = net_of(3, [({0: 1}, {1: 1})])
+    init = Marking.of({0: 1})
+    uncoverable, reachable = Marking.of({2: 1}), Marking.of({1: 1})
+    ok, wit = coverable(net, init, uncoverable, reachable)
+    assert ok and wit == [0]
+    assert reachable.leq(fire_sequence(init, net, wit))
+    assert coverable(net, init, uncoverable, Marking.of({2: 1, 1: 1})) == (False, None)
+
+
 def test_monotone_in_initial():
     rng = random.Random(9)
     for _ in range(30):
@@ -112,11 +137,8 @@ def test_backward_agrees_with_forward_on_random_nets():
         net = net_of(places, transitions)
         init = Marking.of({p: rng.randint(0, 1) for p in range(places)})
         target = Marking.of({rng.randrange(places): 1})
-        seen, saturated = forward_enumerate(net, init, cap=100_000)
-        if not saturated:
-            continue
         ok, _ = coverable(net, init, target)
-        assert ok == covers_any(seen, target)
+        assert ok == km_covers(karp_miller(net, init), target)
         agreed += 1
     assert agreed >= 20
 
@@ -132,6 +154,10 @@ def test_zero_target_rejected():
     net = net_of(1, [])
     with pytest.raises(ValueError):
         coverable(net, Marking.of({}), Marking.of({}))
+    with pytest.raises(ValueError):
+        coverable(net, Marking.of({}))
+    with pytest.raises(ValueError):
+        coverable(net, Marking.of({}), Marking.of({0: 1}), Marking.of({}))
 
 
 def test_text_format_round_trip():

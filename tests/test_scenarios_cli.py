@@ -12,6 +12,7 @@ import jcham.scenarios
 from jcham.cli import corpus_path, main
 from jcham.engine import BudgetExhausted, barb
 from jcham.malware import MalwareSpec, ReplicationMech, TargetRoutine, build_virus
+from jcham.parser import parse
 from jcham.policy import observable_traces
 from jcham.scenarios import Scenario, ScenarioError, build_context, load_scenario, run_scenario
 from jcham.syntax import Name, pretty
@@ -102,6 +103,27 @@ def test_cli_parse_error_exit(tmp_path):
     code, out, err = cli("parse", str(bad))
     assert code == 64
     assert "1:5" in err
+
+
+def test_cli_parse_prints_expression_definitions(tmp_path, capsys):
+    src = tmp_path / "e.jc"
+    src.write_text("let x = def k() |> return 1 to k in k() in out<x>")
+    assert main(["parse", str(src)]) == 0
+    assert parse(capsys.readouterr().out) == parse(src.read_text())
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["#! services: nosuch  resources:   privileged:", "#! services:  resources:   privileged:  guard: token=t mode=spatial"],
+)
+def test_cli_bad_context_file_is_a_usage_error(tmp_path, capsys, header):
+    bad = tmp_path / "bad.jc"
+    bad.write_text(f"{header}\nHOLE\n")
+    with pytest.raises(SystemExit) as exit_:
+        main(["policy", "isolate", "--context", str(bad)])
+    assert exit_.value.code == 65
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
 
 
 def class_iii_virus():

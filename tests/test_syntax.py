@@ -189,6 +189,8 @@ ROUND_TRIP_SOURCES = [
     "return to chan",
     "let x, y = f(a, b) in out<x, y>",
     "(def x<u> |> 0 in x<a>) | y<b>",
+    "let x = def k() |> return 1 to k in k() in out<x>",
+    "out<def k() |> return 1 to k and j() |> return to j in k(), a>",
 ]
 
 
@@ -196,6 +198,12 @@ ROUND_TRIP_SOURCES = [
 def test_round_trip(src):
     t = parse(src)
     assert parse(pretty(t)) == t
+
+
+def test_pretty_prints_expression_let_and_sequence():
+    x = Name("x")
+    e = ExprLet((x,), ExprSeq(SyncCall(Name("a")), NameRef(Name("b"))), NameRef(x))
+    assert pretty(Message(Name("out"), (e,))) == "out<let x = a(); b in x>"
 
 
 def test_round_trip_generated():
