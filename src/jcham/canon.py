@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .engine import ActiveRule, GroundMessage, Soup
 from .syntax import (
@@ -54,7 +54,6 @@ _BRANCH_BUDGET = 48
 class CanonicalForm:
     digest: str
     serialization: str
-    renaming: tuple[tuple[Name, Name], ...]
 
 
 def canonicalize(soup: Soup) -> CanonicalForm:
@@ -65,17 +64,8 @@ def canonicalize(soup: Soup) -> CanonicalForm:
     slotted = _slot_items(flats, fresh)
     colors = _refine_fixpoint(slotted, _ranks([n.base for n in fresh]))
     orders = _discrete_orders(slotted, fresh, colors)
-    best_s: Optional[str] = None
-    best_order: Optional[List[Name]] = None
-    for order in orders:
-        final = {n: f"%{i}" for i, n in enumerate(order)}
-        s = _serialize_soup(skeletons, final)
-        if best_s is None or s < best_s:
-            best_s, best_order = s, order
-    assert best_s is not None and best_order is not None
-    digest = hashlib.sha256(best_s.encode()).hexdigest()
-    renaming = tuple((n, Name(n.base, i)) for i, n in enumerate(best_order))
-    return CanonicalForm(digest, best_s, renaming)
+    best_s = min(_serialize_soup(skeletons, {n: f"%{i}" for i, n in enumerate(order)}) for order in orders)
+    return CanonicalForm(hashlib.sha256(best_s.encode()).hexdigest(), best_s)
 
 
 def congruent(a: Soup, b: Soup) -> bool:
@@ -90,12 +80,6 @@ def _items(soup: Soup) -> list:
     out: list = [("msg", m, k) for m, k in soup.messages.items()]
     out.extend(("rule", r, 1) for r in soup.rules)
     return out
-
-
-def _global_indexed_names(soup: Soup) -> List[Name]:
-    """The indexed names occurring free in the soup, sorted: exactly the
-    slots of the item skeletons."""
-    return _sorted_names(n for item in _items(soup) for n in _flatten(item).slots)
 
 
 def _sorted_names(names: Iterable[Name]) -> List[Name]:
@@ -276,11 +260,6 @@ class _Flat(NamedTuple):
     toks: Skeleton
     slots: Slots
     shape: str  # the base projection
-
-
-def _skeletonize(item) -> Skeleton:
-    """The item's skeleton; a rule's is shared and must not be mutated."""
-    return _flatten(item).toks
 
 
 def _flatten(item) -> _Flat:

@@ -23,6 +23,7 @@ from . import __version__
 from .contexts import Context, ContextError, load_context, save_context
 from .detector import DetectionVerdict, FragmentViolation, detect_via_coverability, explore, viral_set_member
 from .engine import BudgetExhausted, inject, run
+from .malware import MalwareError
 from .parser import ParseError, parse
 from .petri import coverable, parse_net
 from .policy import (
@@ -244,7 +245,7 @@ def cmd_scenario(args) -> int:
     try:
         sc = load_scenario(path)
         result = run_scenario(sc)
-    except (ScenarioError, OSError, KeyError, ValueError) as e:
+    except (ScenarioError, ContextError, MalwareError, OSError, KeyError, ValueError) as e:
         print(f"invalid scenario: {e}", file=sys.stderr)
         return EXIT_USAGE
     if args.json:
@@ -338,6 +339,9 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(str(e), file=sys.stderr)
         return EXIT_PARSE
+    except ContextError as e:
+        print(str(e), file=sys.stderr)
+        return EXIT_USAGE
     except BudgetExhausted as e:
         print(str(e), file=sys.stderr)
         return EXIT_BUDGET

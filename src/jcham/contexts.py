@@ -5,9 +5,14 @@ An environment provides services (request/reply definitions) and resources
 never reacts on its own; everything it does is a response to messages from
 the process plugged into its hole.
 
-Builders here follow a naming convention that keeps runtime channels
-addressable: every instance gets its own base name (``sw1``, ``sw2``,
-``content1`` ...), so after activation a base identifies one channel.
+Each template is written in the concrete syntax of ``parser`` and parsed.
+Caller-supplied processes and rules are attached as syntax trees, never
+printed; caller-supplied names and atoms are written through
+``parser.atom_source``, which refuses any that would not read back as
+themselves.  Builders follow a naming convention that keeps runtime
+channels addressable: every instance gets its own base name (``sw1``,
+``sw2``, ``content1`` ...), so after activation a base identifies one
+channel.
 """
 
 from __future__ import annotations
@@ -17,33 +22,24 @@ from typing import Optional, Sequence as Seq
 
 from .syntax import (
     Atom,
-    CallPat,
     Conditional,
     ExprDef,
     Hole,
     Let,
     LocalDef,
-    Message,
-    MsgPat,
     Name,
-    NameRef,
-    Null,
     Parallel,
-    PatJoin,
     Process,
-    Return,
     Rule,
     Sequence,
-    SyncCall,
     conj_of,
     cons_list,
     def_dv,
-    par,
     pretty,
     rules_of,
     subterms,
 )
-from .parser import parse
+from .parser import atom_source, parse, parse_definition
 
 
 class ContextError(Exception):
@@ -164,30 +160,38 @@ def _validate(ctx: Context) -> Context:
 
 
 # ---------------------------------------------------------------------------
-# small AST helpers used by all builders
+# model text shared by the builders
 
 
-def _n(s: str) -> Name:
-    return Name(s)
+# ``proc_exec(p, a)`` records ``p`` as the active process on the internal
+# ``current`` channel, then runs it; ``sys_updt`` sets and ``sys_ref``
+# reads that pointer
+MANAGED_EXECUTION = """
+        proc_exec(p, a) |> (sys_updt(p); return p(a) to proc_exec)
+    and sys_updt(rnew) | current<rcur> |> current<rnew>
+    and sys_ref() | current<rcur> |> current<rcur> | (return rcur to sys_ref)"""
 
 
-def _ref(s: str) -> NameRef:
-    return NameRef(_n(s))
+def resource_text(read: str, write: str, content: str, execute: Optional[str] = None, runner: Optional[str] = None) -> str:
+    """Access definitions around one internal ``content`` channel, with an
+    exec channel when ``execute`` is given; the arguments are channel names
+    as source text.  When ``runner`` is given,
+    execution is delegated to it (the executing service updates the
+    active-process pointer before the content runs); otherwise the content
+    is applied directly."""
+    text = f"""
+        {write}(fnew) | {content}<f> |> (return to {write}) | {content}<fnew>
+    and {read}() | {content}<f> |> (return f to {read}) | {content}<f>"""
+    if execute is not None:
+        run = f"{runner}(f, arg)" if runner is not None else "f(arg)"
+        text += f"""
+    and {execute}(arg) | {content}<f> |> (return {run} to {execute}) | {content}<f>"""
+    return text
 
 
-def _join(*pats) -> object:
-    out = pats[0]
-    for p in pats[1:]:
-        out = PatJoin(out, p)
-    return out
-
-
-def _call(ch: str, *args) -> SyncCall:
-    return SyncCall(_n(ch), tuple(args))
-
-
-def _do(call: SyncCall, rest: Process = Null()) -> Process:
-    return Sequence(call, rest)
+def par_text(parts: Seq[str]) -> str:
+    """``a | (b | (... | z))``, the text of ``par(a, b, ..., z)``."""
+    return " | (".join(parts) + ")" * (len(parts) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -196,68 +200,25 @@ def _do(call: SyncCall, rest: Process = Null()) -> Process:
 
 def service_rule(channel: Name, fn: Name, arity: int = 1) -> Rule:
     """``channel(a1..an) |> return fn(a1..an) to channel``"""
-    binders = tuple(Name(f"a{i}") for i in range(1, arity + 1))
-    return Rule(
-        CallPat(channel, binders),
-        Return((SyncCall(fn, tuple(NameRef(b) for b in binders)),), channel),
-    )
+    ch, f = atom_source(channel, ContextError), atom_source(fn, ContextError)
+    args = ", ".join(f"a{i}" for i in range(1, arity + 1))
+    return parse_definition(f"{ch}({args}) |> return {f}({args}) to {ch}")
 
 
 def resource_rules(spec: ResourceSpec, read: Name, write: Name, execute: Optional[Name], content: Name, runner: Optional[Name] = None) -> list[Rule]:
-    """Access definitions around one internal ``content`` channel.
-
-    When ``runner`` is given, execution is delegated to it (the executing
-    service updates the active-process pointer before the content runs);
-    otherwise the content is applied directly.
-    """
-    f, fnew, arg = Name("f"), Name("fnew"), Name("arg")
-    rules = [
-        Rule(
-            _join(CallPat(write, (fnew,)), MsgPat(content, (f,))),
-            Parallel(Return((), write), Message(content, (NameRef(fnew),))),
-        ),
-        Rule(
-            _join(CallPat(read, ()), MsgPat(content, (f,))),
-            Parallel(Return((NameRef(f),), read), Message(content, (NameRef(f),))),
-        ),
-    ]
+    """The rules of :func:`resource_text`; ``execute`` is used only for an
+    executable ``spec``."""
     if spec.kind == "executable":
         assert execute is not None
-        if runner is not None:
-            body = Return((SyncCall(runner, (NameRef(f), NameRef(arg))),), execute)
-        else:
-            body = Return((SyncCall(f, (NameRef(arg),)),), execute)
-        rules.append(
-            Rule(
-                _join(CallPat(execute, (arg,)), MsgPat(content, (f,))),
-                Parallel(body, Message(content, (NameRef(f),))),
-            )
-        )
-    return rules
+    else:
+        execute = None
+    src = [None if n is None else atom_source(n, ContextError) for n in (read, write, content, execute, runner)]
+    return rules_of(parse_definition(resource_text(*src)))
 
 
 def managed_execution_rules() -> list[Rule]:
-    """``proc_exec(p, a)`` records ``p`` as the active process on the
-    internal ``current`` channel, then runs it; ``sys_updt`` sets and
-    ``sys_ref`` reads that pointer."""
-    p_, a_, rn, rc = Name("p"), Name("a"), Name("rnew"), Name("rcur")
-    return [
-        Rule(
-            CallPat(_n("proc_exec"), (p_, a_)),
-            Sequence(
-                SyncCall(_n("sys_updt"), (NameRef(p_),)),
-                Return((SyncCall(p_, (NameRef(a_),)),), _n("proc_exec")),
-            ),
-        ),
-        Rule(
-            _join(CallPat(_n("sys_updt"), (rn,)), MsgPat(_n("current"), (rc,))),
-            Message(_n("current"), (NameRef(rn),)),
-        ),
-        Rule(
-            _join(CallPat(_n("sys_ref"), ()), MsgPat(_n("current"), (rc,))),
-            Parallel(Message(_n("current"), (NameRef(rc),)), Return((NameRef(rc),), _n("sys_ref"))),
-        ),
-    ]
+    """The rules of :data:`MANAGED_EXECUTION`."""
+    return rules_of(parse_definition(MANAGED_EXECUTION))
 
 
 def base_context(services: Seq[tuple[Name, Name]] = (), resources: Seq[ResourceSpec] = ()) -> Context:
@@ -274,35 +235,27 @@ def base_context(services: Seq[tuple[Name, Name]] = (), resources: Seq[ResourceS
         raise DuplicateLabel("service names must be distinct")
 
     rules: list[Rule] = [service_rule(ch, fn) for ch, fn in services]
-    initial: list[Process] = []
+    initial = []
     r_set: set[Name] = set()
     priv: set[Name] = set()
     for spec in resources:
-        read, write = Name(f"{spec.label}_read"), Name(f"{spec.label}_write")
+        read, write, content = (Name(f"{spec.label}_{s}") for s in ("read", "write", "content"))
         execute = Name(f"{spec.label}_exec") if spec.kind == "executable" else None
-        content = Name(f"{spec.label}_content")
         rules.extend(resource_rules(spec, read, write, execute, content))
-        initial.append(Message(content, (_embed(spec.initial),)))
+        initial.append(f"{content}<{atom_source(spec.initial, ContextError)}>")
         r_set.update({read, write} | ({execute} if execute else set()))
         priv.add(content)
 
-    body = par(*initial, Hole())
-    template: Process = LocalDef(conj_of(rules), body) if rules else body
+    body = parse(par_text([*initial, "HOLE"]))
     return _validate(
         Context(
-            template=template,
+            template=LocalDef(conj_of(rules), body) if rules else body,
             services=frozenset(svc_names),
             resources=frozenset(r_set),
             privileged=frozenset(priv),
             exec_bases=frozenset(n.base for n in r_set if n.base.endswith("_exec")),
         )
     )
-
-
-def _embed(a: Atom):
-    from .syntax import embed_atom
-
-    return embed_atom(a)
 
 
 # ---------------------------------------------------------------------------
@@ -329,53 +282,29 @@ def refined_context(n: int, initial: Optional[Seq[Atom]] = None) -> Context:
     if len(initial) != n:
         raise ArityMismatch(f"expected {n} initial contents, got {len(initial)}")
 
-    in_, out_ = Name("inp"), Name("out")
-    d_rep = Rule(
-        CallPat(_n("sys_rep"), (in_, out_)),
-        Return((SyncCall(_n("sys_copy"), (NameRef(in_), NameRef(out_))),), _n("sys_rep")),
-    )
-    # the system copy routine forwards its input to the output channel
-    d_copy = Rule(CallPat(_n("sys_copy"), (Name("v"), Name("w"))), _do(SyncCall(Name("w"), (NameRef(Name("v")),))))
-
-    rules: list[Rule] = [*managed_execution_rules(), d_rep, d_copy]
-    initial_msgs: list[Process] = [Message(_n("current"), (NameRef(Name("null")),))]
-    r_set: set[Name] = set()
-    priv: set[Name] = {_n("current"), _n("sys_updt"), _n("sys_copy"), _n("mk_res")}
-    for i in range(1, n + 1):
-        spec = ResourceSpec(label=f"t{i}", kind="executable", initial=initial[i - 1])
-        sr, sw, se, content = (Name(f"sr{i}"), Name(f"sw{i}"), Name(f"se{i}"), Name(f"content{i}"))
-        rules.extend(resource_rules(spec, sr, sw, se, content, runner=_n("proc_exec")))
-        initial_msgs.append(Message(content, (_embed(initial[i - 1]),)))
-        r_set.update({sr, sw, se})
-        priv.add(content)
-
-    # run-time resource factory: mk_res(f0) returns read/write/exec channels
-    f0 = Name("f0")
-    dyn_spec = ResourceSpec(label="tgt", kind="executable", initial=Name("empty"))
-    inner_rules = resource_rules(
-        dyn_spec, _n("tgt_read"), _n("tgt_write"), _n("tgt_exec"), _n("tgt_content"), runner=_n("proc_exec")
-    )
-    mk_res = Rule(
-        CallPat(_n("mk_res"), (f0,)),
-        LocalDef(
-            conj_of(inner_rules),
-            Parallel(
-                Message(_n("tgt_content"), (NameRef(f0),)),
-                Return((_ref("tgt_read"), _ref("tgt_write"), _ref("tgt_exec")), _n("mk_res")),
-            ),
-        ),
-    )
-    rules.append(mk_res)
-
-    template = LocalDef(conj_of(rules), par(*initial_msgs, Hole()))
+    targets = range(1, n + 1)
+    resources = " and ".join(resource_text(f"sr{i}", f"sw{i}", f"content{i}", f"se{i}", "proc_exec") for i in targets)
+    contents = [f"content{i}<{atom_source(a, ContextError)}>" for i, a in zip(targets, initial)]
+    template = parse(f"""
+        def {MANAGED_EXECUTION}
+        and sys_rep(inp, out) |> (return sys_copy(inp, out) to sys_rep)
+        # the system copy routine forwards its input to the output channel
+        and sys_copy(v, w) |> w(v)
+        and {resources}
+        # run-time resource factory: mk_res(f0) returns read/write/exec channels
+        and mk_res(f0) |> (
+            def {resource_text("tgt_read", "tgt_write", "tgt_content", "tgt_exec", "proc_exec")}
+            in tgt_content<f0> | (return tgt_read, tgt_write, tgt_exec to mk_res))
+        in {par_text(["current<null>", *contents, "HOLE"])}
+    """)
     return _validate(
         Context(
             template=template,
-            services=frozenset({_n("proc_exec"), _n("sys_ref"), _n("sys_rep")}),
-            resources=frozenset(r_set),
-            privileged=frozenset(priv),
+            services=frozenset(map(Name, ("proc_exec", "sys_ref", "sys_rep"))),
+            resources=frozenset(Name(f"{c}{i}") for c in ("sr", "sw", "se") for i in targets),
+            privileged=frozenset(map(Name, ("current", "sys_updt", "sys_copy", "mk_res", *(f"content{i}" for i in targets)))),
             dynamic_resource_bases=frozenset({"tgt_read", "tgt_write", "tgt_exec"}),
-            exec_bases=frozenset({f"se{i}" for i in range(1, n + 1)} | {"tgt_exec"}),
+            exec_bases=frozenset({f"se{i}" for i in targets} | {"tgt_exec"}),
         )
     )
 
@@ -395,31 +324,21 @@ def worm_topology(remote_handler: Optional[Process] = None) -> Context:
     handler re-emits whatever it gets on ``handled``.
     """
     if remote_handler is None:
-        remote_handler = Let((Name("d"),), SyncCall(_n("rcv"), ()), Message(_n("handled"), (_ref("d"),)))
-
-    com = Rule(
-        _join(MsgPat(_n("sd"), (Name("m"),)), CallPat(_n("rcv"), ())),
-        Return((_ref("m"),), _n("rcv")),
-    )
-
-    d_prop = Rule(
-        CallPat(_n("sys_prop"), (Name("inp"), Name("out"))),
-        Return((SyncCall(_n("prop_copy"), (_ref("inp"), _ref("out"))),), _n("sys_prop")),
-    )
-    # propagation sends into the one-slot buffer, fire-and-forget
-    d_copy = Rule(CallPat(_n("prop_copy"), (Name("v"), Name("w"))), Message(Name("w"), (_ref("v"),)))
-
-    local = LocalDef(
-        conj_of([*managed_execution_rules(), d_prop, d_copy]),
-        par(Message(_n("current"), (NameRef(Name("null")),)), Hole()),
-    )
-    template = LocalDef(conj_of([com]), Parallel(remote_handler, local))
+        remote_handler = parse("let d = rcv() in handled<d>")
+    local = parse(f"""
+        def {MANAGED_EXECUTION}
+        and sys_prop(inp, out) |> (return prop_copy(inp, out) to sys_prop)
+        # propagation sends into the one-slot buffer, fire-and-forget
+        and prop_copy(v, w) |> w<v>
+        in current<null> | HOLE
+    """)
+    com = parse_definition("sd<m> | rcv() |> return m to rcv")
     return _validate(
         Context(
-            template=template,
-            services=frozenset({_n("proc_exec"), _n("sys_ref"), _n("sys_prop")}),
+            template=LocalDef(com, Parallel(remote_handler, local)),
+            services=frozenset(map(Name, ("proc_exec", "sys_ref", "sys_prop"))),
             resources=frozenset(),
-            privileged=frozenset({_n("current"), _n("sys_updt"), _n("prop_copy")}),
+            privileged=frozenset(map(Name, ("current", "sys_updt", "prop_copy"))),
             exports=frozenset({"sd"}),
         )
     )
@@ -433,48 +352,27 @@ def rootkit_kernel(syscalls: Seq[Atom], scbase: Atom = Name("scbase"), attacker:
     """Kernel-style environment: a command pair to the outside, a driver
     loader, a system-call table behind a privileged ``hook`` channel, and an
     allocation service that leaks ``hook`` exactly when asked for the
-    table's base address.
+    table's base address.  ``attacker`` runs next to the hole.
     """
     if not syscalls:
         raise ContextError("need at least one system call")
-
-    com = Rule(
-        _join(MsgPat(_n("sd"), (Name("m"),)), CallPat(_n("rcv"), ())),
-        Return((_ref("m"),), _n("rcv")),
-    )
-    mdriv = Rule(CallPat(_n("load"), (Name("d"),)), Message(Name("d"), ()))
-    t_ = Name("t")
-    tsc = [
-        Rule(
-            _join(CallPat(_n("publish"), ()), MsgPat(_n("table"), (t_,))),
-            Parallel(Return((NameRef(t_),), _n("publish")), Message(_n("table"), (NameRef(t_),))),
-        ),
-        Rule(
-            _join(CallPat(_n("hook"), (Name("tnew"),)), MsgPat(_n("table"), (t_,))),
-            Message(_n("table"), (_ref("tnew"),)),
-        ),
-    ]
-    alloc = Rule(
-        CallPat(_n("alloc"), (Name("b"), Name("s"))),
-        Conditional(
-            _ref("b"),
-            _embed(scbase),
-            Return((_ref("hook"),), _n("alloc")),
-            Return((_ref("access"),), _n("alloc")),
-        ),
-    )
-    body = par(
-        Message(_n("table"), (_embed(cons_list(list(syscalls))),)),
-        attacker if attacker is not None else Null(),
-        Hole(),
-    )
-    template = LocalDef(conj_of([com, mdriv, *tsc, alloc]), body)
+    template = parse(f"""
+        def sd<m> | rcv() |> (return m to rcv)
+        and load(d) |> d<>
+        and publish() | table<t> |> (return t to publish) | table<t>
+        and hook(tnew) | table<t> |> table<tnew>
+        and alloc(b, s) |> if [b = {atom_source(scbase, ContextError)}]
+                           then (return hook to alloc) else (return access to alloc)
+        in table<{atom_source(cons_list(list(syscalls)), ContextError)}> | HOLE
+    """)
+    if attacker is not None:
+        template = plug(template, Parallel(attacker, Hole()))
     return _validate(
         Context(
             template=template,
-            services=frozenset({_n("alloc"), _n("publish"), _n("load"), _n("sd"), _n("rcv")}),
+            services=frozenset(map(Name, ("alloc", "publish", "load", "sd", "rcv"))),
             resources=frozenset(),
-            privileged=frozenset({_n("hook"), _n("table")}),
+            privileged=frozenset(map(Name, ("hook", "table"))),
         )
     )
 

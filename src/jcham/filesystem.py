@@ -11,109 +11,36 @@ complements is installed (``complist`` keeps them head-first by
 preemptiveness, ``preempt`` pushes a new head and drops the tail element).
 
 All command channels carry an explicit reply argument so a caller resumes
-only once the command has fully settled.
+only once the command has fully settled.  The environment is written in
+the concrete syntax, like those of ``contexts``.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence as Seq
 
-from .contexts import Context, ContextError, ResourceSpec, _validate, managed_execution_rules, resource_rules
-from .syntax import (
-    Atom,
-    Concat,
-    Conditional,
-    Expression,
-    Hole,
-    Let,
-    LocalDef,
-    Message,
-    MsgPat,
-    Name,
-    NameRef,
-    Null,
-    Parallel,
-    PatJoin,
-    Process,
-    Proj,
-    Rule,
-    SyncCall,
-    Sequence,
-    conj_of,
-    embed_atom,
-    par,
-)
+from .contexts import MANAGED_EXECUTION, Context, ContextError, _validate, par_text, resource_text
+from .parser import atom_source, parse, parse_definition
+from .syntax import Atom, LocalDef, Message, Name, Rule, conj_of, cons_list, rules_of
 
-NIL = NameRef(Name("nil"))
-
-
-def _n(s: str) -> Name:
-    return Name(s)
-
-
-def _r(s: str) -> NameRef:
-    return NameRef(_n(s))
-
-
-def _if(a: Expression, b: Expression, then: Process, orelse: Process) -> Process:
-    return Conditional(a, b, then, orelse)
-
-
-def _msg(ch: str, *args: Expression) -> Message:
-    return Message(_n(ch), tuple(args))
-
-
-def _cons(head: Expression, tail: Expression) -> Expression:
-    return Concat(head, tail)
-
-
-def _cell_name(cell: Expression) -> Expression:
-    return Proj(cell, 1)
-
-
-def _cell_read(cell: Expression) -> Expression:
-    return Proj(Proj(cell, 2), 1)
-
-
-def _cell_write(cell: Expression) -> Expression:
-    return Proj(Proj(Proj(cell, 2), 2), 1)
-
-
-def _cell_exec(cell: Expression) -> Expression:
-    return Proj(Proj(Proj(cell, 2), 2), 2)
-
-
-def _head(l: Expression) -> Expression:
-    return Proj(l, 1)
-
-
-def _tail(l: Expression) -> Expression:
-    return Proj(l, 2)
-
-
-def _scan_rule(scan: str, extras: list[str], found: Process, missing: Process) -> Rule:
-    """Walk ``rem`` with accumulator ``acc``: dispatch to ``found`` when the
-    head cell's name equals the first extra, recurse otherwise."""
-    binders = tuple(Name(x) for x in extras) + (Name("rem"), Name("acc"), Name("k"))
-    again = _msg(
-        scan,
-        *[NameRef(Name(x)) for x in extras],
-        _tail(_r("rem")),
-        _cons(_head(_r("rem")), _r("acc")),
-        _r("k"),
-    )
-    body = _if(
-        _r("rem"),
-        NIL,
-        missing,
-        _if(_cell_name(_head(_r("rem"))), NameRef(Name(extras[0])), found, again),
-    )
-    return Rule(MsgPat(_n(scan), binders), body)
-
-
-def _restore(k_expr: Expression, rem: Expression) -> Process:
-    """Rebuild the registry from the accumulator onto ``rem``."""
-    return _msg("fs_unw", _r("acc"), rem, k_expr)
+# Completion of short names against the complement list, and preemption.
+HIERARCHY = """
+    # take a complement snapshot, try complements in order
+        ex_comp<n, a, k> | complist<cl> |> complist<cl> | ex_try<n, cl, a, k>
+    and ex_try<n, rem, a, k> |> if [rem = nil] then no_completion<n>
+                                else ex_chk<n ++ fst(rem), n, rem, a, k>
+    # look the candidate up in a registry snapshot
+    and ex_chk<ln, n, rem, a, k> | fsdir<d> |> fsdir<d> | ex_lk<ln, d, n, rem, a, k>
+    and ex_lk<ln, drem, n, rem, a, k> |> if [drem = nil] then ex_try<n, snd(rem), a, k>
+                                         else if [fst(fst(drem)) = ln] then execute<ln, a, k>
+                                         else ex_lk<ln, snd(drem), n, rem, a, k>
+    # preempt: push a complement to the head, drop the tail element
+    and preempt<c, k> | complist<cl> |> if [cl = nil] then (complist<c ++ nil> | k<>)
+                                         else pre_drop<c, cl, nil, k>
+    and pre_drop<c, rem, acc, k> |> if [snd(rem) = nil] then pre_unw<acc, nil, c, k>
+                                    else pre_drop<c, snd(rem), fst(rem) ++ acc, k>
+    and pre_unw<acc, built, c, k> |> if [acc = nil] then (complist<c ++ built> | k<>)
+                                     else pre_unw<snd(acc), fst(acc) ++ built, c, k>"""
 
 
 def file_system(
@@ -125,354 +52,99 @@ def file_system(
 
     ``entries`` pairs file names with initial contents.  When
     ``complements`` is given, the execution hierarchy is installed and
-    ``execute`` completes unknown names against it.
+    ``execute`` completes unknown names against it.  ``extra_rules`` are
+    added after the file system's own.
     """
     names = [n for n, _ in entries]
     if len(names) != len(set(map(str, names))):
         raise ContextError("file names must be distinct")
+    files = range(1, len(entries) + 1)
 
-    rules: list[Rule] = managed_execution_rules()
-    priv: set[Name] = {_n("current"), _n("sys_updt")}
-    r_set: set[Name] = set()
-    initial: list[Process] = [Message(_n("current"), (_r("null"),))]
-
-    # per-file resources, registry cells; building the registry by
-    # prepending in entry order makes listings come out oldest first
-    dir_list: Expression = NIL
-    for j, (fname, content) in enumerate(entries, start=1):
-        spec = ResourceSpec(label=f"f{j}", kind="executable", initial=content)
-        sr, sw, se, cont = (_n(f"fsr{j}"), _n(f"fsw{j}"), _n(f"fse{j}"), _n(f"fcontent{j}"))
-        rules.extend(resource_rules(spec, sr, sw, se, cont, runner=_n("proc_exec")))
-        initial.append(Message(cont, (embed_atom(content),)))
-        r_set.update({sr, sw, se})
-        priv.add(cont)
-        cell = _cons(embed_atom(fname), _cons(NameRef(sr), _cons(NameRef(sw), NameRef(se))))
-        dir_list = _cons(cell, dir_list)
-    initial.append(Message(_n("fsdir"), (dir_list,)))
-    priv.add(_n("fsdir"))
-
-    # run-time file factory
-    dyn = ResourceSpec(label="file", kind="executable", initial=Name("empty"))
-    inner = resource_rules(
-        dyn, _n("file_read"), _n("file_write"), _n("file_exec"), _n("file_content"), runner=_n("proc_exec")
-    )
-    rules.append(
-        Rule(
-            MsgPat(_n("mk_file"), (Name("f0"), Name("k"))),
-            LocalDef(
-                conj_of(inner),
-                Parallel(
-                    _msg("file_content", _r("f0")),
-                    _msg("k", _r("file_read"), _r("file_write"), _r("file_exec")),
-                ),
-            ),
-        )
-    )
-    priv.add(_n("mk_file"))
-
-    # shared unwinder: pour the accumulator back onto `built`, restore, ack
-    rules.append(
-        Rule(
-            MsgPat(_n("fs_unw"), (Name("acc"), Name("built"), Name("k"))),
-            _if(
-                _r("acc"),
-                NIL,
-                Parallel(_msg("fsdir", _r("built")), _msg("k")),
-                _msg("fs_unw", _tail(_r("acc")), _cons(_head(_r("acc")), _r("built")), _r("k")),
-            ),
-        )
-    )
-    rules.append(Rule(MsgPat(_n("fs_done"), ()), Null()))
-    priv.update({_n("fs_unw"), _n("fs_done")})
-
-    def grab(cmd: str, scan: str, *extras: str) -> Rule:
-        """``cmd<extras..., k> | fsdir<d> |> scan<extras..., d, nil, k>``"""
-        binders = tuple(Name(x) for x in extras) + (Name("k"),)
-        return Rule(
-            PatJoin(MsgPat(_n(cmd), binders), MsgPat(_n("fsdir"), (Name("d"),))),
-            _msg(scan, *[NameRef(Name(x)) for x in extras], _r("d"), NIL, _r("k")),
-        )
-
-    # new: create a resource, prepend its cell
-    rules.append(
-        Rule(
-            PatJoin(MsgPat(_n("new"), (Name("n"), Name("k"))), MsgPat(_n("fsdir"), (Name("d"),))),
-            Let(
-                (Name("nr"), Name("nw"), Name("nx")),
-                SyncCall(_n("mk_file"), (_r("null"),)),
-                Parallel(
-                    _msg(
-                        "fsdir",
-                        _cons(
-                            _cons(_r("n"), _cons(_r("nr"), _cons(_r("nw"), _r("nx")))),
-                            _r("d"),
-                        ),
-                    ),
-                    _msg("k"),
-                ),
-            ),
-        )
-    )
-
-    # delete: drop the cell
-    rules.append(grab("delete", "del_scan", "n"))
-    rules.append(
-        _scan_rule(
-            "del_scan",
-            ["n"],
-            found=_restore(_r("k"), _tail(_r("rem"))),
-            missing=Parallel(_msg("fs_err", _r("n")), _restore(_r("k"), NIL)),
-        )
-    )
-    priv.add(_n("del_scan"))
-
-    # move: rebind the cell under a new name (the old name dies)
-    rules.append(grab("move", "mv_scan", "n", "n2"))
-    rules.append(
-        _scan_rule(
-            "mv_scan",
-            ["n", "n2"],
-            found=_restore(
-                _r("k"),
-                _cons(_cons(_r("n2"), _tail(_head(_r("rem")))), _tail(_r("rem"))),
-            ),
-            missing=Parallel(_msg("fs_err", _r("n")), _restore(_r("k"), NIL)),
-        )
-    )
-    priv.add(_n("mv_scan"))
-
-    # write: restore the registry, then write the cell's resource
-    rules.append(grab("write", "wr_scan", "n", "v"))
-    rules.append(
-        _scan_rule(
-            "wr_scan",
-            ["n", "v"],
-            found=Parallel(
-                _restore(_r("fs_done"), _r("rem")),
-                _msg("wr_go", _cell_write(_head(_r("rem"))), _r("v"), _r("k")),
-            ),
-            missing=Parallel(_msg("fs_err", _r("n")), _restore(_r("k"), NIL)),
-        )
-    )
-    rules.append(
-        Rule(
-            MsgPat(_n("wr_go"), (Name("swv"), Name("v"), Name("k"))),
-            Sequence(SyncCall(Name("swv"), (_r("v"),)), _msg("k")),
-        )
-    )
-    priv.update({_n("wr_scan"), _n("wr_go")})
-
-    # read: deliver the content to the buffer channel
-    rules.append(grab("read", "rd_scan", "n", "buf"))
-    rules.append(
-        _scan_rule(
-            "rd_scan",
-            ["n", "buf"],
-            found=Parallel(
-                _restore(_r("fs_done"), _r("rem")),
-                _msg("rd_go", _cell_read(_head(_r("rem"))), _r("buf"), _r("k")),
-            ),
-            missing=Parallel(_msg("fs_err", _r("n")), _restore(_r("k"), NIL)),
-        )
-    )
-    rules.append(
-        Rule(
-            MsgPat(_n("rd_go"), (Name("srv"), Name("buf"), Name("k"))),
-            Let(
-                (Name("f"),),
-                SyncCall(Name("srv"), ()),
-                Parallel(_msg("buf", _r("f")), _msg("k")),
-            ),
-        )
-    )
-    priv.update({_n("rd_scan"), _n("rd_go")})
-
-    # execute: run the cell's resource; unknown names go to completion
-    if complements is not None:
-        ex_missing: Process = Parallel(
-            _restore(_r("fs_done"), NIL),
-            _msg("ex_comp", _r("n"), _r("a"), _r("k")),
-        )
+    # the registry lists cells newest first, so listings come out oldest first
+    cells = [f"({atom_source(name, ContextError)} ++ fsr{j} ++ fsw{j} ++ fse{j})" for j, name in zip(files, names)]
+    initial = [
+        "current<null>",
+        *(f"fcontent{j}<{atom_source(content, ContextError)}>" for j, (_, content) in zip(files, entries)),
+        f"fsdir<{' ++ '.join([*reversed(cells), 'nil'])}>",
+    ]
+    if complements is None:
+        unknown_exec = "(fs_err<n> | fs_unw<acc, nil, fs_done>)"
     else:
-        ex_missing = Parallel(_msg("fs_err", _r("n")), _restore(_r("fs_done"), NIL))
-    rules.append(grab("execute", "ex_scan", "n", "a"))
-    rules.append(
-        _scan_rule(
-            "ex_scan",
-            ["n", "a"],
-            found=Parallel(
-                _restore(_r("fs_done"), _r("rem")),
-                _msg("ex_go", _cell_exec(_head(_r("rem"))), _r("a"), _r("k")),
-            ),
-            missing=ex_missing,
-        )
-    )
-    rules.append(
-        Rule(
-            MsgPat(_n("ex_go"), (Name("sev"), Name("a"), Name("k"))),
-            Message(Name("sev"), (_r("a"), _r("k"))),
-        )
-    )
-    priv.update({_n("ex_scan"), _n("ex_go")})
+        unknown_exec = "(fs_unw<acc, nil, fs_done> | ex_comp<n, a, k>)"
+        initial.append(f"complist<{atom_source(cons_list(list(complements)), ContextError)}>")
 
+    # a command takes the registry and scans it, carrying the cells left to
+    # visit in `rem` and the visited ones in the accumulator `acc`
+    defs = parse_definition(f"""
+        {MANAGED_EXECUTION}
+        {"".join("and " + resource_text(f"fsr{j}", f"fsw{j}", f"fcontent{j}", f"fse{j}", "proc_exec") for j in files)}
+    # run-time file factory
+    and mk_file<f0, k> |> (
+        def {resource_text("file_read", "file_write", "file_content", "file_exec", "proc_exec")}
+        in file_content<f0> | k<file_read, file_write, file_exec>)
+    # shared unwinder: pour the accumulator back onto `built`, restore, ack
+    and fs_unw<acc, built, k> |> if [acc = nil] then (fsdir<built> | k<>)
+                                 else fs_unw<snd(acc), fst(acc) ++ built, k>
+    and fs_done<> |> 0
+    # new: create a resource, prepend its cell
+    and new<n, k> | fsdir<d> |> (let nr, nw, nx = mk_file(null) in fsdir<(n ++ nr ++ nw ++ nx) ++ d> | k<>)
+    # delete: drop the cell
+    and delete<n, k> | fsdir<d> |> del_scan<n, d, nil, k>
+    and del_scan<n, rem, acc, k> |> if [rem = nil] then (fs_err<n> | fs_unw<acc, nil, k>)
+                                    else if [fst(fst(rem)) = n] then fs_unw<acc, snd(rem), k>
+                                    else del_scan<n, snd(rem), fst(rem) ++ acc, k>
+    # move: rebind the cell under a new name (the old name dies)
+    and move<n, n2, k> | fsdir<d> |> mv_scan<n, n2, d, nil, k>
+    and mv_scan<n, n2, rem, acc, k> |> if [rem = nil] then (fs_err<n> | fs_unw<acc, nil, k>)
+                                       else if [fst(fst(rem)) = n] then fs_unw<acc, (n2 ++ snd(fst(rem))) ++ snd(rem), k>
+                                       else mv_scan<n, n2, snd(rem), fst(rem) ++ acc, k>
+    # write: restore the registry, then write the cell's resource
+    and write<n, v, k> | fsdir<d> |> wr_scan<n, v, d, nil, k>
+    and wr_scan<n, v, rem, acc, k> |> if [rem = nil] then (fs_err<n> | fs_unw<acc, nil, k>)
+                                      else if [fst(fst(rem)) = n] then (fs_unw<acc, rem, fs_done> | wr_go<fst(snd(snd(fst(rem)))), v, k>)
+                                      else wr_scan<n, v, snd(rem), fst(rem) ++ acc, k>
+    and wr_go<swv, v, k> |> (swv(v); k<>)
+    # read: deliver the content to the buffer channel
+    and read<n, buf, k> | fsdir<d> |> rd_scan<n, buf, d, nil, k>
+    and rd_scan<n, buf, rem, acc, k> |> if [rem = nil] then (fs_err<n> | fs_unw<acc, nil, k>)
+                                        else if [fst(fst(rem)) = n] then (fs_unw<acc, rem, fs_done> | rd_go<fst(snd(fst(rem))), buf, k>)
+                                        else rd_scan<n, buf, snd(rem), fst(rem) ++ acc, k>
+    and rd_go<srv, buf, k> |> (let f = srv() in buf<f> | k<>)
+    # execute: run the cell's resource; unknown names go to completion
+    and execute<n, a, k> | fsdir<d> |> ex_scan<n, a, d, nil, k>
+    and ex_scan<n, a, rem, acc, k> |> if [rem = nil] then {unknown_exec}
+                                      else if [fst(fst(rem)) = n] then (fs_unw<acc, rem, fs_done> | ex_go<snd(snd(snd(fst(rem)))), a, k>)
+                                      else ex_scan<n, a, snd(rem), fst(rem) ++ acc, k>
+    and ex_go<sev, a, k> |> sev<a, k>
     # listing: file names, oldest first, newest last; only reads the
     # registry, so it restores it immediately and walks a snapshot
-    rules.append(
-        Rule(
-            PatJoin(MsgPat(_n("list_files"), (Name("k"),)), MsgPat(_n("fsdir"), (Name("d"),))),
-            Parallel(_msg("fsdir", _r("d")), _msg("lf_walk", _r("d"), NIL, _r("k"))),
-        )
-    )
-    rules.append(
-        Rule(
-            MsgPat(_n("lf_walk"), (Name("rem"), Name("acc"), Name("k"))),
-            _if(
-                _r("rem"),
-                NIL,
-                _msg("k", _r("acc")),
-                _msg("lf_walk", _tail(_r("rem")), _cons(_cell_name(_head(_r("rem"))), _r("acc")), _r("k")),
-            ),
-        )
-    )
-    priv.add(_n("lf_walk"))
+    and list_files<k> | fsdir<d> |> fsdir<d> | lf_walk<d, nil, k>
+    and lf_walk<rem, acc, k> |> if [rem = nil] then k<acc>
+                                else lf_walk<snd(rem), fst(fst(rem)) ++ acc, k>
+    {"" if complements is None else "and " + HIERARCHY}
+    """)
 
-    services: set[Name] = {
-        _n("proc_exec"),
-        _n("sys_ref"),
-        _n("new"),
-        _n("delete"),
-        _n("move"),
-        _n("execute"),
-        _n("read"),
-        _n("write"),
-        _n("list_files"),
-    }
-
+    privileged = ["current", "sys_updt", *(f"fcontent{j}" for j in files), "fsdir", "mk_file", "fs_unw", "fs_done"]
+    privileged += ["del_scan", "mv_scan", "wr_scan", "wr_go", "rd_scan", "rd_go", "ex_scan", "ex_go", "lf_walk"]
+    services = ["proc_exec", "sys_ref", "new", "delete", "move", "execute", "read", "write", "list_files"]
     if complements is not None:
-        rules.extend(_hierarchy_rules())
-        initial.append(
-            Message(_n("complist"), (embed_atom(_cons_atoms(list(complements))),))
-        )
-        priv.update({_n("complist"), _n("ex_comp"), _n("ex_try"), _n("ex_chk"), _n("ex_lk"), _n("pre_drop"), _n("pre_unw")})
-        services.add(_n("preempt"))
-
-    rules.extend(extra_rules)
-
-    template = LocalDef(conj_of(rules), par(*initial, Hole()))
+        privileged += ["complist", "ex_comp", "ex_try", "ex_chk", "ex_lk", "pre_drop", "pre_unw"]
+        services.append("preempt")
     return _validate(
         Context(
-            template=template,
-            services=frozenset(services),
-            resources=frozenset(r_set),
-            privileged=frozenset(priv),
+            template=LocalDef(conj_of([*rules_of(defs), *extra_rules]), parse(par_text([*initial, "HOLE"]))),
+            services=frozenset(map(Name, services)),
+            resources=frozenset(Name(f"{c}{j}") for c in ("fsr", "fsw", "fse") for j in files),
+            privileged=frozenset(map(Name, privileged)),
             dynamic_resource_bases=frozenset({"file_read", "file_write", "file_exec"}),
-            exec_bases=frozenset({f"fse{i}" for i in range(1, len(entries) + 1)} | {"file_exec"}),
+            exec_bases=frozenset({f"fse{j}" for j in files} | {"file_exec"}),
         )
     )
 
 
-def _cons_atoms(items: list[Atom]) -> Atom:
-    from .syntax import cons_list
-
-    return cons_list(items)
-
-
-def _hierarchy_rules() -> list[Rule]:
-    """Completion of short names against the complement list, and preemption."""
-    rules: list[Rule] = []
-    # take a complement snapshot, try complements in order
-    rules.append(
-        Rule(
-            PatJoin(
-                MsgPat(_n("ex_comp"), (Name("n"), Name("a"), Name("k"))),
-                MsgPat(_n("complist"), (Name("cl"),)),
-            ),
-            Parallel(
-                _msg("complist", _r("cl")),
-                _msg("ex_try", _r("n"), _r("cl"), _r("a"), _r("k")),
-            ),
-        )
-    )
-    rules.append(
-        Rule(
-            MsgPat(_n("ex_try"), (Name("n"), Name("rem"), Name("a"), Name("k"))),
-            _if(
-                _r("rem"),
-                NIL,
-                _msg("no_completion", _r("n")),
-                _msg("ex_chk", _cons(_r("n"), _head(_r("rem"))), _r("n"), _r("rem"), _r("a"), _r("k")),
-            ),
-        )
-    )
-    # look the candidate up in a registry snapshot
-    rules.append(
-        Rule(
-            PatJoin(
-                MsgPat(_n("ex_chk"), (Name("ln"), Name("n"), Name("rem"), Name("a"), Name("k"))),
-                MsgPat(_n("fsdir"), (Name("d"),)),
-            ),
-            Parallel(
-                _msg("fsdir", _r("d")),
-                _msg("ex_lk", _r("ln"), _r("d"), _r("n"), _r("rem"), _r("a"), _r("k")),
-            ),
-        )
-    )
-    rules.append(
-        Rule(
-            MsgPat(_n("ex_lk"), (Name("ln"), Name("drem"), Name("n"), Name("rem"), Name("a"), Name("k"))),
-            _if(
-                _r("drem"),
-                NIL,
-                _msg("ex_try", _r("n"), _tail(_r("rem")), _r("a"), _r("k")),
-                _if(
-                    _cell_name(_head(_r("drem"))),
-                    _r("ln"),
-                    _msg("execute", _r("ln"), _r("a"), _r("k")),
-                    _msg("ex_lk", _r("ln"), _tail(_r("drem")), _r("n"), _r("rem"), _r("a"), _r("k")),
-                ),
-            ),
-        )
-    )
-    # preempt: push a complement to the head, drop the tail element
-    rules.append(
-        Rule(
-            PatJoin(MsgPat(_n("preempt"), (Name("c"), Name("k"))), MsgPat(_n("complist"), (Name("cl"),))),
-            _if(
-                _r("cl"),
-                NIL,
-                Parallel(_msg("complist", _cons(_r("c"), NIL)), _msg("k")),
-                _msg("pre_drop", _r("c"), _r("cl"), NIL, _r("k")),
-            ),
-        )
-    )
-    rules.append(
-        Rule(
-            MsgPat(_n("pre_drop"), (Name("c"), Name("rem"), Name("acc"), Name("k"))),
-            _if(
-                _tail(_r("rem")),
-                NIL,
-                _msg("pre_unw", _r("acc"), NIL, _r("c"), _r("k")),
-                _msg("pre_drop", _r("c"), _tail(_r("rem")), _cons(_head(_r("rem")), _r("acc")), _r("k")),
-            ),
-        )
-    )
-    rules.append(
-        Rule(
-            MsgPat(_n("pre_unw"), (Name("acc"), Name("built"), Name("c"), Name("k"))),
-            _if(
-                _r("acc"),
-                NIL,
-                Parallel(_msg("complist", _cons(_r("c"), _r("built"))), _msg("k")),
-                _msg("pre_unw", _tail(_r("acc")), _cons(_head(_r("acc")), _r("built")), _r("c"), _r("k")),
-            ),
-        )
-    )
-    return rules
-
-
-def exec_hierarchy(complements: Seq[Atom]) -> tuple[list[Rule], Process]:
+def exec_hierarchy(complements: Seq[Atom]) -> tuple[list[Rule], Message]:
     """The hierarchy fragment on its own: rules plus the initial complement
     list message, for embedding into custom environments."""
     if not complements:
         raise ContextError("need at least one complement")
-    return _hierarchy_rules(), Message(_n("complist"), (embed_atom(_cons_atoms(list(complements))),))
+    return rules_of(parse_definition(HIERARCHY)), parse(f"complist<{atom_source(cons_list(list(complements)), ContextError)}>")

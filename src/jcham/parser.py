@@ -22,7 +22,9 @@ Grammar sketch::
               | "snd" "(" aexpr ")" | "(" aexpr ")"
 
 Comments run from ``#`` to end of line.  ``ident~N`` denotes a
-machine-indexed name and only appears in machine output.
+machine-indexed name and only appears in machine output.  The environment
+and malware builders write their models in this syntax, formatting
+caller-supplied atoms with :func:`atom_source`.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
+    Atom,
     CallPat,
     Concat,
     Conditional,
@@ -55,7 +58,9 @@ from .syntax import (
     Sequence,
     SyncCall,
     Top,
+    embed_atom,
     pattern_atoms,
+    pretty,
 )
 
 KEYWORDS = {"def", "in", "let", "return", "to", "if", "then", "else", "and", "T", "fst", "snd", "HOLE"}
@@ -417,3 +422,20 @@ def parse_definition(text: str) -> Definition:
     if not p.at("eof"):
         raise p.fail("trailing input after definition")
     return d
+
+
+def atom_source(a: Atom, error: type[Exception]) -> str:
+    """``a`` in concrete syntax, for writing into model text: a pair comes
+    parenthesized, so the text can stand on either side of ``++``.  Raises
+    ``error`` unless the text reads back as ``a`` itself; a keyword such as
+    ``in``, or a name holding ``|`` or ``<``, is refused."""
+    e = embed_atom(a)
+    text = pretty(e)
+    try:
+        p = _Parser(_lex(text))
+        same = p.atom_expr() == e and p.at("eof")
+    except ParseError:
+        same = False
+    if not same:
+        raise error(f"{text!r} cannot be written as an atom")
+    return f"({text})" if isinstance(e, Concat) else text

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence as Seq, Tuple, Union
 
-from .contexts import Context, TokenGuard, _validate, defined_bases
+from .contexts import Context, ContextError, TokenGuard, _validate, defined_bases
 from .engine import (
     BudgetExhausted,
     GroundMessage,
@@ -32,11 +32,11 @@ from .engine import (
     search,
     settle,
 )
+from .parser import atom_source, parse, parse_definition
 from .syntax import (
     Atom,
     CallPat,
     Conditional,
-    Expression,
     Let,
     LocalDef,
     Message,
@@ -49,7 +49,6 @@ from .syntax import (
     PatJoin,
     Process,
     Proj,
-    Return,
     Rule,
     Sequence,
     SyncCall,
@@ -70,8 +69,8 @@ class InfectingTest(Exception):
     pass
 
 
-class UnknownChannel(Exception):
-    pass
+class UnknownChannel(ContextError):
+    """A policy names a channel the context does not publish."""
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +446,11 @@ def tokenize_context(ctx: Context, policy: TokenPolicy) -> Context:
         return Rule(pattern, Conditional(NameRef(tk), NameRef(tok), granted, denied))
 
     rules = [guard_rule(r) for r in _top_rules(ctx)]
-    rules.append(Rule(MsgPat(tok, ()), Null()))
+    rules.append(parse_definition(f"{atom_source(tok, ContextError)}<> |> 0"))
     body = ctx.template.body
     if counted:
-        uses = cons_list([Name("use")] * policy.count)
-        from .syntax import embed_atom
-
-        body = Parallel(Message(cnt, (embed_atom(uses),)), body)
+        uses = atom_source(cons_list([Name("use")] * policy.count), ContextError)
+        body = Parallel(parse(f"uses_left<{uses}>"), body)
     template = LocalDef(conj_of(rules), body)
     priv = set(ctx.privileged) | {tok} | ({cnt} if counted else set())
     return _validate(
@@ -483,9 +480,8 @@ def add_token_distributor(ctx: Context, channel: str = "get_token") -> Context:
         raise UnknownChannel("context has no token guard to distribute for")
     if not isinstance(ctx.template, LocalDef):
         raise UnknownChannel("environment has no definitions")
-    tok = Name(ctx.guard.token_base)
-    dist = Rule(CallPat(Name(channel), ()), Return((NameRef(tok),), Name(channel)))
-    rules = _top_rules(ctx) + [dist]
+    tok, ch = atom_source(Name(ctx.guard.token_base), ContextError), atom_source(Name(channel), ContextError)
+    rules = _top_rules(ctx) + [parse_definition(f"{ch}() |> return {tok} to {ch}")]
     template = LocalDef(conj_of(rules), ctx.template.body)
     return Context(
         template=template,
@@ -508,18 +504,12 @@ def _probe_battery(ctx: Context) -> List[Process]:
     guarded = ctx.guard.guarded if ctx.guard is not None else tuple(
         sorted(_write_access_bases(ctx) & {n.base for n in ctx.resources})
     )
-    wrong = NameRef(Name("not_the_token"))
+    wrong = "not_the_token, " if ctx.guard is not None else ""
     for g in guarded:
-        if ctx.guard is not None:
-            args_w = (wrong, NameRef(Name("probe_val")))
-            args_e = (wrong, NameRef(Name("probe_arg")))
-        else:
-            args_w = (NameRef(Name("probe_val")),)
-            args_e = (NameRef(Name("probe_arg")),)
-        probes.append(Sequence(SyncCall(Name(g), args_w), Message(Name("probe_done"), ())))
+        probes.append(parse(f"{atom_source(Name(g), ContextError)}({wrong}probe_val); probe_done<>"))
         exec_base = "se" + g[2:] if g.startswith("sw") else None
         if exec_base and exec_base in ctx.exec_bases:
-            probes.append(Sequence(SyncCall(Name(exec_base), args_e), Message(Name("probe_done"), ())))
+            probes.append(parse(f"{atom_source(Name(exec_base), ContextError)}({wrong}probe_arg); probe_done<>"))
     return probes
 
 
@@ -530,14 +520,11 @@ def _reader_tests(ctx: Context) -> List[Process]:
         n.base for n in ctx.resources if n.base.startswith("sr") or n.base.endswith("_read") or n.base.startswith("fsr")
     )
     for rb in read_bases[:3]:
-        args: tuple[Expression, ...] = ()
         if ctx.guard is not None and rb in ctx.guard.guarded:
             continue
-        tests.append(
-            Let((Name("x"),), SyncCall(Name(rb), args), Message(Name("observed"), (NameRef(Name("x")),)))
-        )
+        tests.append(parse(f"let x = {atom_source(Name(rb), ContextError)}() in observed<x>"))
     if not tests:
-        tests.append(Message(Name("observed"), (NameRef(Name("nothing")),)))
+        tests.append(parse("observed<nothing>"))
     return tests
 
 
@@ -552,14 +539,8 @@ def enforcement_sound(ctx_guarded: Context, depth: int = 6) -> bool:
             # gets the token and writes
             g = ctx_guarded.guard.guarded[0] if ctx_guarded.guard.guarded else None
             if g is not None:
-                acquire = Let(
-                    (Name("t"),),
-                    SyncCall(Name(dist), ()),
-                    Sequence(
-                        SyncCall(Name(g), (NameRef(Name("t")), NameRef(Name("probe_val")))),
-                        Message(Name("probe_done"), ()),
-                    ),
-                )
+                dist, g = (atom_source(Name(c), ContextError) for c in (dist, g))
+                acquire = parse(f"let t = {dist}() in {g}(t, probe_val); probe_done<>")
                 verdict = _non_infection(ctx_guarded, acquire, _reader_tests(ctx_guarded), depth)
                 return verdict.satisfied
     for probe in _probe_battery(ctx_guarded):

@@ -616,9 +616,7 @@ def _subst_expr_atom(e: Expression, mapping: dict[Name, Atom], ctr: _FreshCounte
     return _subst(e, mapping, ctr)  # type: ignore[return-value]
 
 
-def _rename_binders(
-    binders: tuple[Name, ...], mapping: dict[Name, Atom], body_free: set[Name], ctr: _FreshCounter
-) -> dict[Name, Atom]:
+def _rename_binders(binders: tuple[Name, ...], mapping: dict[Name, Atom], ctr: _FreshCounter) -> dict[Name, Atom]:
     """Renaming for binders colliding with the substitution's range."""
     danger = _range_names(mapping)
     ren: dict[Name, Atom] = {}
@@ -636,7 +634,7 @@ def _subst(term: Term, mapping: dict[Name, Atom], ctr: _FreshCounter) -> Term:
                 tuple(_subst_expr_atom(a, mapping, ctr) if is_atom_expr(a) else _subst(a, mapping, ctr) for a in args),
             )
         case LocalDef(d, p):
-            d2, p2, _ = _subst_scope(d, p, mapping, ctr)
+            d2, p2 = _subst_scope(d, p, mapping, ctr)
             return LocalDef(d2, p2)
         case Parallel(l, r):
             return Parallel(_subst(l, mapping, ctr), _subst(r, mapping, ctr))
@@ -647,7 +645,7 @@ def _subst(term: Term, mapping: dict[Name, Atom], ctr: _FreshCounter) -> Term:
         case Let(xs, e, p):
             e2 = _subst(e, mapping, ctr)
             inner = _narrow(mapping, set(xs))
-            ren = _rename_binders(xs, inner, free_names(p), ctr)
+            ren = _rename_binders(xs, inner, ctr)
             if ren:
                 p = _subst(p, ren, ctr)
                 xs = tuple(ren.get(x, x) for x in xs)  # type: ignore[misc]
@@ -669,7 +667,7 @@ def _subst(term: Term, mapping: dict[Name, Atom], ctr: _FreshCounter) -> Term:
             # received names are binders scoping the body
             rv = pattern_rv(j)
             inner = _narrow(mapping, rv)
-            ren = _rename_binders(tuple(rv), inner, free_names(p), ctr)
+            ren = _rename_binders(tuple(rv), inner, ctr)
             if ren:
                 j = _rename_pattern_binders(j, ren)
                 p = _subst(p, ren, ctr)
@@ -684,12 +682,12 @@ def _subst(term: Term, mapping: dict[Name, Atom], ctr: _FreshCounter) -> Term:
         case SyncCall(ch, args):
             return SyncCall(_subst_channel(ch, mapping), tuple(_subst(a, mapping, ctr) for a in args))
         case ExprDef(d, e):
-            d2, e2, _ = _subst_scope(d, e, mapping, ctr)
+            d2, e2 = _subst_scope(d, e, mapping, ctr)
             return ExprDef(d2, e2)
         case ExprLet(xs, e, b):
             e2 = _subst(e, mapping, ctr)
             inner = _narrow(mapping, set(xs))
-            ren = _rename_binders(xs, inner, free_names(b), ctr)
+            ren = _rename_binders(xs, inner, ctr)
             if ren:
                 b = _subst(b, ren, ctr)
                 xs = tuple(ren.get(x, x) for x in xs)  # type: ignore[misc]
@@ -709,8 +707,8 @@ def _subst_scope(d: Definition, body, mapping: dict[Name, Atom], ctr: _FreshCoun
         d = _subst(d, ren, ctr)  # renames pattern channels and recursive uses
         body = _subst(body, ren, ctr)
     if not inner:
-        return d, body, mapping
-    return _subst(d, inner, ctr), _subst(body, inner, ctr), inner
+        return d, body
+    return _subst(d, inner, ctr), _subst(body, inner, ctr)
 
 
 def _subst_pattern_channels(j: JoinPattern, mapping: dict[Name, Atom]) -> JoinPattern:

@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from itertools import permutations
 
-from jcham.canon import _global_indexed_names, _items, _render, _skeletonize, canonicalize, congruent
+from jcham.canon import _flatten, _items, _render, canonicalize, congruent
 from jcham.engine import ActiveRule, Soup, enabled_redexes, inject, reduce
 from jcham.parser import parse
 from jcham.syntax import Name
@@ -45,9 +45,15 @@ def test_distinguishes_wiring():
 # -- brute-force congruence oracle
 
 
+def _global_indexed_names(soup: Soup) -> list[Name]:
+    """The indexed names occurring free in the soup, sorted: exactly the
+    slots of the item skeletons."""
+    return sorted({n for item in _items(soup) for n in _flatten(item).slots}, key=lambda n: (n.base, n.index))
+
+
 def _serialize_with(soup, mapping):
     colors = {n: str(mapping.get(n, n)) for n in _global_indexed_names(soup)}
-    rendered = [(item[0], _render(_skeletonize(item), colors)) for item in _items(soup)]
+    rendered = [(item[0], _render(_flatten(item).toks, colors)) for item in _items(soup)]
     rules = tuple(sorted(s for kind, s in rendered if kind == "rule"))
     msgs = tuple(sorted(s for kind, s in rendered if kind == "msg"))
     return (rules, msgs)

@@ -1,5 +1,3 @@
-from dataclasses import fields
-
 import pytest
 
 from jcham.contexts import (
@@ -15,6 +13,7 @@ from jcham.contexts import (
     save_context,
     worm_topology,
 )
+from jcham.filesystem import file_system
 from jcham.engine import barb, enabled_redexes, inject, inject_message, is_inert, run
 from jcham.parser import parse
 from jcham.scenarios import build_context
@@ -182,10 +181,21 @@ def test_context_serialization_round_trip():
 )
 def test_context_files_keep_every_field(spec):
     ctx = build_context(spec)
-    back = load_context(save_context(ctx))
-    for f in fields(Context):
-        if f.name != "template":
-            assert getattr(back, f.name) == getattr(ctx, f.name), f.name
+    assert load_context(save_context(ctx)) == ctx
+
+
+@pytest.mark.parametrize("bad", [Name("in"), Name("a|b"), Name("x<y")])
+def test_names_that_do_not_read_back_are_refused(bad):
+    with pytest.raises(ContextError):
+        refined_context(1, initial=[bad])
+    with pytest.raises(ContextError):
+        rootkit_kernel(syscalls=[Name("sc1"), bad])
+    with pytest.raises(ContextError):
+        base_context(services=[(bad, Name("fn"))])
+    with pytest.raises(ContextError):
+        file_system([(bad, Name("f1"))])
+    with pytest.raises(ContextError):
+        file_system([(Name("n1"), Name("f1"))], complements=[bad])
 
 
 def test_plug_requires_one_hole():

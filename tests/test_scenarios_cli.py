@@ -126,6 +126,32 @@ def test_cli_bad_context_file_is_a_usage_error(tmp_path, capsys, header):
     assert captured.out == "" and len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scenario", "context=refined(n=2) family=virus class=V"],
+        ["scenario", "context=refined(n=2) family=virus class=III mech=bogus"],
+        ["scenario", "context=refined(n=0) family=virus class=III"],
+        ["scenario", "context=tokenized(n=2; mode=spatial; guard=zz) family=virus class=III"],
+        ["scenario", "context=filesystem(files=n1=f1) family=virus class=III mech=companion_rename:in targets=n1"],
+        ["policy", "isolate", "--context", "tokenized(n=2; mode=spatial; guard=zz)"],
+        ["policy", "tokenize", "--context", "refined(n=2)", "--guard", "zz"],
+    ],
+)
+def test_cli_model_errors_are_usage_errors(tmp_path, capsys, argv):
+    if argv[0] == "scenario":
+        scn = tmp_path / "bad.scn"
+        scn.write_text(argv[1] + " mode=explore\n")
+        argv = ["scenario", str(scn)]
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    assert code == 65
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+
+
 def class_iii_virus():
     return build_virus(
         MalwareSpec(

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from jcham.parser import ParseError, parse
+from jcham.parser import ParseError, atom_source, parse
 from jcham.syntax import (
     CallPat,
     Concat,
@@ -24,6 +24,7 @@ from jcham.syntax import (
     Rule,
     Sequence,
     SyncCall,
+    embed_atom,
     free_names,
     name_sets,
     pretty,
@@ -227,3 +228,14 @@ def test_subterms_pre_order_enters_rule_bodies_and_expressions():
     x = Name("x")
     e = ExprLet((x,), ExprSeq(SyncCall(Name("a")), NameRef(Name("b"))), NameRef(x))
     assert list(subterms(e)) == [e, e.expr, e.expr.first, e.expr.then, e.body]
+
+
+def test_atom_source_writes_atoms_that_read_back():
+    for a in (Name("x"), Name("x", 3), 7, "mail", Pair(Name("a"), Pair(Name("b"), Name("nil"))), Pair(Pair(Name("a"), 1), Name("c"))):
+        text = atom_source(a, ValueError)
+        assert parse(f"m<{text}>") == Message(Name("m"), (embed_atom(a),))
+        # a pair comes parenthesized, so it stays one operand of ++
+        assert parse(f"m<{text} ++ z>") == Message(Name("m"), (Concat(embed_atom(a), NameRef(Name("z"))),))
+    for bad in (Name("in"), Name("fst"), Name("HOLE"), Name("a|b"), Name("x<y"), Name("x~3"), Name(""), -1, 'say "hi"'):
+        with pytest.raises(ValueError):
+            atom_source(bad, ValueError)
