@@ -14,8 +14,6 @@ from .syntax import (  # noqa: F401
     Conj,
     Definition,
     ExprDef,
-    ExprLet,
-    ExprSeq,
     Expression,
     Hole,
     Let,

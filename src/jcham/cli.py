@@ -77,7 +77,7 @@ def _load_program(path: str):
 def _load_context_arg(spec: str) -> Context:
     try:
         return load_context(_read(spec)) if os.path.exists(spec) else build_context(spec)
-    except (ContextError, ScenarioError) as e:
+    except (ContextError, ScenarioError, OSError) as e:
         print(str(e), file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
@@ -209,11 +209,15 @@ def cmd_policy(args) -> int:
         return _VERDICT_EXIT[verdict.outcome]
     if args.policy_cmd == "tokenize":
         mode, _, count = args.mode.partition(":")
-        policy = TokenPolicy(
-            mode=mode,
-            count=int(count) if count else 0,
-            guarded_channels=tuple(g for g in args.guard.split(",") if g),
-        )
+        try:
+            policy = TokenPolicy(
+                mode=mode,
+                count=int(count) if count else 0,
+                guarded_channels=tuple(g for g in args.guard.split(",") if g),
+            )
+        except ValueError as e:
+            print(f"--mode {args.mode}: {e}", file=sys.stderr)
+            return EXIT_USAGE
         guarded = tokenize_context(ctx, policy)
         if args.distribute:
             guarded = add_token_distributor(guarded)

@@ -216,11 +216,6 @@ def resource_rules(spec: ResourceSpec, read: Name, write: Name, execute: Optiona
     return rules_of(parse_definition(resource_text(*src)))
 
 
-def managed_execution_rules() -> list[Rule]:
-    """The rules of :data:`MANAGED_EXECUTION`."""
-    return rules_of(parse_definition(MANAGED_EXECUTION))
-
-
 def base_context(services: Seq[tuple[Name, Name]] = (), resources: Seq[ResourceSpec] = ()) -> Context:
     """Environment with plain execution-server services and storage resources.
 

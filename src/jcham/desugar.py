@@ -29,9 +29,8 @@ from .syntax import (
     Conditional,
     Definition,
     ExprDef,
-    ExprLet,
-    ExprSeq,
     Expression,
+    FreshNames,
     Hole,
     Let,
     Lit,
@@ -63,15 +62,6 @@ class DesugarError(Exception):
     pass
 
 
-class _Gen:
-    def __init__(self, start: int):
-        self.n = start
-
-    def fresh(self, base: str = "k") -> Name:
-        self.n += 1
-        return Name(base, self.n)
-
-
 class _Renv:
     """Maps call-pattern channels in scope to their reply-channel binders."""
 
@@ -98,21 +88,21 @@ class _Renv:
 
 def desugar(p: Process) -> Process:
     """Compile ``p`` to the core; identity on programs already in the core."""
-    gen = _Gen(_max_index(p))
+    gen = FreshNames(_max_index(p))
     return _proc(p, _Renv(), gen)
 
 
-def _defs(d: Definition, renv: _Renv, gen: _Gen) -> Definition:
+def _defs(d: Definition, renv: _Renv, gen: FreshNames) -> Definition:
     return conj_of([_rule(r, renv, gen) for r in rules_of(d)])
 
 
-def _rule(r: Rule, renv: _Renv, gen: _Gen) -> Rule:
+def _rule(r: Rule, renv: _Renv, gen: FreshNames) -> Rule:
     atoms = pattern_atoms(r.pattern)
     replies: dict[Name, Name] = {}
     new_atoms = []
     for a in atoms:
         if isinstance(a, CallPat):
-            k = gen.fresh()
+            k = gen.fresh("k")
             replies[a.channel] = k
             new_atoms.append(MsgPat(a.channel, a.binders + (k,)))
         else:
@@ -129,7 +119,7 @@ def _rule(r: Rule, renv: _Renv, gen: _Gen) -> Rule:
     return Rule(pattern, body)
 
 
-def _proc(p: Process, renv: _Renv, gen: _Gen) -> Process:
+def _proc(p: Process, renv: _Renv, gen: FreshNames) -> Process:
     match p:
         case Message(ch, args):
             return _eval_args(list(args), [], renv, gen, lambda atoms: Message(ch, tuple(atoms)))
@@ -141,17 +131,14 @@ def _proc(p: Process, renv: _Renv, gen: _Gen) -> Process:
         case Null() | Hole():
             return p
         case Sequence(e, rest):
-            return _effect(e, _proc(rest, renv, gen), renv, gen)
+            return _bind((), e, _proc(rest, renv, gen), renv, gen)
         case Let(xs, e, body):
             return _bind(xs, e, _proc(body, renv.shadow(set(xs)), gen), renv, gen)
         case Return(vals, to):
             k = renv.lookup(to)
             if len(vals) == 1 and isinstance(vals[0], SyncCall):
-                call = vals[0]
-                return _eval_args(
-                    list(call.args), [], renv, gen,
-                    lambda atoms: Message(call.channel, tuple(atoms) + (NameRef(k),)),
-                )
+                # a tail call: the callee replies to our caller directly
+                return _emit_call(vals[0], k, renv, gen)
             return _eval_args(list(vals), [], renv, gen, lambda atoms: Message(k, tuple(atoms)))
         case Conditional(a, b, t, o):
             return Conditional(a, b, _proc(t, renv, gen), _proc(o, renv, gen))
@@ -162,7 +149,7 @@ def _eval_args(
     pending: list[Expression],
     done: list[Expression],
     renv: _Renv,
-    gen: _Gen,
+    gen: FreshNames,
     finish: Callable[[list[Expression]], Process],
 ) -> Process:
     """Evaluate expressions left to right, then build the final process.
@@ -176,75 +163,43 @@ def _eval_args(
     if is_atom_expr(e):
         return _eval_args(rest, done + [e], renv, gen, finish)
     if isinstance(e, SyncCall):
-        k, res = gen.fresh(), gen.fresh("r")
+        k, res = gen.fresh("k"), gen.fresh("r")
         cont = _eval_args(rest, done + [NameRef(res)], renv, gen, finish)
         return LocalDef(Rule(MsgPat(k, (res,)), cont), _emit_call(e, k, renv, gen))
     if isinstance(e, ExprDef):
         scoped = renv.shadow(def_dv(e.defs))
         return LocalDef(_defs(e.defs, scoped, gen), _eval_args([e.body] + rest, done, scoped, gen, finish))
-    if isinstance(e, ExprLet):
-        cont = _eval_args([e.body] + rest, done, renv.shadow(set(e.binders)), gen, finish)
-        return _bind(e.binders, e.expr, cont, renv, gen)
-    if isinstance(e, ExprSeq):
-        return _effect(e.first, _eval_args([e.then] + rest, done, renv, gen, finish), renv, gen)
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _emit_call(call: SyncCall, k: Name, renv: _Renv, gen: _Gen) -> Process:
+def _emit_call(call: SyncCall, k: Name, renv: _Renv, gen: FreshNames) -> Process:
     return _eval_args(
         list(call.args), [], renv, gen,
         lambda atoms: Message(call.channel, tuple(atoms) + (NameRef(k),)),
     )
 
 
-def _effect(e: Expression, rest: Process, renv: _Renv, gen: _Gen) -> Process:
-    """Evaluate ``e`` for effect only, then continue with ``rest``."""
+def _bind(xs: tuple[Name, ...], e: Expression, body: Process, renv: _Renv, gen: FreshNames) -> Process:
+    """``let xs = e in body``, ``body`` already compiled; with no binders this
+    is ``e; body``, which runs ``e`` for its effect only."""
     if is_atom_expr(e):
-        return rest
-    if isinstance(e, SyncCall):
-        k = gen.fresh()
-        return LocalDef(Rule(MsgPat(k, ()), rest), _emit_call(e, k, renv, gen))
-    if isinstance(e, ExprDef):
-        scoped = renv.shadow(def_dv(e.defs))
-        return LocalDef(_defs(e.defs, scoped, gen), _effect(e.body, rest, scoped, gen))
-    if isinstance(e, ExprLet):
-        return _bind(e.binders, e.expr, _effect(e.body, rest, renv.shadow(set(e.binders)), gen), renv, gen)
-    if isinstance(e, ExprSeq):
-        return _effect(e.first, _effect(e.then, rest, renv, gen), renv, gen)
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _bind(xs: tuple[Name, ...], e: Expression, body: Process, renv: _Renv, gen: _Gen) -> Process:
-    """``let xs = e in body`` with ``body`` already compiled."""
-    if is_atom_expr(e):
+        if not xs:
+            return body
         if len(xs) != 1:
             raise DesugarError(f"let of an atom expression binds exactly one name, got {len(xs)}")
-        k = gen.fresh()
+        k = gen.fresh("k")
         return LocalDef(Rule(MsgPat(k, xs), body), Message(k, (e,)))
     if isinstance(e, SyncCall):
-        k = gen.fresh()
+        k = gen.fresh("k")
         return LocalDef(Rule(MsgPat(k, xs), body), _emit_call(e, k, renv, gen))
     if isinstance(e, ExprDef):
         scoped = renv.shadow(def_dv(e.defs))
         return LocalDef(_defs(e.defs, scoped, gen), _bind(xs, e.body, body, scoped, gen))
-    if isinstance(e, ExprLet):
-        return _bind(e.binders, e.expr, _bind(xs, e.body, body, renv.shadow(set(e.binders)), gen), renv, gen)
-    if isinstance(e, ExprSeq):
-        return _effect(e.first, _bind(xs, e.then, body, renv, gen), renv, gen)
     raise TypeError(f"not an expression: {e!r}")
 
 
 # ---------------------------------------------------------------------------
 # decidable fragment
-
-
-VIOLATION_KINDS = (
-    "nested-definition",
-    "synchronous-call",
-    "let-binding",
-    "return",
-    "fresh-requiring-desugar",
-)
 
 
 @dataclass
@@ -331,13 +286,5 @@ def _walk_expr(e: Expression, path: str, in_rule_body: bool, rep: FragmentReport
         case ExprDef(_, body):
             rep.violations.append((path, "nested-definition"))
             _walk_expr(body, f"{path}.in", in_rule_body, rep)
-        case ExprLet(_, inner, body):
-            rep.violations.append((path, "let-binding"))
-            _walk_expr(inner, f"{path}.expr", in_rule_body, rep)
-            _walk_expr(body, f"{path}.in", in_rule_body, rep)
-        case ExprSeq(a, b):
-            rep.violations.append((path, "fresh-requiring-desugar"))
-            _walk_expr(a, f"{path}.l", in_rule_body, rep)
-            _walk_expr(b, f"{path}.r", in_rule_body, rep)
         case _:
             raise TypeError(f"not an expression: {e!r}")

@@ -40,6 +40,7 @@ from .syntax import (
     Proj,
     Rule,
     atom_str,
+    free_names,
     pattern_atoms,
     rules_of,
     substitute,
@@ -180,10 +181,6 @@ def eval_atom(e: Expression) -> Atom:
     raise ModelError(f"expression is not ground: {e!r}")
 
 
-def atoms_equal(a: Atom, b: Atom) -> bool:
-    return a == b
-
-
 # ---------------------------------------------------------------------------
 # heating
 
@@ -225,7 +222,7 @@ def heat(soup: Soup, p: Process) -> list[GroundMessage]:
                 soup.rules = soup.rules + tuple(new_rules)
                 stack.append(substitute(body, ren))  # type: ignore[arg-type]
             case Conditional(a, b, then, orelse):
-                stack.append(then if atoms_equal(eval_atom(a), eval_atom(b)) else orelse)
+                stack.append(then if eval_atom(a) == eval_atom(b) else orelse)
             case Hole():
                 raise ModelError("cannot run a context template; plug it first")
             case _:
@@ -251,8 +248,6 @@ def graft(soup: Soup, p: Process) -> Soup:
     """Heat a process into a copy of ``soup``, binding its free names to the
     soup's activated channels of the same base first - the process behaves
     as if it had been part of the original program's hole."""
-    from .syntax import free_names, substitute
-
     mapping: dict[Name, Name] = {}
     for n in free_names(p):
         if n.index is None:

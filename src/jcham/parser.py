@@ -16,7 +16,7 @@ Grammar sketch::
     rule     := "T" | join "|>" process
     join     := pat { "|" pat }
     pat      := ident "<" idlist? ">" | ident "(" idlist? ")"
-    expr     := ident "(" exprs? ")" | aexpr
+    expr     := ident "(" exprs? ")" | "def" defs "in" expr | aexpr
     aexpr    := aterm [ "++" aexpr ]
     aterm    := ident | integer | string | "fst" "(" aexpr ")"
               | "snd" "(" aexpr ")" | "(" aexpr ")"

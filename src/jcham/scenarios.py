@@ -15,7 +15,7 @@ Keys:
   self      base name of the abstraction channel, when it cannot be inferred
   mode      explore | petri | viral_set | barb
   expect    vulnerable | not_vulnerable | budget_exhausted | observed | not_observed
-  max_states, iterations, depth, seed, channel, value    analysis knobs
+  max_states, iterations, depth, channel, value, barb_depth    analysis knobs
 
 Targets are comma-separated atoms; ``a:b`` builds the pair ``a ++ b``
 (used for write:read targets and for name:extension file names).
@@ -119,10 +119,18 @@ def _parse_params(spec: str) -> tuple[str, Dict[str, str]]:
     return kind, params
 
 
+def _int_param(params: Dict[str, str], key: str, default: str) -> int:
+    text = params.get(key, default)
+    try:
+        return int(text)
+    except ValueError:
+        raise ScenarioError(f"context parameter {key}={text!r} is not an integer") from None
+
+
 def build_context(spec: str) -> Context:
     kind, params = _parse_params(spec)
     if kind == "refined":
-        return refined_context(int(params.get("n", "2")))
+        return refined_context(_int_param(params, "n", "2"))
     if kind == "bare":
         # schematic context: a hole with declared channel sets only
         from .syntax import Hole
@@ -139,6 +147,8 @@ def build_context(spec: str) -> Context:
         for item in params.get("files", "").split(","):
             if not item:
                 continue
+            if "=" not in item:
+                raise ScenarioError(f"file entry {item!r} is not name=content")
             name, content = item.split("=", 1)
             entries.append((_parse_atom(name), _parse_atom(content)))
         comps = None
@@ -149,13 +159,18 @@ def build_context(spec: str) -> Context:
         scs = [_parse_atom(s) for s in params.get("syscalls", "sc_open").split(",") if s]
         return rootkit_kernel(syscalls=scs, scbase=Name("scbase"))
     if kind == "tokenized":
-        ctx = refined_context(int(params.get("n", "2")))
+        n = _int_param(params, "n", "2")
+        ctx = refined_context(n)
         mode = params.get("mode", "spatial")
-        count = int(params.get("count", "0"))
+        count = _int_param(params, "count", "0")
         guard = tuple(g for g in params.get("guard", "").split(",") if g)
         if not guard:
-            guard = tuple(f"sw{i}" for i in range(1, int(params.get("n", "2")) + 1))
-        guarded = tokenize_context(ctx, TokenPolicy(mode=mode, count=count, guarded_channels=guard))
+            guard = tuple(f"sw{i}" for i in range(1, n + 1))
+        try:
+            policy = TokenPolicy(mode=mode, count=count, guarded_channels=guard)
+        except ValueError as e:
+            raise ScenarioError(str(e)) from None
+        guarded = tokenize_context(ctx, policy)
         if params.get("distribute", "no") == "yes":
             guarded = add_token_distributor(guarded)
         return guarded

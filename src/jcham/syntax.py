@@ -2,9 +2,10 @@
 
 Terms come in four sorts: processes, definitions, join patterns and
 expressions.  Processes communicate by emitting asynchronous messages that
-are matched against join patterns; definitions group reaction rules; the
-expression layer adds synchronous calls, sequencing and value binding, all
-of which compile down to the asynchronous core (see ``desugar``).
+are matched against join patterns; definitions group reaction rules.
+Synchronous calls in expressions, and the process forms that sequence them
+(``E; P``) and bind their results (``let x = E in P``), compile down to the
+asynchronous core (see ``desugar``).
 
 Values transmitted on channels are *atoms*: channel names, integer or
 string literals, or pairs of atoms (used to model compound names such as a
@@ -50,8 +51,7 @@ class Pair:
 
 Atom = Union[Name, int, str, Pair]
 
-# conventional inert atoms (plain free names, compared like any other name)
-NULL = Name("null")
+# conventional list terminator (a plain free name, compared like any other name)
 NIL = Name("nil")
 
 
@@ -121,20 +121,7 @@ class ExprDef:
     body: "Expression"
 
 
-@dataclass(frozen=True)
-class ExprLet:
-    binders: tuple[Name, ...]
-    expr: "Expression"
-    body: "Expression"
-
-
-@dataclass(frozen=True)
-class ExprSeq:
-    first: "Expression"
-    then: "Expression"
-
-
-Expression = Union[NameRef, Lit, Concat, Proj, SyncCall, ExprDef, ExprLet, ExprSeq]
+Expression = Union[NameRef, Lit, Concat, Proj, SyncCall, ExprDef]
 
 
 def embed_atom(a: Atom) -> Expression:
@@ -354,9 +341,9 @@ def _children(t: Union[Process, Expression]) -> tuple:
             return vals
         case LocalDef(d, body) | ExprDef(d, body):
             return (*(r.body for r in rules_of(d)), body)
-        case Parallel(l, r) | Concat(l, r) | ExprSeq(l, r):
+        case Parallel(l, r) | Concat(l, r):
             return (l, r)
-        case Sequence(e, p) | Let(_, e, p) | ExprLet(_, e, p):
+        case Sequence(e, p) | Let(_, e, p):
             return (e, p)
         case Conditional(a, b, th, el):
             return (a, b, th, el)
@@ -421,10 +408,10 @@ def _fv_exprs(es: tuple[Expression, ...], ns: NameSets) -> set[Name]:
 
 def _fv(term: Term, ns: NameSets) -> set[Name]:
     match term:
-        # processes
-        case Message(ch, args):
+        # processes, and the calls and local definitions of expressions
+        case Message(ch, args) | SyncCall(ch, args):
             return {ch} | _fv_exprs(args, ns)
-        case LocalDef(d, p):
+        case LocalDef(d, p) | ExprDef(d, p):
             dv = def_dv(d)
             ns.dv.update(dv)
             return (_fv(d, ns) | _fv(p, ns)) - dv
@@ -466,16 +453,6 @@ def _fv(term: Term, ns: NameSets) -> set[Name]:
             return _fv(l, ns) | _fv(r, ns)
         case Proj(e, _):
             return _fv(e, ns)
-        case SyncCall(ch, args):
-            return {ch} | _fv_exprs(args, ns)
-        case ExprDef(d, e):
-            dv = def_dv(d)
-            ns.dv.update(dv)
-            return (_fv(d, ns) | _fv(e, ns)) - dv
-        case ExprLet(xs, e, b):
-            return _fv(e, ns) | (_fv(b, ns) - set(xs))
-        case ExprSeq(a, b):
-            return _fv(a, ns) | _fv(b, ns)
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -487,69 +464,31 @@ class SubstitutionError(Exception):
     pass
 
 
-class _FreshCounter:
+class FreshNames:
+    """Mints names whose indices count up from ``start + 1``."""
+
     def __init__(self, start: int):
         self.n = start
 
-    def next_for(self, base: str) -> Name:
+    def fresh(self, base: str) -> Name:
         self.n += 1
         return Name(base, self.n)
 
 
 def _max_index(term: Term) -> int:
+    """The largest index of a name anywhere in ``term``, or -1."""
     hi = -1
-    for n in _all_names(term):
-        if n.index is not None:
-            hi = max(hi, n.index)
+    stack: list = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Name):
+            if t.index is not None and t.index > hi:
+                hi = t.index
+        elif isinstance(t, tuple):
+            stack.extend(t)
+        elif not isinstance(t, (int, str)):
+            stack.extend(vars(t).values())
     return hi
-
-
-def _all_names(term: Term) -> Iterator[Name]:
-    match term:
-        case Message(ch, args):
-            yield ch
-            for a in args:
-                yield from _all_names(a)
-        case LocalDef(d, p) | ExprDef(d, p):
-            yield from _all_names(d)
-            yield from _all_names(p)
-        case Parallel(l, r) | Conj(l, r) | PatJoin(l, r) | Concat(l, r) | ExprSeq(l, r):
-            yield from _all_names(l)
-            yield from _all_names(r)
-        case Null() | Top() | Lit(_) | Hole():
-            return
-        case Sequence(e, p):
-            yield from _all_names(e)
-            yield from _all_names(p)
-        case Let(xs, e, p) | ExprLet(xs, e, p):
-            yield from xs
-            yield from _all_names(e)
-            yield from _all_names(p)
-        case Return(vals, to):
-            yield to
-            for v in vals:
-                yield from _all_names(v)
-        case Conditional(a, b, t, o):
-            yield from _all_names(a)
-            yield from _all_names(b)
-            yield from _all_names(t)
-            yield from _all_names(o)
-        case Rule(j, p):
-            yield from _all_names(j)
-            yield from _all_names(p)
-        case MsgPat(ch, binders) | CallPat(ch, binders):
-            yield ch
-            yield from binders
-        case NameRef(n):
-            yield n
-        case Proj(e, _):
-            yield from _all_names(e)
-        case SyncCall(ch, args):
-            yield ch
-            for a in args:
-                yield from _all_names(a)
-        case _:
-            raise TypeError(f"not a term: {term!r}")
 
 
 def _atom_names(a: Atom) -> Iterator[Name]:
@@ -570,14 +509,7 @@ def substitute(term: Term, mapping: dict[Name, Atom]) -> Term:
     """
     if not mapping:
         return term
-    hi = _max_index(term)
-    for k, v in mapping.items():
-        if k.index is not None:
-            hi = max(hi, k.index)
-        for n in _atom_names(v):
-            if n.index is not None:
-                hi = max(hi, n.index)
-    ctr = _FreshCounter(hi)
+    ctr = FreshNames(_max_index((term, tuple(mapping.items()))))
     return _subst(term, dict(mapping), ctr)
 
 
@@ -601,44 +533,27 @@ def _subst_channel(ch: Name, mapping: dict[Name, Atom]) -> Name:
     return v
 
 
-def _subst_expr_atom(e: Expression, mapping: dict[Name, Atom], ctr: _FreshCounter) -> Expression:
-    match e:
-        case NameRef(n):
-            if n in mapping:
-                return embed_atom(mapping[n])
-            return e
-        case Lit(_):
-            return e
-        case Concat(l, r):
-            return Concat(_subst_expr_atom(l, mapping, ctr), _subst_expr_atom(r, mapping, ctr))
-        case Proj(inner, i):
-            return Proj(_subst_expr_atom(inner, mapping, ctr), i)
-    return _subst(e, mapping, ctr)  # type: ignore[return-value]
-
-
-def _rename_binders(binders: tuple[Name, ...], mapping: dict[Name, Atom], ctr: _FreshCounter) -> dict[Name, Atom]:
+def _rename_binders(binders: tuple[Name, ...], mapping: dict[Name, Atom], ctr: FreshNames) -> dict[Name, Atom]:
     """Renaming for binders colliding with the substitution's range."""
     danger = _range_names(mapping)
     ren: dict[Name, Atom] = {}
     for b in binders:
         if b in danger:
-            ren[b] = ctr.next_for(b.base)
+            ren[b] = ctr.fresh(b.base)
     return ren
 
 
-def _subst(term: Term, mapping: dict[Name, Atom], ctr: _FreshCounter) -> Term:
+def _subst(term: Term, mapping: dict[Name, Atom], ctr: FreshNames) -> Term:
     match term:
-        case Message(ch, args):
-            return Message(
-                _subst_channel(ch, mapping),
-                tuple(_subst_expr_atom(a, mapping, ctr) if is_atom_expr(a) else _subst(a, mapping, ctr) for a in args),
-            )
-        case LocalDef(d, p):
-            d2, p2 = _subst_scope(d, p, mapping, ctr)
-            return LocalDef(d2, p2)
+        case Message(ch, args) | SyncCall(ch, args):
+            return type(term)(_subst_channel(ch, mapping), tuple(_subst(a, mapping, ctr) for a in args))
+        case NameRef(n):
+            return embed_atom(mapping[n]) if n in mapping else term
+        case LocalDef(d, p) | ExprDef(d, p):
+            return type(term)(*_subst_scope(d, p, mapping, ctr))
         case Parallel(l, r):
             return Parallel(_subst(l, mapping, ctr), _subst(r, mapping, ctr))
-        case Null() | Top() | Hole():
+        case Null() | Top() | Hole() | Lit():
             return term
         case Sequence(e, p):
             return Sequence(_subst(e, mapping, ctr), _subst(p, mapping, ctr))
@@ -657,8 +572,8 @@ def _subst(term: Term, mapping: dict[Name, Atom], ctr: _FreshCounter) -> Term:
             )
         case Conditional(a, b, t, o):
             return Conditional(
-                _subst_expr_atom(a, mapping, ctr),
-                _subst_expr_atom(b, mapping, ctr),
+                _subst(a, mapping, ctr),
+                _subst(b, mapping, ctr),
                 _subst(t, mapping, ctr),
                 _subst(o, mapping, ctr),
             )
@@ -677,33 +592,20 @@ def _subst(term: Term, mapping: dict[Name, Atom], ctr: _FreshCounter) -> Term:
             return Conj(_subst(l, mapping, ctr), _subst(r, mapping, ctr))
         case MsgPat() | CallPat() | PatJoin():
             return _subst_pattern_channels(term, mapping)
-        case NameRef() | Lit() | Concat() | Proj():
-            return _subst_expr_atom(term, mapping, ctr)
-        case SyncCall(ch, args):
-            return SyncCall(_subst_channel(ch, mapping), tuple(_subst(a, mapping, ctr) for a in args))
-        case ExprDef(d, e):
-            d2, e2 = _subst_scope(d, e, mapping, ctr)
-            return ExprDef(d2, e2)
-        case ExprLet(xs, e, b):
-            e2 = _subst(e, mapping, ctr)
-            inner = _narrow(mapping, set(xs))
-            ren = _rename_binders(xs, inner, ctr)
-            if ren:
-                b = _subst(b, ren, ctr)
-                xs = tuple(ren.get(x, x) for x in xs)  # type: ignore[misc]
-            return ExprLet(xs, e2, _subst(b, inner, ctr) if inner else b)
-        case ExprSeq(a, b):
-            return ExprSeq(_subst(a, mapping, ctr), _subst(b, mapping, ctr))
+        case Concat(l, r):
+            return Concat(_subst(l, mapping, ctr), _subst(r, mapping, ctr))
+        case Proj(inner, i):
+            return Proj(_subst(inner, mapping, ctr), i)
     raise TypeError(f"not a term: {term!r}")
 
 
-def _subst_scope(d: Definition, body, mapping: dict[Name, Atom], ctr: _FreshCounter):
+def _subst_scope(d: Definition, body, mapping: dict[Name, Atom], ctr: FreshNames):
     """Handle a def scope: dv(d) binds inside rule bodies and the body."""
     dv = def_dv(d)
     inner = _narrow(mapping, dv)
     collide = _range_names(inner) & dv
     if collide:
-        ren: dict[Name, Atom] = {c: ctr.next_for(c.base) for c in collide}
+        ren: dict[Name, Atom] = {c: ctr.fresh(c.base) for c in collide}
         d = _subst(d, ren, ctr)  # renames pattern channels and recursive uses
         body = _subst(body, ren, ctr)
     if not inner:
@@ -739,9 +641,7 @@ def _rename_pattern_binders(j: JoinPattern, ren: dict[Name, Atom]) -> JoinPatter
 
 def pretty(term: Term) -> str:
     """Render a term in the concrete grammar; ``parse(pretty(t)) == t`` for
-    every term the parser builds.  The parser reads no ``let`` or ``;`` in
-    expression position, so ``ExprLet`` and ``ExprSeq`` print for reading
-    only, in the notation of their process-level counterparts."""
+    every term the parser builds and for its desugared form."""
     match term:
         case Message(ch, args):
             return f"{ch}<{_expr_list(args)}>"
@@ -758,10 +658,8 @@ def pretty(term: Term) -> str:
             if isinstance(rest, Null) and isinstance(e, SyncCall):
                 return pretty(e)
             return f"{pretty(e)}; {pretty(rest)}"
-        case Let(xs, e, p) | ExprLet(xs, e, p):
+        case Let(xs, e, p):
             return f"let {', '.join(str(x) for x in xs)} = {pretty(e)} in {pretty(p)}"
-        case ExprSeq(a, b):
-            return f"{pretty(a)}; {pretty(b)}"
         case Return(vals, to):
             if vals:
                 return f"return {_expr_list(vals)} to {to}"

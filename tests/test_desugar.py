@@ -1,9 +1,13 @@
+from importlib.resources import files
+
 import pytest
 
+from jcham.cli import corpus_path
 from jcham.desugar import DesugarError, check_core_fragment, desugar
 from jcham.engine import inject, search
 from jcham.canon import canonicalize
 from jcham.parser import parse
+from jcham.scenarios import build_context, build_process, load_scenario
 from jcham.syntax import (
     Conditional,
     Let,
@@ -15,6 +19,7 @@ from jcham.syntax import (
     Sequence,
     SyncCall,
     free_names,
+    pretty,
 )
 
 
@@ -155,3 +160,19 @@ def test_desugared_core_fragment_implication():
         d = desugar(t)
         if check_core_fragment(d).in_fragment:
             assert d == t
+
+
+CORPUS = sorted(f.name for f in files("jcham").joinpath("corpus").iterdir() if f.name.endswith((".scn", ".jc")))
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_desugared_corpus_prints_and_parses_back(name):
+    # ``run --dump`` prints desugared programs; they must read back as printed
+    if name.endswith(".scn"):
+        sc = load_scenario(corpus_path(name))
+        p = build_context(sc.context_spec).plug(build_process(sc)[0])
+    else:
+        with open(corpus_path(name)) as fh:
+            p = parse(fh.read())
+    d = desugar(p)
+    assert parse(pretty(d)) == d

@@ -23,7 +23,6 @@ from jcham.policy import (
 )
 from jcham.syntax import (
     CallPat,
-    ExprSeq,
     Hole,
     LocalDef,
     Message,
@@ -94,8 +93,8 @@ def test_classify_finds_calls_nested_in_expressions():
         rule = Rule(CallPat(svc, (x,)), Return((body(x),), svc))
         return _validate(Context(template=LocalDef(rule, Hole()), services=frozenset({svc})))
 
-    # svc(x) |> return (x(); x) to svc   and   svc2(x) |> return x() to svc2
-    nested = one_service(Name("svc"), lambda x: ExprSeq(SyncCall(x, ()), NameRef(x)))
+    # svc(x) |> return g(x()) to svc   and   svc2(x) |> return x() to svc2
+    nested = one_service(Name("svc"), lambda x: SyncCall(Name("g"), (SyncCall(x, ()),)))
     plain = one_service(Name("svc2"), lambda x: SyncCall(x, ()))
     for ctx in (nested, plain):
         rep = classify_context(ctx)

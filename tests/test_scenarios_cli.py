@@ -136,9 +136,16 @@ def test_cli_bad_context_file_is_a_usage_error(tmp_path, capsys, header):
         ["scenario", "context=filesystem(files=n1=f1) family=virus class=III mech=companion_rename:in targets=n1"],
         ["policy", "isolate", "--context", "tokenized(n=2; mode=spatial; guard=zz)"],
         ["policy", "tokenize", "--context", "refined(n=2)", "--guard", "zz"],
+        ["policy", "tokenize", "--context", "refined(n=2)", "--guard", "sw1", "--mode", "bogus"],
+        ["policy", "tokenize", "--context", "refined(n=2)", "--guard", "sw1", "--mode", "counted:x"],
+        ["policy", "isolate", "--context", "tokenized(n=2;mode=bogus)"],
+        ["policy", "isolate", "--context", "refined(n=x)"],
+        ["policy", "isolate", "--context", "filesystem(files=n1)"],
+        ["policy", "isolate", "--context", "DIR"],
     ],
 )
 def test_cli_model_errors_are_usage_errors(tmp_path, capsys, argv):
+    argv = [str(tmp_path) if a == "DIR" else a for a in argv]
     if argv[0] == "scenario":
         scn = tmp_path / "bad.scn"
         scn.write_text(argv[1] + " mode=explore\n")

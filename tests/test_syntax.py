@@ -1,4 +1,5 @@
 import random
+from typing import get_args
 
 import pytest
 
@@ -7,8 +8,7 @@ from jcham.syntax import (
     CallPat,
     Concat,
     Conditional,
-    ExprLet,
-    ExprSeq,
+    Expression,
     Lit,
     LocalDef,
     Message,
@@ -19,6 +19,7 @@ from jcham.syntax import (
     Pair,
     Parallel,
     PatJoin,
+    Process,
     Proj,
     Return,
     Rule,
@@ -192,6 +193,7 @@ ROUND_TRIP_SOURCES = [
     "(def x<u> |> 0 in x<a>) | y<b>",
     "let x = def k() |> return 1 to k in k() in out<x>",
     "out<def k() |> return 1 to k and j() |> return to j in k(), a>",
+    "def s(x) |> (return x to s) in (HOLE | out<s(a)>)",
 ]
 
 
@@ -201,10 +203,9 @@ def test_round_trip(src):
     assert parse(pretty(t)) == t
 
 
-def test_pretty_prints_expression_let_and_sequence():
-    x = Name("x")
-    e = ExprLet((x,), ExprSeq(SyncCall(Name("a")), NameRef(Name("b"))), NameRef(x))
-    assert pretty(Message(Name("out"), (e,))) == "out<let x = a(); b in x>"
+def test_round_trip_sources_hold_every_process_and_expression_form():
+    seen = {type(t) for src in ROUND_TRIP_SOURCES for t in subterms(parse(src))}
+    assert set(get_args(Process)) | set(get_args(Expression)) <= seen
 
 
 def test_round_trip_generated():
@@ -225,9 +226,6 @@ def test_subterms_pre_order_enters_rule_bodies_and_expressions():
         "Parallel", "Message", "NameRef",
         "Conditional", "NameRef", "Lit", "Sequence", "SyncCall", "NameRef", "Null", "Hole",
     ]
-    x = Name("x")
-    e = ExprLet((x,), ExprSeq(SyncCall(Name("a")), NameRef(Name("b"))), NameRef(x))
-    assert list(subterms(e)) == [e, e.expr, e.expr.first, e.expr.then, e.body]
 
 
 def test_atom_source_writes_atoms_that_read_back():
