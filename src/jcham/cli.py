@@ -167,7 +167,11 @@ def cmd_detect(args) -> int:
 
 
 def cmd_petri(args) -> int:
-    net, init, target = parse_net(_read(args.net))
+    try:
+        net, init, target = parse_net(_read(args.net))
+    except (OSError, ValueError) as e:
+        print(f"{args.net}: {e}", file=sys.stderr)
+        return EXIT_USAGE
     if target is None:
         print("net file has no target marking", file=sys.stderr)
         return EXIT_USAGE

@@ -35,6 +35,7 @@ from .engine import (
     Trace,
     TraceStep,
     eval_atom,
+    heat,
     inject,
     inject_message,
     reduce_with_info,
@@ -42,16 +43,14 @@ from .engine import (
     settle,
 )
 from .malware import abstraction_channel
-from .petri import Marking, PetriNet, Transition, coverable, fire_sequence
+from .petri import Marking, PetriNet, Transition, coverable, fire_sequence, leq
 from .syntax import (
     Atom,
-    Conditional,
     Message,
     Name,
-    Null,
     Pair,
-    Parallel,
     Process,
+    SubstitutionError,
     free_names,
     is_atom_expr,
     substitute,
@@ -207,8 +206,6 @@ def _prepare(ctx: Context, p: Process, self_channel: Optional[Name]):
     core = desugar(plugged)
     qual = _Qualifier(ctx, core, _self_base(p, self_channel))
     soup = Soup()
-    from .engine import heat
-
     emitted = heat(soup, core)
     return soup, emitted, qual
 
@@ -373,9 +370,10 @@ def ground(p: Process, max_instances: int = 1_000_000) -> GroundSystem:
     The universe is every atom that can sit in payload position: initial
     message arguments plus constant arguments written in rule bodies,
     closed under pair projection.  Received names only ever take such
-    values, so instantiating over this set is complete.  Instances whose
-    conditionals fail are dropped here; bindings that would put a
-    non-channel atom in channel position are skipped as type-inconsistent.
+    values, so instantiating over this set is complete.  Each instance's
+    body is heated as a reaction would heat it, which resolves its
+    conditionals; a binding that puts a non-channel atom in channel
+    position or projects from a non-pair is skipped as type-inconsistent.
     """
     report = check_core_fragment(p)
     if not report.in_fragment:
@@ -419,8 +417,9 @@ def ground(p: Process, max_instances: int = 1_000_000) -> GroundSystem:
             guard = tuple(
                 GroundMessage(h.channel, tuple(binding[b] for b in h.binders)) for h in rule.heads
             )
-            body = _instantiate_body(rule.body, binding)
-            if body is None:
+            try:
+                body = heat(Soup(), substitute(rule.body, binding))
+            except (SubstitutionError, ModelError):
                 continue
             rules.append(GroundRule(idx, guard, tuple(body), tuple(binding.items())))
     return GroundSystem(atoms, rules, list(soup.message_list()), soup)
@@ -435,72 +434,22 @@ def _assignments(k: int, atoms: List[Atom]):
             yield (a,) + rest
 
 
-def _instantiate_body(body: Process, binding: Dict[Name, Atom]) -> Optional[List[GroundMessage]]:
-    """Resolve one rule body under a binding; None marks a type-inconsistent
-    instance (non-channel atom in channel position)."""
-    from .syntax import SubstitutionError
-
-    try:
-        inst = substitute(body, binding)
-    except SubstitutionError:
-        return None
-    out: List[GroundMessage] = []
-    stack = [inst]
-    while stack:
-        t = stack.pop()
-        match t:
-            case Null():
-                continue
-            case Parallel(l, r):
-                stack.append(l)
-                stack.append(r)
-            case Message(ch, args):
-                if not isinstance(ch, Name):
-                    return None
-                try:
-                    out.append(GroundMessage(ch, tuple(eval_atom(a) for a in args)))
-                except ModelError:
-                    return None
-            case Conditional(a, b, then, orelse):
-                try:
-                    stack.append(then if eval_atom(a) == eval_atom(b) else orelse)
-                except ModelError:
-                    return None
-            case _:
-                return None
-    return out
-
-
 def to_petri(gs: GroundSystem) -> Tuple[PetriNet, Marking, List[GroundMessage]]:
-    """One place per ground message, one transition per rule instance.
-    Definitions persist, so transitions need no control places."""
+    """One place per ground message, one transition per rule instance, in
+    rule order.  Definitions persist, so transitions need no control places."""
     places: Dict[GroundMessage, int] = {}
-
-    def place(m: GroundMessage) -> int:
-        if m not in places:
-            places[m] = len(places)
-        return places[m]
-
     for m in gs.initial:
-        place(m)
-    transitions: List[Transition] = []
+        places.setdefault(m, len(places))
     for gr in gs.rules:
-        pre: Dict[int, int] = {}
-        for g in gr.guard:
-            pre[place(g)] = pre.get(place(g), 0) + 1
-        post: Dict[int, int] = {}
-        for b in gr.body:
-            post[place(b)] = post.get(place(b), 0) + 1
-        transitions.append(Transition.of(pre, post, label=gr.label))
-    labels = [""] * len(places)
-    order: List[GroundMessage] = [GroundMessage(Name("?"))] * len(places)
-    for m, i in places.items():
-        labels[i] = str(m)
-        order[i] = m
-    init: Dict[int, int] = {}
-    for m in gs.initial:
-        init[places[m]] = init.get(places[m], 0) + 1
-    return PetriNet(labels, transitions), Marking.of(init), order
+        for m in gr.guard + gr.body:
+            places.setdefault(m, len(places))
+    net = PetriNet([str(m) for m in places], [])
+
+    def marking(msgs: Seq[GroundMessage]) -> Marking:
+        return net.marking((places[m], 1) for m in msgs)
+
+    net.transitions = [Transition(marking(gr.guard), marking(gr.body), gr.label) for gr in gs.rules]
+    return net, marking(gs.initial), list(places)
 
 
 def detect_via_coverability(ctx: Context, p: Process, self_channel: Optional[Name] = None) -> DetectionVerdict:
@@ -508,17 +457,14 @@ def detect_via_coverability(ctx: Context, p: Process, self_channel: Optional[Nam
     system, convert to a net, and ask one coverability question for all
     the markings that would witness a qualifying emission.
 
-    The fragment check runs on the plugged program as written: synchronous
-    calls are rejected even when their compilation would happen to stay
-    fragment-safe, since fragment services must use fixed reply channels.
+    ``ground`` checks the fragment on the plugged program as written:
+    synchronous calls are rejected even when their compilation would happen
+    to stay fragment-safe, since fragment services must use fixed reply
+    channels.
     """
     plugged = ctx.plug(p)
-    report = check_core_fragment(plugged)
-    if not report.in_fragment:
-        raise FragmentViolation(report)
-    core = desugar(plugged)
-    gs = ground(core)
-    qual = _Qualifier(ctx, core, _self_base(p, self_channel))
+    gs = ground(plugged)
+    qual = _Qualifier(ctx, plugged, _self_base(p, self_channel))
     net, init, place_msgs = to_petri(gs)
     stats = DetectionStats(states_explored=len(gs.rules))
     notes = [_CLAUSE_NOTE, f"{len(place_msgs)} places, {len(net.transitions)} transitions"]
@@ -532,28 +478,24 @@ def detect_via_coverability(ctx: Context, p: Process, self_channel: Optional[Nam
     # payload on a target channel must be coverable for it to fire; the
     # instance must also keep the payload alive in its body
     targets: List[Tuple[Marking, str]] = []
-    place_index = {m: i for i, m in enumerate(place_msgs)}
-    for ti, gr in enumerate(gs.rules):
+    for t, gr in zip(net.transitions, gs.rules):
         if not any(qual.viral_message(b, gs.soup) for b in gr.body):
             continue
         for g in gr.guard:
             if qual.consumption_hit(g, gs.soup):
-                pre: Dict[int, int] = {}
-                for gm in gr.guard:
-                    pre[place_index[gm]] = pre.get(place_index[gm], 0) + 1
-                targets.append((Marking.of(pre), f"reaction on {g}"))
+                targets.append((t.pre, f"reaction on {g}"))
                 break
     # emission targets: viral payloads on channels nothing resolves
     for i, m in enumerate(place_msgs):
         if qual.emission_hit(m, gs.soup):
-            targets.append((Marking.of({i: 1}), f"emission {m}"))
+            targets.append((net.marking({i: 1}), f"emission {m}"))
 
     ok, seq = coverable(net, init, *(target for target, _ in targets)) if targets else (False, None)
     if not ok:
         return DetectionVerdict("not_vulnerable", None, stats, notes)
     # name the first target, in the order above, that the witness covers
     final = fire_sequence(init, net, seq)
-    label = next(label for target, label in targets if target.leq(final))
+    label = next(label for target, label in targets if leq(target, final))
     return DetectionVerdict("vulnerable", _replay(gs, seq), stats, notes + [f"coverability witness: {label}"])
 
 

@@ -100,7 +100,7 @@ class Soup:
 
     rules: tuple[ActiveRule, ...] = ()
     messages: "Counter[GroundMessage]" = field(default_factory=Counter)
-    pending: list[Process] = field(default_factory=list)
+    pending: list[Process] = field(default_factory=list)  # unused; perfbench/oracles.py passes it positionally
     fresh_counter: int = 0
 
     def copy(self) -> "Soup":

@@ -1,5 +1,9 @@
 """Place/transition nets with an exact coverability decision.
 
+A marking is a tuple of token counts with one entry per place, and a
+transition's preset and postset are markings too; ``PetriNet.marking`` is
+the one place that turns sparse ``place: count`` pairs into one.
+
 Coverability is decided backwards (Abdulla, Čerāns, Jonsson & Tsay 1996).
 One antichain is seeded with every target marking and grown by rounds of
 pre-images under all transitions, keeping only its minimal elements.  The
@@ -9,52 +13,30 @@ the initial marking: the parent pointers from that marking back to its
 target spell a firing sequence, which is replayed forwards before it is
 returned.  When no such marking appears, the antichain saturates, which
 well-quasi-ordering of markings guarantees, and the targets are
-uncoverable.  A text format exchanges nets with the command line.
+uncoverable.
+
+A text format exchanges nets with the command line, one declaration per
+line: ``place <i> [label]``, ``trans <label> pre <counts> post <counts>``,
+``init <counts>`` and ``target <counts>``, where ``<counts>`` is
+``place:count`` pairs joined by commas, or ``-`` for no tokens.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from operator import le, lt
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .engine import BudgetExhausted
 
-
-@dataclass(frozen=True)
-class Marking:
-    counts: Tuple[Tuple[int, int], ...]  # sorted (place, count), zero-free
-
-    @staticmethod
-    def of(d: Dict[int, int]) -> "Marking":
-        return Marking(tuple(sorted((p, c) for p, c in d.items() if c > 0)))
-
-    def as_dict(self) -> Dict[int, int]:
-        return dict(self.counts)
-
-    def leq(self, other: "Marking") -> bool:
-        o = other.as_dict()
-        return all(o.get(p, 0) >= c for p, c in self.counts)
-
-    def size(self) -> int:
-        return sum(c for _, c in self.counts)
-
-    def __str__(self) -> str:
-        return ",".join(f"{p}:{c}" for p, c in self.counts) or "-"
+Marking = Tuple[int, ...]  # token count per place
 
 
 @dataclass(frozen=True)
 class Transition:
-    pre: Tuple[Tuple[int, int], ...]
-    post: Tuple[Tuple[int, int], ...]
+    pre: Marking
+    post: Marking
     label: str = ""
-
-    @staticmethod
-    def of(pre: Dict[int, int], post: Dict[int, int], label: str = "") -> "Transition":
-        return Transition(
-            tuple(sorted((p, c) for p, c in pre.items() if c > 0)),
-            tuple(sorted((p, c) for p, c in post.items() if c > 0)),
-            label,
-        )
 
 
 @dataclass
@@ -62,43 +44,41 @@ class PetriNet:
     place_labels: List[str]
     transitions: List[Transition]
 
-    def check(self) -> None:
-        n = len(self.place_labels)
-        for t in self.transitions:
-            for p, _ in t.pre + t.post:
-                if not 0 <= p < n:
-                    raise ValueError(f"transition {t.label!r} uses unknown place {p}")
+    def marking(self, counts: Union[Mapping[int, int], Iterable[Tuple[int, int]]]) -> Marking:
+        """The marking with the given counts: a ``place: count`` mapping or
+        ``(place, count)`` pairs, whose counts add up per place."""
+        m = [0] * len(self.place_labels)
+        for p, c in counts.items() if isinstance(counts, Mapping) else counts:
+            if not 0 <= p < len(m):
+                raise ValueError(f"unknown place {p}")
+            if c < 0:
+                raise ValueError(f"negative count {c} on place {p}")
+            m[p] += c
+        return tuple(m)
+
+
+def leq(a: Marking, b: Marking) -> bool:
+    """``b`` dominates ``a`` on every place."""
+    return all(map(le, a, b))
 
 
 def fire(m: Marking, t: Transition) -> Optional[Marking]:
-    d = m.as_dict()
-    for p, c in t.pre:
-        if d.get(p, 0) < c:
-            return None
-    for p, c in t.pre:
-        d[p] = d[p] - c
-    for p, c in t.post:
-        d[p] = d.get(p, 0) + c
-    return Marking.of(d)
+    if any(map(lt, m, t.pre)):
+        return None
+    return tuple(c - i + o for c, i, o in zip(m, t.pre, t.post))
 
 
 def pre_image(m: Marking, t: Transition) -> Marking:
     """Smallest marking that can fire ``t`` and then dominate ``m``."""
-    d = m.as_dict()
-    for p, c in t.post:
-        d[p] = max(d.get(p, 0) - c, 0)
-    for p, c in t.pre:
-        d[p] = d.get(p, 0) + c
-    return Marking.of(d)
+    return tuple(max(c - o, 0) + i for c, i, o in zip(m, t.pre, t.post))
 
 
 def _insert_minimal(basis: List[Marking], cand: Marking) -> bool:
     """Add ``cand`` to the antichain unless it is already covered; prune
     elements it covers.  Returns True when the basis changed."""
-    have = cand.as_dict()  # built once: every candidate scans the whole basis
-    if any(all(have.get(p, 0) >= c for p, c in b.counts) for b in basis):
+    if any(leq(b, cand) for b in basis):
         return False
-    basis[:] = [b for b in basis if not cand.leq(b)]
+    basis[:] = [b for b in basis if not leq(cand, b)]
     basis.append(cand)
     return True
 
@@ -124,9 +104,14 @@ def coverable(
     targets; it is validated by forward simulation before being returned.
     ``max_basis`` bounds the markings the search inserts.
     """
-    if not targets or any(t.size() == 0 for t in targets):
+    if not targets or not all(any(t) for t in targets):
         raise ValueError("need at least one target marking, each nonzero")
-    net.check()
+    n = len(net.place_labels)
+    if any(len(m) != n for m in (init, *targets)):
+        raise ValueError(f"marking length differs from the net's {n} places")
+    for t in net.transitions:
+        if len(t.pre) != n or len(t.post) != n:
+            raise ValueError(f"transition {t.label!r} does not have the net's {n} places")
     basis: List[Marking] = []
     parent: Dict[Marking, Optional[Tuple[int, Marking]]] = {}  # (transition, successor) back to a target
     candidates: Iterable[Tuple[Marking, Optional[Tuple[int, Marking]]]] = [(t, None) for t in targets]
@@ -136,7 +121,7 @@ def coverable(
             if not _insert_minimal(basis, pm):
                 continue
             parent[pm] = via  # a marking once inserted stays covered, so never returns
-            if pm.leq(init):
+            if leq(pm, init):
                 return True, _witness(net, init, targets, parent, pm)
             if len(parent) > max_basis:
                 raise BudgetExhausted("max_basis", max_basis)
@@ -159,7 +144,7 @@ def _witness(net: PetriNet, init: Marking, targets: Tuple[Marking, ...], parent,
     final = fire_sequence(init, net, seq)
     if final is None:
         raise AssertionError("backward witness failed forward validation")
-    if not any(t.leq(final) for t in targets):
+    if not any(leq(t, final) for t in targets):
         raise AssertionError("witness does not dominate a target")
     return seq
 
@@ -169,10 +154,12 @@ def _witness(net: PetriNet, init: Marking, targets: Tuple[Marking, ...], parent,
 
 
 def parse_net(text: str) -> Tuple[PetriNet, Marking, Optional[Marking]]:
+    """Read a net in the text format; a ``ValueError`` names the first bad
+    line, an undeclared place or an empty target."""
     places: Dict[int, str] = {}
-    transitions: List[Transition] = []
-    init: Optional[Marking] = None
-    target: Optional[Marking] = None
+    transitions: List[Tuple[Dict[int, int], Dict[int, int], str]] = []
+    init: Dict[int, int] = {}
+    target: Optional[Dict[int, int]] = None
 
     def parse_counts(s: str) -> Dict[int, int]:
         if s == "-":
@@ -183,27 +170,26 @@ def parse_net(text: str) -> Tuple[PetriNet, Marking, Optional[Marking]]:
             out[int(p)] = int(c)
         return out
 
-    for raw in text.splitlines():
+    for no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split(None, 2)
-        if parts[0] == "place":
-            places[int(parts[1])] = parts[2] if len(parts) > 2 else ""
-        elif parts[0] == "trans":
-            rest = parts[2]
-            pre_part, post_part = rest.split("post")
-            pre_str = pre_part.replace("pre", "").strip()
-            transitions.append(Transition.of(parse_counts(pre_str), parse_counts(post_part.strip()), parts[1]))
-        elif parts[0] == "init":
-            init = Marking.of(parse_counts(parts[1]))
-        elif parts[0] == "target":
-            target = Marking.of(parse_counts(parts[1]))
-        else:
-            raise ValueError(f"unknown line: {line}")
-    labels = [places.get(i, "") for i in range(max(places) + 1 if places else 0)]
-    net = PetriNet(labels, transitions)
-    net.check()
-    if init is None:
-        init = Marking.of({})
-    return net, init, target
+        fields = line.split()
+        try:
+            if fields[0] == "place" and len(fields) >= 2 and int(fields[1]) >= 0:
+                places[int(fields[1])] = line.split(None, 2)[2] if len(fields) > 2 else ""
+            elif fields[0] == "trans" and len(fields) == 6 and fields[2] == "pre" and fields[4] == "post":
+                transitions.append((parse_counts(fields[3]), parse_counts(fields[5]), fields[1]))
+            elif fields[0] == "init" and len(fields) == 2:
+                init = parse_counts(fields[1])
+            elif fields[0] == "target" and len(fields) == 2:
+                target = parse_counts(fields[1])
+            else:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"line {no}: cannot read {line!r}") from None
+    net = PetriNet([places.get(i, "") for i in range(max(places) + 1 if places else 0)], [])
+    net.transitions = [Transition(net.marking(pre), net.marking(post), label) for pre, post, label in transitions]
+    if target is not None and not any(target.values()):
+        raise ValueError("target marking has no tokens")
+    return net, net.marking(init), None if target is None else net.marking(target)

@@ -71,12 +71,6 @@ def cons_list(items: list[Atom]) -> Atom:
     return out
 
 
-def iter_cons(a: Atom) -> Iterator[Atom]:
-    while isinstance(a, Pair):
-        yield a.first
-        a = a.second
-
-
 # ---------------------------------------------------------------------------
 # expressions
 

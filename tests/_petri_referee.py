@@ -4,8 +4,10 @@
 to a cap, so it settles coverability only on nets it saturates.
 ``karp_miller`` builds a Karp–Miller coverability tree (Karp & Miller 1969),
 which is finite on every net, bounded or not: a target is coverable exactly
-when one of the tree's markings dominates it.  Both fire transitions with
-``jcham.petri.fire`` semantics but share no code with the backward search.
+when one of the tree's markings dominates it.  Markings are the tuples of
+per-place counts that ``jcham.petri`` uses.  Both referees fire transitions
+with ``jcham.petri.fire`` semantics but share no code with the backward
+search.
 """
 
 import math
@@ -25,7 +27,6 @@ def forward_enumerate(net: PetriNet, init: Marking, cap: int) -> Tuple[set, bool
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    net.check()
     seen = {init}
     queue = deque([init])
     saturated = True
@@ -45,32 +46,25 @@ def forward_enumerate(net: PetriNet, init: Marking, cap: int) -> Tuple[set, bool
 
 
 def covers_any(markings: Iterable[Marking], target: Marking) -> bool:
-    return any(target.leq(m) for m in markings)
+    return any(all(have >= need for have, need in zip(m, target)) for m in markings)
 
 
-def karp_miller(net: PetriNet, init: Marking, cap: int = 100_000) -> Set[tuple]:
-    """The markings of a Karp–Miller tree, as tuples indexed by place with
-    ``OMEGA`` for unbounded places.
+def karp_miller(net: PetriNet, init: Marking, cap: int = 100_000) -> Set[Marking]:
+    """The markings of a Karp–Miller tree, with ``OMEGA`` for unbounded
+    places.
 
     A new node that strictly dominates one of its ancestors gets ``OMEGA``
     on every place where it exceeds that ancestor; a node whose marking is
     already in the tree is not expanded again.
     """
-    net.check()
-    counts = dict(init.counts)
-    root = tuple(counts.get(p, 0) for p in range(len(net.place_labels)))
-    nodes = {root}
-    stack = [(root, (root,))]  # a node and the markings on its path from the root
+    nodes = {init}
+    stack = [(init, (init,))]  # a node and the markings on its path from the root
     while stack:
         m, path = stack.pop()
         for t in net.transitions:
-            if any(m[p] < c for p, c in t.pre):
+            if any(have < need for have, need in zip(m, t.pre)):
                 continue
-            nxt = list(m)
-            for p, c in t.pre:
-                nxt[p] -= c
-            for p, c in t.post:
-                nxt[p] += c
+            nxt = [have - need + add for have, need, add in zip(m, t.pre, t.post)]
             for anc in path:
                 if all(a <= b for a, b in zip(anc, nxt)):
                     nxt = [OMEGA if b > a else b for a, b in zip(anc, nxt)]
@@ -84,20 +78,19 @@ def karp_miller(net: PetriNet, init: Marking, cap: int = 100_000) -> Set[tuple]:
     return nodes
 
 
-def km_covers(nodes: Iterable[tuple], target: Marking) -> bool:
-    return any(all(node[p] >= c for p, c in target.counts) for node in nodes)
+km_covers = covers_any  # an OMEGA place covers any count
 
 
 def format_net(net: PetriNet, init: Marking, target: Optional[Marking] = None) -> str:
     """The text format that ``jcham.petri.parse_net`` reads."""
-    lines = []
-    for i, label in enumerate(net.place_labels):
-        lines.append(f"place {i} {label}")
+
+    def counts(m: Marking) -> str:
+        return ",".join(f"{p}:{c}" for p, c in enumerate(m) if c) or "-"
+
+    lines = [f"place {i} {label}" for i, label in enumerate(net.place_labels)]
     for i, t in enumerate(net.transitions):
-        pre = ",".join(f"{p}:{c}" for p, c in t.pre) or "-"
-        post = ",".join(f"{p}:{c}" for p, c in t.post) or "-"
-        lines.append(f"trans {i} pre {pre} post {post}")
-    lines.append(f"init {init}")
+        lines.append(f"trans {i} pre {counts(t.pre)} post {counts(t.post)}")
+    lines.append(f"init {counts(init)}")
     if target is not None:
-        lines.append(f"target {target}")
+        lines.append(f"target {counts(target)}")
     return "\n".join(lines) + "\n"

@@ -30,7 +30,7 @@ from jcham.malware import (
     token_aware_overwrite,
 )
 from jcham.parser import parse
-from jcham.petri import Marking, coverable
+from jcham.petri import coverable
 from jcham.policy import (
     TokenPolicy,
     add_token_distributor,
@@ -40,6 +40,7 @@ from jcham.policy import (
 )
 from jcham.syntax import Name, Null, Pair
 
+from _atoms import iter_cons
 from _gen import fragment_instance
 from _petri_referee import covers_any, forward_enumerate
 from _props import (
@@ -220,8 +221,6 @@ def test_05_rootkit_derivation():
         fake_syscalls=[(Name("fsc_open"), Null()), (Name("fsc_read"), Null())],
     )
     settled = run(inject(ctx.plug(loadable_driver(rkit))), seed=0, max_steps=400).final
-    from jcham.syntax import iter_cons
-
     tables = [m for m in settled.messages if m.channel.base == "table"]
     hooked = len(tables) == 1 and [a.base for a in iter_cons(tables[0].args[0])] == ["fsc_open", "fsc_read"]
 
@@ -276,7 +275,7 @@ def test_06_decidable_fragment_agreement():
         if not saturated:
             continue
         for i in rng2.sample(range(len(places)), min(3, len(places))):
-            target = Marking.of({i: 1})
+            target = net.marking({i: 1})
             ok_b, _ = coverable(net, init, target)
             assert ok_b == covers_any(seen, target)
             checked += 1

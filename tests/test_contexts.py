@@ -19,6 +19,8 @@ from jcham.parser import parse
 from jcham.scenarios import build_context
 from jcham.syntax import Hole, Name, Null
 
+from _atoms import iter_cons
+
 
 ALL_BUILDERS = [
     lambda: base_context(resources=[ResourceSpec(label="st", initial=Name("c0"))]),
@@ -152,8 +154,6 @@ def test_rootkit_publish_returns_table():
     tr = run(inject(ctx.plug(parse("let t = publish() in tbl<t>"))), seed=0, max_steps=40)
     tbl = [m for m in tr.final.messages if m.channel.base == "tbl"]
     assert tbl
-    from jcham.syntax import iter_cons
-
     assert [a.base for a in iter_cons(tbl[0].args[0])] == ["sc1", "sc2"]
 
 

@@ -6,6 +6,8 @@ from jcham.filesystem import exec_hierarchy, file_system
 from jcham.parser import parse
 from jcham.syntax import Name, Null, Pair
 
+from _atoms import iter_cons
+
 
 def settle(soup, steps=400):
     return run(soup, seed=0, max_steps=steps).final
@@ -100,16 +102,12 @@ def test_preempt_reorders_completion(fsh):
 def test_preempt_drops_tail_element(fsh):
     s = settle(inject(fsh.plug(parse("preempt(vxt); 0"))))
     comp = msgs_on(s, "complist")[0]
-    from jcham.syntax import iter_cons
-
     assert [str(a) for a in iter_cons(comp.args[0])] == ["vxt", "com"]
 
 
 def test_list_files_returns_names(fs2):
     s = settle(inject(fs2.plug(parse("let l = list_files() in listing<l>"))))
     got = msgs_on(s, "listing")[0]
-    from jcham.syntax import iter_cons
-
     assert [str(a) for a in iter_cons(got.args[0])] == ["n1", "n2"]
 
 

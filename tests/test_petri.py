@@ -3,12 +3,12 @@ import random
 import pytest
 
 from jcham.petri import (
-    Marking,
     PetriNet,
     Transition,
     coverable,
     fire,
     fire_sequence,
+    leq,
     parse_net,
     pre_image,
 )
@@ -17,89 +17,103 @@ from _petri_referee import OMEGA, format_net, forward_enumerate, karp_miller, km
 
 
 def net_of(places, transitions):
-    return PetriNet([f"p{i}" for i in range(places)], [Transition.of(pre, post, str(i)) for i, (pre, post) in enumerate(transitions)])
+    net = PetriNet([f"p{i}" for i in range(places)], [])
+    net.transitions = [Transition(net.marking(pre), net.marking(post), str(i)) for i, (pre, post) in enumerate(transitions)]
+    return net
 
 
 def test_one_step_cover():
     net = net_of(2, [({0: 1}, {1: 1})])
-    ok, wit = coverable(net, Marking.of({0: 1}), Marking.of({1: 1}))
+    ok, wit = coverable(net, net.marking({0: 1}), net.marking({1: 1}))
     assert ok and wit == [0]
 
 
 def test_no_producer_means_uncoverable():
     net = net_of(2, [({0: 1}, {0: 1})])
-    ok, wit = coverable(net, Marking.of({0: 1}), Marking.of({1: 1}))
+    ok, wit = coverable(net, net.marking({0: 1}), net.marking({1: 1}))
     assert not ok and wit is None
 
 
 def test_pre_image_formula():
-    t = Transition.of({0: 1}, {1: 2})
-    m = Marking.of({1: 3, 2: 1})
-    assert pre_image(m, t) == Marking.of({0: 1, 1: 1, 2: 1})
+    t = net_of(3, [({0: 1}, {1: 2})]).transitions[0]
+    assert pre_image((0, 3, 1), t) == (1, 1, 1)
     # postset larger than the demand clamps at zero
-    assert pre_image(Marking.of({1: 1}), t) == Marking.of({0: 1})
+    assert pre_image((0, 1, 0), t) == (1, 0, 0)
 
 
 def test_fire_semantics():
-    t = Transition.of({0: 2}, {1: 1})
-    assert fire(Marking.of({0: 1}), t) is None
-    assert fire(Marking.of({0: 2}), t) == Marking.of({1: 1})
+    t = net_of(2, [({0: 2}, {1: 1})]).transitions[0]
+    assert fire((1, 0), t) is None
+    assert fire((2, 0), t) == (0, 1)
+
+
+def test_marking_from_sparse_counts():
+    net = net_of(3, [])
+    assert net.marking({2: 1, 0: 3}) == (3, 0, 1)
+    assert net.marking([(1, 1), (1, 1)]) == (0, 2, 0)
+    assert net.marking({}) == (0, 0, 0)
+    with pytest.raises(ValueError, match="unknown place 3"):
+        net.marking({3: 1})
+    with pytest.raises(ValueError, match="unknown place -1"):
+        net.marking({-1: 1})
+    with pytest.raises(ValueError, match="negative"):
+        net.marking({0: -1})
 
 
 def test_unbounded_chain_still_decides():
     # a self-loop pumping tokens: target needs 3 tokens in p1
     net = net_of(2, [({0: 1}, {0: 1, 1: 1})])
-    ok, wit = coverable(net, Marking.of({0: 1}), Marking.of({1: 3}))
+    ok, wit = coverable(net, net.marking({0: 1}), net.marking({1: 3}))
     assert ok
     assert len(wit) == 3
 
 
 def test_witness_validates_by_simulation():
     net = net_of(4, [({0: 1}, {1: 1}), ({1: 1}, {2: 1}), ({2: 1}, {3: 1})])
-    ok, wit = coverable(net, Marking.of({0: 1}), Marking.of({3: 1}))
+    ok, wit = coverable(net, net.marking({0: 1}), net.marking({3: 1}))
     assert ok
-    m = Marking.of({0: 1})
+    m = net.marking({0: 1})
     for ti in wit:
         m = fire(m, net.transitions[ti])
         assert m is not None
-    assert Marking.of({3: 1}).leq(m)
+    assert leq(net.marking({3: 1}), m)
 
 
 def test_forward_enumerate_inert():
     net = net_of(1, [])
-    seen, saturated = forward_enumerate(net, Marking.of({0: 1}), cap=10)
-    assert seen == {Marking.of({0: 1})} and saturated
+    seen, saturated = forward_enumerate(net, net.marking({0: 1}), cap=10)
+    assert seen == {net.marking({0: 1})} and saturated
 
 
 def test_forward_enumerate_cap():
     net = net_of(1, [({}, {0: 1})])
-    seen, saturated = forward_enumerate(net, Marking.of({}), cap=10)
+    seen, saturated = forward_enumerate(net, net.marking({}), cap=10)
     assert len(seen) == 10 and not saturated
 
 
 def test_karp_miller_marks_unbounded_places():
     # p0 pumps p1 without bound; p2 is never marked
     net = net_of(3, [({0: 1}, {0: 1, 1: 1})])
-    nodes = karp_miller(net, Marking.of({0: 1}))
+    nodes = karp_miller(net, net.marking({0: 1}))
     assert nodes == {(1, 0, 0), (1, OMEGA, 0)}
-    assert km_covers(nodes, Marking.of({1: 50}))
-    assert not km_covers(nodes, Marking.of({2: 1}))
+    assert km_covers(nodes, net.marking({1: 50}))
+    assert not km_covers(nodes, net.marking({2: 1}))
 
 
 def test_target_covered_by_init_needs_no_step():
     net = net_of(2, [({0: 1}, {1: 1})])
-    assert coverable(net, Marking.of({0: 2}), Marking.of({0: 1})) == (True, [])
+    assert coverable(net, net.marking({0: 2}), net.marking({0: 1})) == (True, [])
 
 
 def test_one_run_answers_for_the_coverable_target():
     # p2 has no producer; p1 is one step away
     net = net_of(3, [({0: 1}, {1: 1})])
-    init = Marking.of({0: 1})
-    uncoverable, reachable = Marking.of({2: 1}), Marking.of({1: 1})
+    init = net.marking({0: 1})
+    uncoverable, reachable = net.marking({2: 1}), net.marking({1: 1})
     ok, wit = coverable(net, init, uncoverable, reachable)
     assert ok and wit == [0]
-    assert reachable.leq(fire_sequence(init, net, wit))
-    assert coverable(net, init, uncoverable, Marking.of({2: 1, 1: 1})) == (False, None)
+    assert leq(reachable, fire_sequence(init, net, wit))
+    assert coverable(net, init, uncoverable, net.marking({2: 1, 1: 1})) == (False, None)
 
 
 def test_monotone_in_initial():
@@ -113,11 +127,11 @@ def test_monotone_in_initial():
             transitions.append((pre, post))
         net = net_of(places, transitions)
         init = {p: rng.randint(0, 2) for p in range(places)}
-        target = Marking.of({rng.randrange(places): rng.randint(1, 2)})
-        ok1, _ = coverable(net, Marking.of(init), target)
+        target = net.marking({rng.randrange(places): rng.randint(1, 2)})
+        ok1, _ = coverable(net, net.marking(init), target)
         bigger = dict(init)
         bigger[rng.randrange(places)] = bigger.get(rng.randrange(places), 0) + 2
-        ok2, _ = coverable(net, Marking.of(bigger), target)
+        ok2, _ = coverable(net, net.marking(bigger), target)
         if ok1:
             assert ok2
 
@@ -135,8 +149,8 @@ def test_backward_agrees_with_forward_on_random_nets():
                 post[rng.randrange(places)] = post.get(rng.randrange(places), 0) + 1
             transitions.append((pre, post))
         net = net_of(places, transitions)
-        init = Marking.of({p: rng.randint(0, 1) for p in range(places)})
-        target = Marking.of({rng.randrange(places): 1})
+        init = net.marking({p: rng.randint(0, 1) for p in range(places)})
+        target = net.marking({rng.randrange(places): 1})
         ok, _ = coverable(net, init, target)
         assert ok == km_covers(karp_miller(net, init), target)
         agreed += 1
@@ -146,24 +160,65 @@ def test_backward_agrees_with_forward_on_random_nets():
 def test_antichain_is_minimal_after_run():
     # indirectly: duplicated transitions must not change the verdict
     net = net_of(2, [({0: 1}, {1: 1}), ({0: 1}, {1: 1})])
-    ok, _ = coverable(net, Marking.of({0: 1}), Marking.of({1: 1}))
+    ok, _ = coverable(net, net.marking({0: 1}), net.marking({1: 1}))
     assert ok
 
 
 def test_zero_target_rejected():
     net = net_of(1, [])
     with pytest.raises(ValueError):
-        coverable(net, Marking.of({}), Marking.of({}))
+        coverable(net, net.marking({}), net.marking({}))
     with pytest.raises(ValueError):
-        coverable(net, Marking.of({}))
+        coverable(net, net.marking({}))
     with pytest.raises(ValueError):
-        coverable(net, Marking.of({}), Marking.of({0: 1}), Marking.of({}))
+        coverable(net, net.marking({}), net.marking({0: 1}), net.marking({}))
+
+
+def test_marking_of_another_length_rejected():
+    net = net_of(2, [({0: 1}, {1: 1})])
+    with pytest.raises(ValueError, match="2 places"):
+        coverable(net, (1,), (0, 1))
+    with pytest.raises(ValueError, match="2 places"):
+        coverable(net, (1, 0), (0, 1, 0))
+    net.transitions.append(Transition((1, 0, 0), (0, 1, 0), "wide"))
+    with pytest.raises(ValueError, match="'wide'"):
+        coverable(net, (1, 0), (0, 1))
+
+
+def test_relabelling_places_keeps_verdict_and_witness():
+    rng = random.Random(31)
+    verdicts = []
+    for _ in range(60):
+        places = rng.randint(3, 6)
+        transitions = []
+        for _ in range(rng.randint(2, 7)):
+            pre = {rng.randrange(places): 1}
+            post = {rng.randrange(places): rng.randint(1, 2) for _ in range(rng.randint(1, 2))}
+            transitions.append((pre, post))
+        init = {rng.randrange(places): 1}
+        targets = [{rng.randrange(places): rng.randint(1, 3)} for _ in range(rng.randint(1, 3))]
+        perm = list(range(places))
+        rng.shuffle(perm)
+
+        def moved(d):
+            return {perm[p]: c for p, c in d.items()}
+
+        net = net_of(places, transitions)
+        relabelled = net_of(places, [(moved(pre), moved(post)) for pre, post in transitions])
+        got = coverable(net, net.marking(init), *map(net.marking, targets))
+        assert got == coverable(
+            relabelled, relabelled.marking(moved(init)), *(relabelled.marking(moved(t)) for t in targets)
+        )
+        verdicts.append(got)
+    # both verdicts occur, and many witnesses take several steps
+    assert sum(len(wit) >= 2 for ok, wit in verdicts if ok) >= 10
+    assert any(not ok for ok, _ in verdicts)
 
 
 def test_text_format_round_trip():
     net = net_of(3, [({0: 1, 1: 1}, {2: 2}), ({2: 1}, {})])
-    init = Marking.of({0: 1, 1: 1})
-    target = Marking.of({2: 2})
+    init = net.marking({0: 1, 1: 1})
+    target = net.marking({2: 2})
     text = format_net(net, init, target)
     net2, init2, target2 = parse_net(text)
     assert init2 == init and target2 == target

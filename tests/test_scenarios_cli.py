@@ -203,6 +203,28 @@ def test_cli_petri_cover(tmp_path):
     assert "coverable: True" in out
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("place 0 a\ntrans t pre 0:1 post 5:1\ninit 0:1\ntarget 0:1\n", id="undeclared-transition-place"),
+        pytest.param("place 0 a\ntrans t pre 0:1\ninit 0:1\ntarget 0:1\n", id="no-post"),
+        pytest.param("place 0 a\ninit 0:x\ntarget 0:1\n", id="bad-count"),
+        pytest.param("place 0 a\ninit 0:1\ntarget -\n", id="empty-target"),
+        pytest.param("place 0 a\ninit 0:1\ntarget 0:1\narc 0 0\n", id="unknown-line"),
+        pytest.param("place 0 a\ninit 3:1\ntarget 0:1\n", id="undeclared-init-place"),
+        pytest.param("place 0 a\ninit 0:1\ntarget 3:1\n", id="undeclared-target-place"),
+        pytest.param(None, id="missing-file"),
+    ],
+)
+def test_cli_petri_cover_rejects_a_bad_net(tmp_path, capsys, text):
+    net = tmp_path / "n.net"
+    if text is not None:
+        net.write_text(text)
+    assert main(["petri", "cover", "--net", str(net)]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+
+
 def test_cli_policy_isolate():
     code, out, err = cli("policy", "isolate", "--context", "refined(n=2)")
     assert code == 1
