@@ -3,15 +3,19 @@
 Two soups are congruent when one can be turned into the other by reordering
 rules and messages and by a base-preserving bijection of machine-indexed
 names.  ``canonicalize`` computes a digest invariant under exactly those
-changes: indexed names are partitioned by iterated signature refinement
-(a name's signature is the multiset of its occurrence slots across all
-rules and messages, described up to the current partition), the partition
-is made discrete by individualizing one name of the first ambiguous class
-and re-refining, and the digest hashes the least serialization over the
-explored orders.  Ambiguous classes after refinement are almost always
-interchangeable names (dead reply channels, identical resources), for
-which every order serializes identically; a small branch budget covers the
-rest.
+changes.  Indexed names are partitioned by iterated signature refinement (a
+name's signature is the multiset of its occurrence slots across all rules
+and messages, described up to the current partition).  When every class is
+a single name, the soup is serialized once in colour order.  Otherwise the
+names alone in their class are fixed, and the rest fall into components,
+joined through the items they share: typically the interchangeable
+clusters (dead reply channels, identical resources) that hang off the same
+live names.  Each component is made discrete on its own by individualizing
+one name of its first ambiguous class and re-refining, over its own items
+only; components are then sorted by their least rendering, and the soup is
+serialized once in the order this gives (component recursion, Junttila &
+Kaski 2011).  A branch budget bounds each component's search; past it the
+digest may tell congruent soups apart, but never merges distinct ones.
 
 Rules persist from state to state, so each ``ActiveRule`` is flattened into
 its skeleton (and the indexed-name slots in it) only once and keeps it.
@@ -22,6 +26,7 @@ its (old colour, sorted signature) among those of all names.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
@@ -63,8 +68,12 @@ def canonicalize(soup: Soup) -> CanonicalForm:
     fresh = _sorted_names(n for f in flats for n in f.slots)
     slotted = _slot_items(flats, fresh)
     colors = _refine_fixpoint(slotted, _ranks([n.base for n in fresh]))
-    orders = _discrete_orders(slotted, fresh, colors)
-    best_s = min(_serialize_soup(skeletons, {n: f"%{i}" for i, n in enumerate(order)}) for order in orders)
+    if len(set(colors)) == len(colors):
+        order = sorted(range(len(fresh)), key=colors.__getitem__)
+    else:
+        slotted_skeletons = [(item[0], f.toks) for item, f in zip(items, flats) if f.slots]
+        order = _component_order(slotted, slotted_skeletons, fresh, colors)
+    best_s = _serialize_soup(skeletons, {fresh[i]: f"%{p}" for p, i in enumerate(order)})
     return CanonicalForm(hashlib.sha256(best_s.encode()).hexdigest(), best_s)
 
 
@@ -93,8 +102,10 @@ def _sorted_names(names: Iterable[Name]) -> List[Name]:
 # slots for globally indexed names, with adjacent literals merged so that a
 # skeleton with k slots has about 2k+1 tokens.  Nothing re-walks the syntax
 # after that: refinement reads only each skeleton's shape and slot names, and
-# colours there are integer ranks, not hashes of renderings; the final
-# serializations join tokens under each candidate order.  A rule's skeleton
+# colours there are integer ranks, not hashes of renderings.  The soup is
+# serialized once, joining tokens under the final order, so an item without
+# slots is rendered once per call; only the items of a component are
+# rendered per candidate order of that component.  A rule's skeleton
 # is built once and kept on the ActiveRule (rules persist across states);
 # message skeletons carry the multiplicity and are rebuilt.
 # Composite structure (parallel parts, nested rules) is ordered by the
@@ -338,10 +349,10 @@ def _refine_fixpoint(slotted: List[SlotItem], colors: List[int]) -> List[int]:
     return colors
 
 
-def _discrete_orders(slotted: List[SlotItem], fresh: List[Name], colors: List[int]) -> List[List[Name]]:
-    """Orders consistent with the refined partition, made discrete by
-    individualization; branches stay within a fixed budget."""
-    out: List[List[Name]] = []
+def _discrete_orders(slotted: List[SlotItem], colors: List[int]) -> List[List[int]]:
+    """Orders of the names consistent with the refined partition, made
+    discrete by individualization; branches stay within a fixed budget."""
+    out: List[List[int]] = []
     budget = [_BRANCH_BUDGET]
 
     def rec(cols: List[int]) -> None:
@@ -351,7 +362,7 @@ def _discrete_orders(slotted: List[SlotItem], fresh: List[Name], colors: List[in
         ordered = [groups[c] for c in sorted(groups)]
         first_ambiguous = next((g for g in ordered if len(g) > 1), None)
         if first_ambiguous is None:
-            out.append([fresh[g[0]] for g in ordered])
+            out.append([g[0] for g in ordered])
             return
         candidates = first_ambiguous if budget[0] >= len(first_ambiguous) else first_ambiguous[:1]
         budget[0] = max(budget[0] // max(len(candidates), 1), 1)
@@ -363,3 +374,72 @@ def _discrete_orders(slotted: List[SlotItem], fresh: List[Name], colors: List[in
 
     rec(colors)
     return out
+
+
+# ---------------------------------------------------------------------------
+# component recursion (Junttila & Kaski 2011)
+#
+# names left alone in their class by refinement are fixed: an automorphism
+# of the soup keeps the refined colouring, so it maps each of them to
+# itself.  The other names are joined into components through the slotted
+# items they share, and an automorphism can only permute whole components.
+# Each component is individualized on its own, over its own items, with the
+# fixed names in them as constants of their colour.  It keeps the least
+# rendering of those items (a fixed name written ``#colour``, a component
+# name as its position in the component) and the order that gave it.
+# Components with equal renderings are isomorphic over the fixed names, so
+# swapping them leaves the soup's serialization as it is; orders of one
+# component with equal renderings differ by an automorphism, likewise.  The
+# branch budget holds for each component's search; when it trips, the
+# rendering is the least over the orders explored, so congruent soups can
+# get different digests, but the digest still serializes the whole soup and
+# never joins two distinct ones.
+
+
+def _component_order(
+    slotted: List[SlotItem], skeletons: List[Tuple[str, Skeleton]], fresh: List[Name], colors: List[int]
+) -> List[int]:
+    """All names in serialization order: the fixed names by colour, then each
+    component's names, components sorted by their least rendering."""
+    size = Counter(colors)
+    loose = [size[c] > 1 for c in colors]
+    parent = list(range(len(colors)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for _, ids in slotted:
+        mine = [i for i in ids if loose[i]]
+        for i in mine[1:]:
+            parent[find(i)] = find(mine[0])
+    members: Dict[int, List[int]] = {}
+    for i in range(len(colors)):
+        if loose[i]:
+            members.setdefault(find(i), []).append(i)
+    items: Dict[int, List[int]] = {}
+    for k, (_, ids) in enumerate(slotted):
+        first = next((i for i in ids if loose[i]), None)
+        if first is not None:
+            items.setdefault(find(first), []).append(k)
+
+    def least(names: List[int], ks: List[int]) -> Tuple[str, List[int]]:
+        # local numbering: the component's names, then the fixed names in its items
+        vertices = names + sorted({i for k in ks for i in slotted[k][1]}.difference(names))
+        local = {g: v for v, g in enumerate(vertices)}
+        sub = [(slotted[k][0], tuple(local[i] for i in slotted[k][1])) for k in ks]
+        own = [skeletons[k] for k in ks]
+        marks = {fresh[g]: f"#{colors[g]}" for g in vertices[len(names) :]}
+
+        def rendering(order: List[int]) -> Tuple[str, List[int]]:
+            mine = [vertices[v] for v in order if v < len(names)]
+            marks.update((fresh[g], f"%{p}") for p, g in enumerate(mine))
+            return _serialize_soup(own, marks), mine
+
+        return min(map(rendering, _discrete_orders(sub, [colors[g] for g in vertices])), key=lambda r: r[0])
+
+    fixed = sorted((i for i in range(len(colors)) if not loose[i]), key=colors.__getitem__)
+    components = sorted((least(members[r], items[r]) for r in members), key=lambda c: c[0])
+    return fixed + [i for _, order in components for i in order]

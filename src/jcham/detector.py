@@ -493,9 +493,10 @@ def detect_via_coverability(ctx: Context, p: Process, self_channel: Optional[Nam
     ok, seq = coverable(net, init, *(target for target, _ in targets)) if targets else (False, None)
     if not ok:
         return DetectionVerdict("not_vulnerable", None, stats, notes)
-    # name the first target, in the order above, that the witness covers
+    # name the covered target with the least label, which does not depend
+    # on the order in which grounding numbered the places
     final = fire_sequence(init, net, seq)
-    label = next(label for target, label in targets if leq(target, final))
+    label = min(label for target, label in targets if leq(target, final))
     return DetectionVerdict("vulnerable", _replay(gs, seq), stats, notes + [f"coverability witness: {label}"])
 
 

@@ -1,9 +1,10 @@
+import dataclasses
 import random
 from collections import Counter
 from itertools import permutations
 
 from jcham.canon import _flatten, _items, _render, canonicalize, congruent
-from jcham.engine import ActiveRule, Soup, enabled_redexes, inject, reduce
+from jcham.engine import ActiveRule, GroundMessage, Soup, enabled_redexes, inject, reduce
 from jcham.parser import parse
 from jcham.syntax import Name
 
@@ -168,15 +169,206 @@ def test_rule_skeleton_cache_shared_across_soups():
     assert len(set(digests)) == 3
 
 
+def _rename(obj, mapping):
+    """``obj`` with every name in ``mapping`` replaced, through tuples and
+    syntax dataclasses."""
+    if isinstance(obj, Name):
+        return mapping.get(obj, obj)
+    if isinstance(obj, tuple):
+        return tuple(_rename(x, mapping) for x in obj)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return type(obj)(**{f.name: _rename(getattr(obj, f.name), mapping) for f in dataclasses.fields(obj) if f.init})
+    return obj
+
+
+def congruent_copy(soup: Soup, rng: random.Random) -> Soup:
+    """``soup`` with its indexed names moved onto fresh indices (each keeping
+    its base) in random order, and its rules and messages shuffled; the
+    rules are rebuilt, so no cached skeleton carries over."""
+    names = _global_indexed_names(soup)
+    start = 1 + max((n.index for n in names), default=soup.fresh_counter)
+    fresh = list(range(start, start + len(names)))
+    rng.shuffle(fresh)
+    mapping = {n: Name(n.base, i) for n, i in zip(names, fresh)}
+    rules = [ActiveRule(_rename(r.heads, mapping), _rename(r.body, mapping)) for r in soup.rules]
+    rng.shuffle(rules)
+    messages = [(_rename(m, mapping), k) for m, k in soup.messages.items()]
+    rng.shuffle(messages)
+    return Soup(tuple(rules), Counter(dict(messages)), [], start + len(names))
+
+
+def test_congruent_copy_renames_and_shuffles():
+    s = inject(parse("def hub<x> |> 0 in " + " | ".join(["(def k<> |> hub<j> and j<y> |> k<> in go<k>)"] * 3)))
+    copy = congruent_copy(s, random.Random(5))
+    assert not set(_global_indexed_names(s)) & set(_global_indexed_names(copy))
+    assert sorted(n.base for n in _global_indexed_names(s)) == sorted(n.base for n in _global_indexed_names(copy))
+    assert brute_congruent(s, copy)
+
+
 def test_interchangeable_names_do_not_explode():
     # many identical dead reply rules: still fast and stable
-    src = "def x<> |> 0 in x<>"
     s = inject(parse("def g(a) |> (return a to g) in " + " | ".join(["(let r = g(1) in 0)"] * 8)))
     for _ in range(40):
         rs = enabled_redexes(s)
         if not rs:
             break
         s = reduce(s, rs[0])
-    d1 = canonicalize(s).digest
-    d2 = canonicalize(s.copy()).digest
-    assert d1 == d2
+    rng = random.Random(8)
+    assert all(canonicalize(congruent_copy(s, rng)).digest == canonicalize(s).digest for _ in range(5))
+
+
+# -- component recursion: interchangeable clusters hanging off fixed names
+
+_CLUSTER = "(def k<> |> hub<j> and j<y> |> k<> | y<> in go<k>)"
+_CLUSTER_SPELLED_OTHERWISE = "(def j<y> |> y<> | k<> and k<> |> hub<j> in go<k>)"
+_PERTURBED = (
+    "(def k<> |> hub<k> and j<y> |> k<> | y<> in go<k>)",  # wired back to itself
+    "(def k<> |> tap<j> and j<y> |> k<> | y<> in go<k>)",  # hangs off the other fixed name
+    "(def k<> |> hub<j> and j<y> |> k<> | y<> in go<j>)",  # publishes the other name
+)
+
+
+def _hub_soup(clusters) -> Soup:
+    return inject(parse("def hub<x> |> 0 and tap<x> |> 0 in " + " | ".join(clusters)))
+
+
+def test_component_split_agrees_with_brute_force(monkeypatch):
+    import jcham.canon as canon
+
+    split = []
+
+    def counted(*args):
+        split.append(args)
+        return component_order(*args)
+
+    component_order = canon._component_order
+    monkeypatch.setattr(canon, "_component_order", counted)
+    verdicts = []
+    for copies in (2, 3):
+        soups = [
+            _hub_soup([_CLUSTER] * copies),
+            _hub_soup([_CLUSTER_SPELLED_OTHERWISE] + [_CLUSTER] * (copies - 1)),
+            _hub_soup([_CLUSTER] * (copies - 1) + [_CLUSTER_SPELLED_OTHERWISE]),
+        ]
+        soups += [_hub_soup([_CLUSTER] * (copies - 1) + [odd]) for odd in _PERTURBED]
+        soups += [_hub_soup([odd] + [_CLUSTER] * (copies - 1)) for odd in _PERTURBED]
+        routes = []
+        for s in soups:
+            split.clear()
+            canonicalize(s)
+            routes.append(bool(split))
+        # identical clusters are interchangeable: only a perturbed pair is split apart by refinement
+        assert routes == [True] * 3 + [copies > 2] * 2 * len(_PERTURBED)
+        for i, a in enumerate(soups):
+            for b in soups[i:]:
+                expected = brute_congruent(a, b)
+                assert (canonicalize(a).digest == canonicalize(b).digest) == expected, (a.dump(), b.dump())
+                verdicts.append(expected)
+    assert True in verdicts and False in verdicts
+
+
+def test_components_off_different_fixed_names_keep_apart():
+    # clusters off hub and clusters off tap fall into different classes, but
+    # each class still holds two interchangeable components
+    hub, tap = _CLUSTER, _PERTURBED[1]
+    soups = [_hub_soup([hub, tap, hub, tap]), _hub_soup([tap, tap, hub, hub]), _hub_soup([hub, tap, tap, tap])]
+    rng = random.Random(3)
+    for s in soups:
+        assert all(canonicalize(congruent_copy(s, rng)).digest == canonicalize(s).digest for _ in range(6))
+    assert canonicalize(soups[0]).digest == canonicalize(soups[1]).digest
+    assert canonicalize(soups[0]).digest != canonicalize(soups[2]).digest
+
+
+def _regular_digraph(n: int, rng: random.Random) -> Soup:
+    """Messages ``e<x~i, x~j>`` along the edges of a random digraph in which
+    every name has two successors and two predecessors, plus ``h<hub~0, x~i>``
+    for every name.  Refinement leaves the x names in one class, but the
+    digraph need not be symmetric, so the orders that individualization
+    reaches can serialize differently."""
+    p, q = list(range(n)), list(range(n))
+    while not all(p[i] != i and q[i] != i and p[i] != q[i] for i in range(n)):
+        rng.shuffle(p)
+        rng.shuffle(q)
+    hub = Name("hub", 0)
+    messages = Counter(GroundMessage(Name("h"), (hub, Name("x", i + 1))) for i in range(n))
+    for i in range(n):
+        messages.update(GroundMessage(Name("e"), (Name("x", i + 1), Name("x", j + 1))) for j in (p[i], q[i]))
+    return Soup((), messages, [], n + 1)
+
+
+def test_component_individualization_takes_the_least_order():
+    rng = random.Random(11)
+    soups = [_regular_digraph(6, rng) for _ in range(8)]
+    for a in soups:
+        assert all(canonicalize(congruent_copy(a, rng)).digest == canonicalize(a).digest for _ in range(3))
+    for a, b in zip(soups[:3], soups[1:4]):
+        assert (canonicalize(a).digest == canonicalize(b).digest) == brute_congruent(a, b)
+
+
+def _viral_states(n: int) -> list:
+    """Every soup ``viral_set_member`` canonicalizes on ``refined_context(n)``."""
+    import jcham.canon as canon
+    from jcham.contexts import refined_context
+    from jcham.detector import viral_set_member
+    from jcham.malware import MalwareSpec, ReplicationMech, TargetRoutine, build_virus
+
+    seen = []
+    original = canon.canonicalize
+
+    def recording(soup):
+        seen.append(soup)
+        return original(soup)
+
+    virus = build_virus(
+        MalwareSpec(
+            family="virus",
+            klass="III",
+            mech=ReplicationMech("overwrite"),
+            targets=TargetRoutine("hardcoded", tuple(Name(f"sw{i}") for i in range(1, n + 1))),
+        )
+    )
+    canon.canonicalize = recording
+    try:
+        verdict = viral_set_member(refined_context(n), virus, iterations=n)
+    finally:
+        canon.canonicalize = original
+    assert verdict.outcome == "vulnerable"
+    return seen
+
+
+def test_digest_invariant_on_viral_states():
+    states = _viral_states(4)
+    assert len(states) >= 89
+    rng = random.Random(4)
+    for s in states:
+        assert canonicalize(congruent_copy(s, rng)).digest == canonicalize(s).digest, s.dump()
+
+
+def test_viral_component_searches_stay_within_budget(monkeypatch):
+    # a search that the budget cuts explores fewer orders than one without a budget
+    import jcham.canon as canon
+
+    searches, tripped = [0], []
+
+    def counted(slotted, colors):
+        orders = discrete_orders(slotted, colors)
+        budget = canon._BRANCH_BUDGET
+        canon._BRANCH_BUDGET = 10**9
+        try:
+            unbounded = discrete_orders(slotted, colors)
+        finally:
+            canon._BRANCH_BUDGET = budget
+        searches[0] += 1
+        if len(orders) < len(unbounded):
+            tripped.append((len(orders), len(unbounded)))
+        return orders
+
+    discrete_orders = canon._discrete_orders
+    monkeypatch.setattr(canon, "_discrete_orders", counted)
+    _viral_states(4)
+    assert searches[0] > 0
+    assert tripped == []
+    # the counter does see a search that the budget cuts
+    monkeypatch.setattr(canon, "_BRANCH_BUDGET", 1)
+    canonicalize(_regular_digraph(6, random.Random(11)))
+    assert tripped

@@ -174,6 +174,16 @@ def test_coverability_unreachable_target():
     assert detect_via_coverability(ctx, toy, self_channel=Name("p")).outcome == "not_vulnerable"
 
 
+def test_coverability_note_does_not_depend_on_body_spelling():
+    # the witness covers both emissions; grounding numbers the places in the
+    # order the body writes them, and the note must not follow that order
+    notes = [
+        detect_via_coverability(build_context("bare(resources=r1)"), parse(f"def go<> |> {body} in go<>"), Name("p")).notes[-1]
+        for body in ("out<p> | r1<p>", "r1<p> | out<p>")
+    ]
+    assert notes == ["coverability witness: emission out<p>"] * 2
+
+
 def test_coverability_stops_at_the_first_cover(monkeypatch):
     # a program that grounds to 25 places and 155 transitions; run to
     # saturation the backward search took over 40 s on it

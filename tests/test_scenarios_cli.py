@@ -18,9 +18,14 @@ from jcham.scenarios import Scenario, ScenarioError, build_context, load_scenari
 from jcham.syntax import Name, pretty
 
 
+# the child process imports the same ``jcham`` as the tests do
+_SRC = os.path.dirname(os.path.dirname(jcham.cli.__file__))
+
+
 def cli(*args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
-        [sys.executable, "-m", "jcham.cli", *args], capture_output=True, text=True, timeout=300
+        [sys.executable, "-m", "jcham.cli", *args], capture_output=True, text=True, timeout=300, env=env
     )
     return proc.returncode, proc.stdout, proc.stderr
 
