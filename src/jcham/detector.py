@@ -19,6 +19,7 @@ fragment by reduction to Petri-net coverability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Dict, List, Optional, Sequence as Seq, Tuple
 
 from .canon import canonicalize
@@ -34,7 +35,6 @@ from .engine import (
     Soup,
     Trace,
     TraceStep,
-    eval_atom,
     heat,
     inject,
     inject_message,
@@ -46,15 +46,12 @@ from .malware import abstraction_channel
 from .petri import Marking, PetriNet, Transition, coverable, fire_sequence, leq
 from .syntax import (
     Atom,
-    Message,
     Name,
     Pair,
     Process,
     SubstitutionError,
     free_names,
-    is_atom_expr,
     substitute,
-    subterms,
 )
 
 
@@ -358,80 +355,57 @@ class GroundRule:
 
 @dataclass
 class GroundSystem:
-    atoms: List[Atom]
     rules: List[GroundRule]
     initial: List[GroundMessage]
     soup: Soup
 
 
 def ground(p: Process, max_instances: int = 1_000_000) -> GroundSystem:
-    """Instantiate every rule over the finite atom universe.
+    """Instantiate every rule on the messages that can ever be produced.
 
-    The universe is every atom that can sit in payload position: initial
-    message arguments plus constant arguments written in rule bodies,
-    closed under pair projection.  Received names only ever take such
-    values, so instantiating over this set is complete.  Each instance's
-    body is heated as a reaction would heat it, which resolves its
-    conditionals; a binding that puts a non-channel atom in channel
-    position or projects from a non-pair is skipped as type-inconsistent.
+    A fixpoint from the initial messages joins each new message with those
+    known before it, and the bodies of the instances it forms add messages
+    in turn; a fragment body emits only binder values and constants, so the
+    fixpoint is finite.  Instances are ordered by rule, then by binding.
+    Bodies are heated as a reaction would heat them, which resolves
+    conditionals; a binding that puts a non-channel atom in channel position
+    or projects from a non-pair is skipped as type-inconsistent.
+    ``max_instances`` bounds the bindings tried.
     """
     report = check_core_fragment(p)
     if not report.in_fragment:
         raise FragmentViolation(report)
     soup = inject(p)
-    universe: Dict[Atom, None] = {}
-
-    def see_atom(a: Atom):
-        if a in universe:
-            return
-        universe.setdefault(a, None)
-        if isinstance(a, Pair):
-            see_atom(a.first)
-            see_atom(a.second)
-
-    for m in soup.messages:
-        for a in m.args:
-            see_atom(a)
-    # constant payloads of body emissions; channel names and conditional
-    # operands never become received values on their own
-    for r in soup.rules:
-        bound = {b for h in r.heads for b in h.binders}
-        for t in subterms(r.body):
-            if isinstance(t, Message):
-                for a in t.args:
-                    if is_atom_expr(a) and not (free_names(a) & bound):
-                        see_atom(eval_atom(a))
-
-    atoms = sorted(universe, key=str)
+    initial = list(soup.message_list())
+    known: Dict[Tuple[Name, int], Dict[GroundMessage, None]] = {}  # by channel and arity
+    todo = list(initial)
     rules: List[GroundRule] = []
-    total = 0
-    for idx, rule in enumerate(soup.rules):
-        binders: List[Name] = []
-        for h in rule.heads:
-            binders.extend(h.binders)
-        for combo in _assignments(len(binders), atoms):
-            total += 1
-            if total > max_instances:
-                raise ExplosionGuard("max_instances", max_instances)
-            binding = dict(zip(binders, combo))
-            guard = tuple(
-                GroundMessage(h.channel, tuple(binding[b] for b in h.binders)) for h in rule.heads
-            )
-            try:
-                body = heat(Soup(), substitute(rule.body, binding))
-            except (SubstitutionError, ModelError):
+    tried = 0
+    while todo:
+        m = todo.pop()
+        key = (m.channel, len(m.args))
+        if m in known.setdefault(key, {}):
+            continue
+        known[key][m] = None
+        # the joins ``m`` makes with the messages known before it; a join
+        # pattern never repeats a channel, so ``m`` fits one head at most
+        for idx, rule in enumerate(soup.rules):
+            keys = [(h.channel, len(h.binders)) for h in rule.heads]
+            if key not in keys:
                 continue
-            rules.append(GroundRule(idx, guard, tuple(body), tuple(binding.items())))
-    return GroundSystem(atoms, rules, list(soup.message_list()), soup)
-
-
-def _assignments(k: int, atoms: List[Atom]):
-    if k == 0:
-        yield ()
-        return
-    for a in atoms:
-        for rest in _assignments(k - 1, atoms):
-            yield (a,) + rest
+            for guard in product(*([m] if k == key else known.get(k, ()) for k in keys)):
+                tried += 1
+                if tried > max_instances:
+                    raise ExplosionGuard("max_instances", max_instances)
+                binding = tuple(pair for h, g in zip(rule.heads, guard) for pair in zip(h.binders, g.args))
+                try:
+                    body = heat(Soup(), substitute(rule.body, dict(binding)))
+                except (SubstitutionError, ModelError):
+                    continue
+                rules.append(GroundRule(idx, guard, tuple(body), binding))
+                todo += body
+    rules.sort(key=lambda gr: (gr.rule_index, [str(a) for _, a in gr.binding]))
+    return GroundSystem(rules, initial, soup)
 
 
 def to_petri(gs: GroundSystem) -> Tuple[PetriNet, Marking, List[GroundMessage]]:
@@ -485,8 +459,9 @@ def detect_via_coverability(ctx: Context, p: Process, self_channel: Optional[Nam
             if qual.consumption_hit(g, gs.soup):
                 targets.append((t.pre, f"reaction on {g}"))
                 break
-    # emission targets: viral payloads on channels nothing resolves
-    for i, m in enumerate(place_msgs):
+    # emission targets: viral payloads on channels nothing resolves, in
+    # label order, which does not depend on how grounding numbered the places
+    for i, m in sorted(enumerate(place_msgs), key=lambda im: str(im[1])):
         if qual.emission_hit(m, gs.soup):
             targets.append((net.marking({i: 1}), f"emission {m}"))
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .desugar import desugar
@@ -281,22 +282,13 @@ def enabled_redexes(soup: Soup) -> list[Redex]:
             opts.sort(key=str)
             candidates.append(opts)
         else:
-            for combo in _product(candidates):
+            for combo in product(*candidates):
                 binding: list[tuple[Name, Atom]] = []
                 for head, msg in zip(rule.heads, combo):
                     binding.extend(zip(head.binders, msg.args))
                 out.append(Redex(idx, rule.label, tuple(combo), tuple(binding)))
     out.sort(key=lambda r: (r.rule_index, str(r)))
     return out
-
-
-def _product(groups: list[list[GroundMessage]]) -> Iterable[tuple[GroundMessage, ...]]:
-    if not groups:
-        yield ()
-        return
-    for head in groups[0]:
-        for rest in _product(groups[1:]):
-            yield (head,) + rest
 
 
 def is_inert(soup: Soup) -> bool:

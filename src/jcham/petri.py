@@ -4,16 +4,20 @@ A marking is a tuple of token counts with one entry per place, and a
 transition's preset and postset are markings too; ``PetriNet.marking`` is
 the one place that turns sparse ``place: count`` pairs into one.
 
-Coverability is decided backwards (Abdulla, Čerāns, Jonsson & Tsay 1996).
-One antichain is seeded with every target marking and grown by rounds of
-pre-images under all transitions, keeping only its minimal elements.  The
-pre-image of marking ``m`` under a transition is ``max(m - post, 0) + pre``,
-component-wise.  The run stops at the first minimal marking that lies below
-the initial marking: the parent pointers from that marking back to its
-target spell a firing sequence, which is replayed forwards before it is
-returned.  When no such marking appears, the antichain saturates, which
-well-quasi-ordering of markings guarantees, and the targets are
-uncoverable.
+A forward saturation first cuts the net to the part that can act: the
+places ``init`` marks or a live transition's postset has, and the live
+transitions, whose presets lie on such places.  Whatever the backward
+search would derive from the rest keeps a token on a never-marked place, so
+the cut keeps the verdict and the witness.  Then coverability is decided
+backwards (Abdulla, Čerāns, Jonsson & Tsay 1996).  One antichain is seeded
+with every target marking and grown by rounds of pre-images under all
+transitions, keeping only its minimal elements.  The pre-image of marking
+``m`` under a transition is ``max(m - post, 0) + pre``, component-wise.
+The run stops at the first minimal marking that lies below the initial
+marking: the parent pointers from that marking back to its target spell a
+firing sequence, which is replayed forwards before it is returned.  When no
+such marking appears, the antichain saturates, which well-quasi-ordering of
+markings guarantees, and the targets are uncoverable.
 
 A text format exchanges nets with the command line, one declaration per
 line: ``place <i> [label]``, ``trans <label> pre <counts> post <counts>``,
@@ -112,17 +116,27 @@ def coverable(
     for t in net.transitions:
         if len(t.pre) != n or len(t.post) != n:
             raise ValueError(f"transition {t.label!r} does not have the net's {n} places")
+    places, live = _saturate(net, init)
+    targets = tuple(t for t in targets if all(c == 0 or p in places for p, c in enumerate(t)))
+    if not targets:
+        return False, None
+
+    def project(m: Marking) -> Marking:
+        return tuple(m[p] for p in places)
+
+    moves = [Transition(project(t.pre), project(t.post)) for t in (net.transitions[ti] for ti in live)]
+    low = project(init)
     basis: List[Marking] = []
-    parent: Dict[Marking, Optional[Tuple[int, Marking]]] = {}  # (transition, successor) back to a target
-    candidates: Iterable[Tuple[Marking, Optional[Tuple[int, Marking]]]] = [(t, None) for t in targets]
+    parent: Dict[Marking, Optional[Tuple[int, Marking]]] = {}  # (move, successor) back to a target
+    candidates: Iterable[Tuple[Marking, Optional[Tuple[int, Marking]]]] = [(project(t), None) for t in targets]
     while True:
         inserted: List[Marking] = []
         for pm, via in candidates:
             if not _insert_minimal(basis, pm):
                 continue
             parent[pm] = via  # a marking once inserted stays covered, so never returns
-            if leq(pm, init):
-                return True, _witness(net, init, targets, parent, pm)
+            if leq(pm, low):
+                return True, _witness(net, init, targets, parent, pm, live)
             if len(parent) > max_basis:
                 raise BudgetExhausted("max_basis", max_basis)
             inserted.append(pm)
@@ -130,15 +144,32 @@ def coverable(
         frontier = [m for m in inserted if m in still_minimal]
         if not frontier:
             return False, None
-        candidates = ((pre_image(m, t), (ti, m)) for m in frontier for ti, t in enumerate(net.transitions))
+        candidates = ((pre_image(m, t), (mi, m)) for m in frontier for mi, t in enumerate(moves))
 
 
-def _witness(net: PetriNet, init: Marking, targets: Tuple[Marking, ...], parent, start: Marking) -> List[int]:
+def _saturate(net: PetriNet, init: Marking) -> Tuple[List[int], List[int]]:
+    """The markable places and the live transitions, in index order."""
+    markable = {p for p, c in enumerate(init) if c}
+    live: set[int] = set()
+    grew = True
+    while grew:
+        grew = False
+        for ti, t in enumerate(net.transitions):
+            if ti not in live and all(p in markable for p, c in enumerate(t.pre) if c):
+                live.add(ti)
+                markable.update(p for p, c in enumerate(t.post) if c)
+                grew = True
+    return sorted(markable), sorted(live)
+
+
+def _witness(
+    net: PetriNet, init: Marking, targets: Tuple[Marking, ...], parent, start: Marking, live: List[int]
+) -> List[int]:
     seq: List[int] = []
     cur = parent[start]
     while cur is not None:
-        ti, nxt = cur
-        seq.append(ti)
+        mi, nxt = cur
+        seq.append(live[mi])
         cur = parent[nxt]
     # forward validation; a failure here is a bug, not an input error
     final = fire_sequence(init, net, seq)

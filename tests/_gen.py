@@ -55,3 +55,35 @@ def fragment_instance(rng: random.Random):
     text = "def " + " and ".join(rules) + " in " + " | ".join(msgs)
     ctx = Context(template=Hole(), services=frozenset(), resources=frozenset({Name("r1")}))
     return ctx, parse(text), Name("p")
+
+
+def shaped_program(rng: random.Random, n_chans: int, n_atoms: int, n_rules: int, max_arity: int) -> str:
+    """A fragment program over channels ``c0..``, atoms ``p, a0..``, the
+    resource ``r1`` and the free channel ``out``: ``n_rules`` rules of one or
+    two heads, each channel of arity at most ``max_arity``."""
+    chans = [f"c{i}" for i in range(n_chans)]
+    atoms = ["p"] + [f"a{i}" for i in range(n_atoms)]
+    arity = {c: rng.randint(0, max_arity) for c in chans}
+    rules = []
+    for r in range(n_rules):
+        heads = [chans[r % n_chans]]
+        if rng.random() < 0.4:
+            heads.append(rng.choice([c for c in chans if c != heads[0]]))
+        pats, binders = [], []
+        for h in heads:
+            mine = [f"x{len(binders) + j}" for j in range(arity[h])]
+            binders += mine
+            pats.append(f"{h}<{', '.join(mine)}>")
+        emissions = []
+        for _ in range(rng.randint(1, 3)):
+            tgt = rng.choice(chans + ["r1", "out"])
+            emissions.append(f"{tgt}<{', '.join(rng.choice(binders + atoms) for _ in range(arity.get(tgt, 1)))}>")
+        body = " | ".join(emissions)
+        if binders and rng.random() < 0.3:
+            body = f"if [{binders[0]} = {rng.choice(atoms)}] then ({body}) else 0"
+        rules.append(" | ".join(pats) + " |> " + body)
+    msgs = []
+    for _ in range(rng.randint(2, 4)):
+        c = rng.choice(chans)
+        msgs.append(f"{c}<{', '.join(rng.choice(atoms) for _ in range(arity[c]))}>")
+    return "def " + " and ".join(rules) + " in " + " | ".join(msgs)

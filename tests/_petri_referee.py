@@ -1,4 +1,6 @@
-"""Forward referees for the backward coverability decision in ``jcham.petri``.
+"""Referees for the coverability route: forward ones for the backward
+decision in ``jcham.petri``, and the product grounding for
+``jcham.detector.ground``.
 
 ``forward_enumerate`` lists the reachable markings of a net breadth-first, up
 to a cap, so it settles coverability only on nets it saturates.
@@ -8,13 +10,23 @@ when one of the tree's markings dominates it.  Markings are the tuples of
 per-place counts that ``jcham.petri`` uses.  Both referees fire transitions
 with ``jcham.petri.fire`` semantics but share no code with the backward
 search.
+
+``product_ground`` instantiates every rule over the whole ``atoms^k``
+product of the payload universe, a superset of the reachable instances
+that ``jcham.detector.ground`` builds; ``producible`` is the relaxed
+reachability of a list of ground rules, which cuts the product down to
+them.
 """
 
 import math
 from collections import deque
-from typing import Iterable, Optional, Set, Tuple
+from itertools import product
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from jcham.detector import GroundRule
+from jcham.engine import GroundMessage, ModelError, Soup, eval_atom, heat, inject
 from jcham.petri import Marking, PetriNet, fire
+from jcham.syntax import Atom, Message, Pair, Process, SubstitutionError, free_names, is_atom_expr, substitute, subterms
 
 OMEGA = math.inf  # a place the tree has found unbounded
 
@@ -94,3 +106,57 @@ def format_net(net: PetriNet, init: Marking, target: Optional[Marking] = None) -
     if target is not None:
         lines.append(f"target {counts(target)}")
     return "\n".join(lines) + "\n"
+
+
+def product_ground(p: Process) -> List[GroundRule]:
+    """Every rule instantiated over every binding of its binders to the
+    payload universe: initial message arguments plus constant arguments of
+    body emissions, closed under pair projection, ordered by ``str``.
+    Instances whose heated body is type-inconsistent are skipped."""
+    soup = inject(p)
+    universe: Dict[Atom, None] = {}
+
+    def see_atom(a: Atom):
+        if a not in universe:
+            universe[a] = None
+            if isinstance(a, Pair):
+                see_atom(a.first)
+                see_atom(a.second)
+
+    for m in soup.messages:
+        for a in m.args:
+            see_atom(a)
+    for r in soup.rules:
+        bound = {b for h in r.heads for b in h.binders}
+        for t in subterms(r.body):
+            if isinstance(t, Message):
+                for a in t.args:
+                    if is_atom_expr(a) and not (free_names(a) & bound):
+                        see_atom(eval_atom(a))
+    atoms = sorted(universe, key=str)
+    rules: List[GroundRule] = []
+    for idx, rule in enumerate(soup.rules):
+        binders = [b for h in rule.heads for b in h.binders]
+        for combo in product(atoms, repeat=len(binders)):
+            binding = dict(zip(binders, combo))
+            guard = tuple(GroundMessage(h.channel, tuple(binding[b] for b in h.binders)) for h in rule.heads)
+            try:
+                body = heat(Soup(), substitute(rule.body, binding))
+            except (SubstitutionError, ModelError):
+                continue
+            rules.append(GroundRule(idx, guard, tuple(body), tuple(binding.items())))
+    return rules
+
+
+def producible(rules: List[GroundRule], initial: Iterable[GroundMessage]) -> Set[GroundMessage]:
+    """The messages some instance sequence can emit from ``initial``, when
+    every instance whose guard messages are all producible may fire."""
+    known = set(initial)
+    grew = True
+    while grew:
+        grew = False
+        for gr in rules:
+            if set(gr.guard) <= known and not set(gr.body) <= known:
+                known |= set(gr.body)
+                grew = True
+    return known

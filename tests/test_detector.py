@@ -4,6 +4,7 @@ import time
 import pytest
 
 from jcham.contexts import Context, refined_context, worm_topology
+from jcham.desugar import desugar
 from jcham.detector import (
     ExplosionGuard,
     FragmentViolation,
@@ -19,10 +20,10 @@ from jcham.malware import MalwareSpec, ReplicationMech, TargetRoutine, build_vir
 from jcham.parser import parse
 from jcham.petri import coverable
 from jcham.scenarios import build_context
-from jcham.syntax import Hole, Name, Null, Pair
+from jcham.syntax import Hole, Name, Null, Pair, pretty
 
-from _gen import fragment_instance
-from _petri_referee import covers_any, forward_enumerate
+from _gen import fragment_instance, shaped_program
+from _petri_referee import covers_any, forward_enumerate, producible, product_ground
 
 
 def virus(klass, mech="overwrite", targets=(Name("sw1"), Name("sw2"))):
@@ -122,12 +123,20 @@ def test_viral_set_witness_replays():
 
 def test_ground_instance_counts():
     g = ground(parse("def x<u> |> y<u> in x<a> | x<b>"))
-    # payload universe {a, b}: one instance per binding of the binder
-    assert sorted(str(a) for a in g.atoms) == ["a", "b"]
-    assert len(g.rules) == 2
-    # two binders over a universe of three atoms
+    # one instance per message the head can take
+    assert [gr.label for gr in g.rules] == ["x~1<a>", "x~1<b>"]
+    # z carries only b and nothing emits on it, so only x<a> | z<b> can form
     g2 = ground(parse("def x<u> | z<v> |> y<u> in x<a> | z<b> | w<c>"))
-    assert len(g2.rules) == 9
+    assert [gr.label for gr in g2.rules] == ["x~1<a>&z~2<b>"]
+
+
+def test_ground_follows_bodies_to_later_instances():
+    # y<a> exists only once the x instance has fired, and z<> never exists
+    g = ground(parse("def x<u> |> y<u> and y<v> |> out<v> and z<> | y<w> |> x<w> in x<a>"))
+    assert [(gr.rule_index, gr.label, [str(m) for m in gr.body]) for gr in g.rules] == [
+        (0, "x~1<a>", ["y~2<a>"]),
+        (1, "y~2<a>", ["out<a>"]),
+    ]
 
 
 def test_ground_rejects_nested_defs():
@@ -136,9 +145,12 @@ def test_ground_rejects_nested_defs():
 
 
 def test_ground_explosion_guard():
-    big = parse("def x<a1, a2, a3, a4> |> 0 in x<q1, q2, q3, q4> | x<q5, q6, q7, q8>")
+    # three heads with 11 messages each: 1,331 bindings over a cap of 1,000
+    msgs = " | ".join(f"{ch}<q{i}>" for ch in ("x", "y", "z") for i in range(11))
+    big = parse(f"def x<u> | y<v> | z<w> |> 0 in {msgs}")
     with pytest.raises(ExplosionGuard):
         ground(big, max_instances=1000)
+    assert len(ground(big, max_instances=1331).rules) == 1331
 
 
 def test_ground_conditionals_resolve_statically():
@@ -147,6 +159,24 @@ def test_ground_conditionals_resolve_statically():
     hits = {str(k): [str(m) for m in v] for k, v in bodies.items()}
     assert hits["a"] == ["hit<a>"]
     assert hits["b"] == []
+
+
+def test_ground_matches_the_product_referee_on_producible_guards():
+    # the product grounding over the payload universe, cut to the instances
+    # whose guard messages can all be produced, in the same order
+    rng = random.Random(2718)
+    ctx = build_context("bare(resources=r1)")
+    programs = [desugar(c.plug(prog)) for c, prog, _ in (fragment_instance(rng) for _ in range(60))]
+    programs += [desugar(ctx.plug(parse(shaped_program(random.Random(s), 5, 2, 6, 2)))) for s in range(40)]
+    nonempty = 0
+    for p in programs:
+        g = ground(p)
+        referee = product_ground(p)
+        known = producible(referee, g.initial)
+        assert g.rules == [gr for gr in referee if set(gr.guard) <= known], pretty(p)
+        nonempty += bool(g.rules) and len(g.rules) < len(referee)
+    # most programs have instances, and fewer than the whole product
+    assert nonempty >= 50
 
 
 def test_to_petri_shapes():
@@ -206,6 +236,37 @@ def test_coverability_stops_at_the_first_cover(monkeypatch):
     assert v.vulnerable and elapsed < 5.0
     assert len(calls) == 1
     replay(v.witness)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # shaped_program(Random(seed), *shape) for seeds 107 and 112 of shape
+        # (4, 3, 7, 2) and 118 of (6, 2, 8, 2): over the whole payload product
+        # each grounds to hundreds of dead instances, and a backward search
+        # through them ran past 8 s (seed 107 past 90 s)
+        "def c0<> |> c2<a0, a2> | r1<p> and c1<x0, x1> | c3<x2, x3> |> out<p> and c2<x0, x1> | c3<x2, x3> |> "
+        "c1<x2, x3> and c3<x0, x1> | c0<> |> c3<x1, x1> and c0<> | c2<x0, x1> |> c3<x1, x0> | r1<p> and "
+        "c1<x0, x1> | c2<x2, x3> |> if [x0 = p] then (c3<p, x2>) else 0 and c2<x0, x1> |> c1<a2, a2> | "
+        "c1<a2, p> in c3<a1, p> | c3<p, a2> | c3<p, a1>",
+        "def c0<x0> | c2<x1, x2> |> out<x1> | c2<x1, a0> and c1<x0, x1> | c0<x2> |> c3<p, x2> | c2<x1, x1> | "
+        "out<a0> and c2<x0, x1> |> if [x0 = a0] then (c3<a1, p> | c3<a1, a0> | c2<x0, x0>) else 0 and "
+        "c3<x0, x1> | c2<x2, x3> |> if [x0 = a0] then (r1<x0>) else 0 and c0<x0> | c3<x1, x2> |> c0<a2> | "
+        "c2<a1, a2> and c1<x0, x1> |> if [x0 = p] then (c2<a1, a0>) else 0 and c2<x0, x1> | c1<x2, x3> |> "
+        "r1<x2> in c1<p, a1> | c0<p>",
+        "def c0<x0, x1> | c1<x2, x3> |> c5<x0, p> | out<p> and c1<x0, x1> | c5<x2, x3> |> if [x0 = a0] then "
+        "(c0<x1, p>) else 0 and c2<> | c0<x0, x1> |> c0<a1, p> | c5<a1, a0> | r1<x0> and c3<x0> | c0<x1, x2> "
+        "|> c1<p, x0> | c1<x1, x1> and c4<> |> c2<> and c5<x0, x1> | c2<> |> if [x0 = p] then (c2<> | "
+        "c1<p, a1>) else 0 and c0<x0, x1> |> c2<> and c1<x0, x1> |> if [x0 = a1] then (c4<>) else 0 in "
+        "c3<p> | c3<a1> | c0<a1, p>",
+    ],
+    ids=["4-3-7-2#107", "4-3-7-2#112", "6-2-8-2#118"],
+)
+def test_coverability_decides_programs_with_dead_instances_quickly(text):
+    t0 = time.perf_counter()
+    v = detect_via_coverability(build_context("bare(resources=r1)"), parse(text), self_channel=Name("p"))
+    assert v.outcome == "not_vulnerable"
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_coverability_agrees_with_explore_on_generated_corpus():

@@ -1,7 +1,9 @@
+import json
 import random
 
 import pytest
 
+from jcham.cli import main
 from jcham.petri import (
     PetriNet,
     Transition,
@@ -155,6 +157,69 @@ def test_backward_agrees_with_forward_on_random_nets():
         assert ok == km_covers(karp_miller(net, init), target)
         agreed += 1
     assert agreed >= 20
+
+
+def test_never_marked_places_do_not_change_verdict_or_witness():
+    # the same net with never-marked places interleaved among its own, and
+    # transitions that read them interleaved among its own; a target that
+    # needs such a place is added too
+    rng = random.Random(58)
+    verdicts = []
+    for _ in range(100):
+        places = rng.randint(3, 6)
+        transitions = []
+        for _ in range(rng.randint(2, 7)):
+            pre = {rng.randrange(places): 1}
+            post = {rng.randrange(places): rng.randint(1, 2) for _ in range(rng.randint(1, 2))}
+            transitions.append((pre, post))
+        init = {rng.randrange(places): 1}
+        targets = [{rng.randrange(places): rng.randint(1, 3)} for _ in range(rng.randint(1, 3))]
+        net = net_of(places, transitions)
+        want = coverable(net, net.marking(init), *map(net.marking, targets))
+
+        dead = rng.randint(1, 3)
+        order = rng.sample(range(places + dead), places + dead)
+        where, ghosts = order[:places], order[places:]  # new index of each old place; the dead places
+
+        def moved(d):
+            return {where[p]: c for p, c in d.items()}
+
+        wide = [(moved(pre), moved(post)) for pre, post in transitions]
+        old_index = list(range(len(wide)))
+        for _ in range(rng.randint(1, 4)):
+            pre = {rng.choice(ghosts): 1, rng.randrange(places + dead): 1}
+            post = {rng.randrange(places + dead): rng.randint(1, 2)}
+            at = rng.randint(0, len(wide))
+            wide.insert(at, (pre, post))
+            old_index.insert(at, None)
+        big = net_of(places + dead, wide)
+        big_targets = [moved(t) for t in targets]
+        big_targets.insert(rng.randint(0, len(big_targets)), {rng.choice(ghosts): 1})
+        ok, wit = coverable(big, big.marking(moved(init)), *map(big.marking, big_targets))
+        assert (ok, None if wit is None else [old_index[ti] for ti in wit]) == want
+        verdicts.append(want)
+    assert sum(len(wit) >= 2 for ok, wit in verdicts if ok) >= 10
+    assert any(not ok for ok, _ in verdicts)
+
+
+def test_transition_with_empty_preset_marks_places():
+    # nothing is marked at first; the source transition makes p0 markable
+    net = net_of(3, [({2: 1}, {1: 1}), ({0: 1}, {1: 1}), ({}, {0: 1})])
+    assert coverable(net, net.marking({}), net.marking({1: 2})) == (True, [2, 2, 1, 1])
+
+
+def test_cover_witness_indexes_the_files_transitions(tmp_path, capsys):
+    # transition 0 reads the never-marked place 2, so the search runs
+    # without it; the witness still names the file's transition 1
+    net = tmp_path / "n.net"
+    net.write_text(
+        "place 0 start\nplace 1 goal\nplace 2 never\n"
+        "trans dead pre 2:1 post 1:1\ntrans go pre 0:1 post 1:1\ninit 0:1\ntarget 1:1\n"
+    )
+    assert main(["petri", "cover", "--net", str(net), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"coverable": True, "witness": [1]}
+    assert main(["petri", "cover", "--net", str(net)]) == 1
+    assert capsys.readouterr().out == "coverable: True\nwitness: go\n"
 
 
 def test_antichain_is_minimal_after_run():
