@@ -21,6 +21,15 @@ Rules persist from state to state, so each ``ActiveRule`` is flattened into
 its skeleton (and the indexed-name slots in it) only once and keeps it.
 Refinement colours are integer ranks: a name's new colour is the rank of
 its (old colour, sorted signature) among those of all names.
+
+Reactions on disjoint messages that create no names commute, so a search
+reaches the same soup along several paths, mostly with the very same rules
+tuple and message counts.  ``engine.search`` therefore hands
+``canonicalize`` a memo that lives for that one search, keyed by the rules
+and the message counts in insertion order.  The key keeps the order
+because the digest is a function of exactly that input: once the branch
+budget trips, the digest can depend on item order, and an order-free key
+could return another order's digest.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .engine import ActiveRule, GroundMessage, Soup
 from .syntax import (
@@ -61,7 +70,21 @@ class CanonicalForm:
     serialization: str
 
 
-def canonicalize(soup: Soup) -> CanonicalForm:
+def canonicalize(soup: Soup, forms: Optional[Dict[tuple, CanonicalForm]] = None) -> CanonicalForm:
+    """The soup's canonical form.  ``forms`` is a memo kept by the caller for
+    one search: a soup whose rules and message counts equal, in the same
+    order, those of a soup seen before gets the stored form back, which is
+    the form it would have got computed afresh (see the module docstring)."""
+    if forms is None:
+        return _canonical_form(soup)
+    key = (soup.rules, tuple(soup.messages.items()))
+    form = forms.get(key)
+    if form is None:
+        form = forms[key] = _canonical_form(soup)
+    return form
+
+
+def _canonical_form(soup: Soup) -> CanonicalForm:
     items = _items(soup)
     flats = [_flatten(item) for item in items]
     skeletons = [(item[0], f.toks) for item, f in zip(items, flats)]

@@ -340,8 +340,25 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _bad_budget(args):
+    """Why a budget flag is out of range, or None: step, state and depth
+    budgets are 0 or more, and ``--iterations`` is 0 (off) or at least 2."""
+    for dest in ("max_steps", "max_states", "max_depth", "depth"):
+        value = getattr(args, dest, None)
+        if value is not None and value < 0:
+            return f"--{dest.replace('_', '-')} must be 0 or more, got {value}"
+    iterations = getattr(args, "iterations", 0)
+    if iterations < 0 or iterations == 1:
+        return f"--iterations must be 0 (off) or at least 2, got {iterations}"
+    return None
+
+
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    bad = _bad_budget(args)
+    if bad is not None:
+        print(bad, file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.fn(args)
     except ParseError as e:

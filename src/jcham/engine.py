@@ -70,6 +70,15 @@ class BudgetExhausted(Exception):
 class GroundMessage:
     channel: Name
     args: tuple[Atom, ...] = ()
+    # the hash, computed on first use (messages key every soup's Counter)
+    hash_cache: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        h = self.hash_cache
+        if h is None:
+            h = hash((self.channel, self.args))
+            object.__setattr__(self, "hash_cache", h)
+        return h
 
     def __str__(self) -> str:
         if not self.args:
@@ -86,6 +95,16 @@ class ActiveRule:
     # the rule's canonical-form skeleton, built by ``canon`` on first use;
     # rules persist across states, so each is flattened only once
     canon_skeleton: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    # the hash, computed on first use: the generated one would rehash the
+    # whole body each time a rules tuple is hashed
+    hash_cache: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        h = self.hash_cache
+        if h is None:
+            h = hash((self.heads, self.body))
+            object.__setattr__(self, "hash_cache", h)
+        return h
 
     @property
     def label(self) -> str:
@@ -267,19 +286,25 @@ def graft(soup: Soup, p: Process) -> Soup:
 
 def enabled_redexes(soup: Soup) -> list[Redex]:
     """Every (rule, message combination) that can react, one redex per
-    distinct multiset of matched messages, in a stable order."""
+    distinct multiset of matched messages, in a stable order.
+
+    The messages are grouped by (channel, arity) once per call, and each
+    head reads its group (sorted by ``str`` when first read) instead of
+    scanning the whole soup."""
+    groups: dict[tuple[Name, int], list[GroundMessage]] = {}
+    for m in soup.messages:
+        groups.setdefault((m.channel, len(m.args)), []).append(m)
+    ready: dict[tuple[Name, int], list[GroundMessage]] = {}
     out: list[Redex] = []
     for idx, rule in enumerate(soup.rules):
         candidates: list[list[GroundMessage]] = []
         for head in rule.heads:
-            opts = [
-                m
-                for m in soup.messages
-                if m.channel == head.channel and len(m.args) == len(head.binders)
-            ]
+            key = (head.channel, len(head.binders))
+            opts = ready.get(key)
+            if opts is None:
+                opts = ready[key] = sorted(groups.get(key, ()), key=str)
             if not opts:
                 break
-            opts.sort(key=str)
             candidates.append(opts)
         else:
             for combo in product(*candidates):
@@ -452,14 +477,22 @@ def search(
     deeper than ``max_depth``, or a new state when ``stats`` already counts
     ``max_states`` (start soups are not counted), raises
     :class:`BudgetExhausted` naming that budget.
+
+    Every soup, at the starts and along each edge, is canonicalized with a
+    memo that lives for this call only: an edge that reaches a soup exactly
+    equal (same rules, same message counts in the same order) to one met
+    before reuses its form, as the closing edge of a diamond of commuting
+    reactions typically does.  Each edge still reaches ``visit`` and is
+    deduplicated as before.
     """
     from .canon import canonicalize
 
     stats = stats if stats is not None else DetectionStats()
     tree: dict = {}  # key -> its start soup, or (parent key, step)
+    forms: dict = {}  # canonicalize's memo for this search
     queue: deque = deque()
     for s in starts:
-        key = (canonicalize(s).digest, root_label)
+        key = (canonicalize(s, forms).digest, root_label)
         if key not in tree:
             tree[key] = s
             queue.append((key, s, 0))
@@ -474,7 +507,7 @@ def search(
         for r in enabled_redexes(soup):
             s2, emitted = reduce_with_info(soup, r)
             lab = label(key[1], r, s2, emitted) if label is not None else root_label
-            digest = canonicalize(s2).digest
+            digest = canonicalize(s2, forms).digest
             edge = Edge(s2, TraceStep(r.label, r, emitted, digest[:16]), lab, key, tree)
             answer = visit(edge) if visit is not None else None
             if answer is CUT:

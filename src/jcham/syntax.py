@@ -33,6 +33,15 @@ class Name:
 
     base: str
     index: Optional[int] = None
+    # the hash, computed on first use (names key every dict of the machine)
+    hash_cache: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        h = self.hash_cache
+        if h is None:
+            h = hash((self.base, self.index))
+            object.__setattr__(self, "hash_cache", h)
+        return h
 
     def __str__(self) -> str:
         return self.base if self.index is None else f"{self.base}~{self.index}"

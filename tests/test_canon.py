@@ -305,28 +305,27 @@ def test_component_individualization_takes_the_least_order():
         assert (canonicalize(a).digest == canonicalize(b).digest) == brute_congruent(a, b)
 
 
+def _class_iii_virus(n: int):
+    from jcham.malware import MalwareSpec, ReplicationMech, TargetRoutine, build_virus
+
+    targets = tuple(Name(f"sw{i}") for i in range(1, n + 1))
+    return build_virus(MalwareSpec("virus", "III", ReplicationMech("overwrite"), TargetRoutine("hardcoded", targets)))
+
+
 def _viral_states(n: int) -> list:
     """Every soup ``viral_set_member`` canonicalizes on ``refined_context(n)``."""
     import jcham.canon as canon
     from jcham.contexts import refined_context
     from jcham.detector import viral_set_member
-    from jcham.malware import MalwareSpec, ReplicationMech, TargetRoutine, build_virus
 
     seen = []
     original = canon.canonicalize
 
-    def recording(soup):
+    def recording(soup, *rest):
         seen.append(soup)
-        return original(soup)
+        return original(soup, *rest)
 
-    virus = build_virus(
-        MalwareSpec(
-            family="virus",
-            klass="III",
-            mech=ReplicationMech("overwrite"),
-            targets=TargetRoutine("hardcoded", tuple(Name(f"sw{i}") for i in range(1, n + 1))),
-        )
-    )
+    virus = _class_iii_virus(n)
     canon.canonicalize = recording
     try:
         verdict = viral_set_member(refined_context(n), virus, iterations=n)
@@ -372,3 +371,158 @@ def test_viral_component_searches_stay_within_budget(monkeypatch):
     monkeypatch.setattr(canon, "_BRANCH_BUDGET", 1)
     canonicalize(_regular_digraph(6, random.Random(11)))
     assert tripped
+
+
+# -- the per-search memo: an exactly equal soup gets the stored form back
+
+
+def _checked_memo(monkeypatch) -> list:
+    """Make each memoized ``canonicalize`` call also compute the form afresh
+    and compare the two; the returned list counts the calls that hit."""
+    import jcham.canon as canon
+
+    original = canon.canonicalize
+    hits = [0]
+
+    def checked(soup, forms=None):
+        if forms is None:
+            return original(soup)
+        known = len(forms)
+        form = original(soup, forms)
+        hits[0] += len(forms) == known
+        assert form == original(soup), soup.dump()
+        return form
+
+    monkeypatch.setattr(canon, "canonicalize", checked)
+    return hits
+
+
+def test_memo_gives_the_uncached_form_on_every_edge(monkeypatch):
+    from _gen import fragment_instance
+    from jcham.contexts import refined_context
+    from jcham.detector import viral_set_member
+    from jcham.engine import BudgetExhausted, search
+
+    hits = _checked_memo(monkeypatch)
+    assert search([inject(refined_context(2).plug(_class_iii_virus(2)))], 500) is None
+    assert viral_set_member(refined_context(3), _class_iii_virus(3), iterations=3).outcome == "vulnerable"
+    rng = random.Random(12)
+    for _ in range(30):
+        ctx, program, _ = fragment_instance(rng)
+        try:
+            search([inject(ctx.plug(program))], 300, horizon=6)
+        except BudgetExhausted:
+            pass
+    assert hits[0] > 0
+
+
+def test_memo_is_exact_where_the_branch_budget_trips(monkeypatch):
+    import jcham.canon as canon
+    from jcham.engine import search
+
+    tripped = [0]
+
+    def counted(slotted, colors):
+        orders = discrete_orders(slotted, colors)
+        monkeypatch.setattr(canon, "_BRANCH_BUDGET", 10**9)
+        tripped[0] += len(orders) < len(discrete_orders(slotted, colors))
+        monkeypatch.setattr(canon, "_BRANCH_BUDGET", 1)
+        return orders
+
+    discrete_orders = canon._discrete_orders
+    monkeypatch.setattr(canon, "_discrete_orders", counted)
+    monkeypatch.setattr(canon, "_BRANCH_BUDGET", 1)
+    hits = _checked_memo(monkeypatch)
+    # the digraph's names stay interchangeable under refinement, and the
+    # reactions on u and w commute
+    diamond = inject(parse("def u<> |> 0 and w<> |> 0 in u<> | w<>"))
+    digraph = _regular_digraph(6, random.Random(11))
+    soup = Soup(diamond.rules, digraph.messages + diamond.messages, [], digraph.fresh_counter)
+    assert search([soup], 100) is None
+    assert tripped[0] > 0 and hits[0] > 0
+
+
+def test_memo_closes_a_diamond_without_recomputing(monkeypatch):
+    import jcham.canon as canon
+    from jcham.engine import DetectionStats, search
+
+    soup = inject(parse("def x<> |> 0 and y<> |> 0 in x<> | y<>"))
+    computed, edges = [0], []
+
+    def counted(s):
+        computed[0] += 1
+        return canonical_form(s)
+
+    canonical_form = canon._canonical_form
+    monkeypatch.setattr(canon, "_canonical_form", counted)
+    memoized = DetectionStats()
+    assert search([soup], 10, stats=memoized, visit=edges.append) is None
+    # x then y and y then x both reach the soup with no messages left
+    assert len(edges) == 4 and edges[2].soup.messages == edges[3].soup.messages == Counter()
+    assert computed[0] == len(edges) + 1 - 1
+
+    original = canon.canonicalize
+    monkeypatch.setattr(canon, "canonicalize", lambda s, forms=None: original(s))
+    unmemoized = DetectionStats()
+    search([soup], 10, stats=unmemoized)
+    assert (memoized.states_explored, memoized.dedup_hits) == (unmemoized.states_explored, unmemoized.dedup_hits) == (3, 1)
+
+
+def test_memo_keys_keep_message_insertion_order():
+    x, y = GroundMessage(Name("x", 1)), GroundMessage(Name("y", 2))
+    forms: dict = {}
+    first = canonicalize(Soup((), Counter({x: 1, y: 1})), forms)
+    second = canonicalize(Soup((), Counter({y: 1, x: 1})), forms)
+    assert len(forms) == 2 and first == second
+    assert canonicalize(Soup((), Counter({x: 1, y: 1})), forms) is first and len(forms) == 2
+
+
+# -- hashes cached on the object, outside equality, ordering and repr
+
+
+def _hash_cases():
+    soup = inject(parse("def k<x> |> out<x> | k<x> in k<a>"))
+    (rule,) = soup.rules
+    (msg,) = soup.messages
+    return [(Name("a", 1), Name("a", 1)), (msg, GroundMessage(msg.channel, msg.args)), (rule, ActiveRule(rule.heads, rule.body))]
+
+
+def test_equal_objects_hash_equal():
+    for a, b in _hash_cases():
+        assert a is not b and a == b
+        assert hash(a) == hash(b) == hash(a)
+
+
+def test_hash_cache_stays_out_of_equality_ordering_and_repr():
+    for a, b in _hash_cases():
+        hash(a)
+        assert a.hash_cache is not None and b.hash_cache is None
+        assert a == b and repr(a) == repr(b) and "hash_cache" not in repr(a)
+        assert "hash_cache" not in {f.name for f in dataclasses.fields(a) if f.init}
+    a, b = Name("a", 1), Name("a", 1)
+    hash(a)
+    assert not a < b and not b < a and a <= b and sorted([Name("b"), a]) == [a, Name("b")]
+
+
+def test_replace_drops_the_cached_hash():
+    name = Name("a", 1)
+    hash(name)
+    assert hash(dataclasses.replace(name, index=2)) == hash(Name("a", 2))
+    msg = GroundMessage(name, (Name("b"),))
+    hash(msg)
+    assert hash(dataclasses.replace(msg, args=())) == hash(GroundMessage(name))
+    (rule,) = inject(parse("def k<x> |> out<x> in 0")).rules
+    hash(rule)
+    body = parse("out<x> | out<x>")
+    assert hash(dataclasses.replace(rule, body=body)) == hash(ActiveRule(rule.heads, body))
+
+
+def test_renamed_names_key_dicts_next_to_fresh_ones():
+    old, new = Name("a", 1), Name("a", 2)
+    msg = GroundMessage(Name("k", 3), (old,))
+    hash(old), hash(msg)
+    renamed = _rename(msg, {old: new})
+    table = {new: "fresh", GroundMessage(Name("k", 3), (Name("a", 2),)): "fresh"}
+    assert table[renamed.args[0]] == table[renamed] == "fresh"
+    table[renamed] = "renamed"
+    assert len(table) == 2

@@ -131,6 +131,34 @@ def test_cli_bad_context_file_is_a_usage_error(tmp_path, capsys, header):
     assert captured.out == "" and len(captured.err.splitlines()) == 1
 
 
+_RED = corpus_path("red_basic.jc")
+_PROBE = corpus_path("probe_read.jc")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detect", "--context", "refined(n=2)", "--process", _RED, "--iterations", "1"],
+        ["detect", "--context", "refined(n=2)", "--process", _RED, "--iterations", "-1"],
+        ["detect", "--context", "refined(n=2)", "--process", _RED, "--max-states", "-5"],
+        ["detect", "--context", "refined(n=2)", "--process", _RED, "--max-depth", "-1"],
+        ["run", _RED, "--max-steps", "-1"],
+        ["policy", "noninfect", "--context", "refined(n=2)", "--process", _PROBE, "--tests", _PROBE, "--depth", "-2"],
+        ["policy", "enforce", "--context", "refined(n=2)", "--depth", "-1"],
+    ],
+)
+def test_cli_bad_budget_is_a_usage_error(capsys, argv):
+    assert main(argv) == 65
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+
+
+def test_cli_zero_budgets_stay_valid(capsys):
+    assert main(["detect", "--context", "refined(n=2)", "--process", _RED, "--iterations", "0", "--max-states", "0"]) == 2
+    assert main(["run", _RED, "--max-steps", "0"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [
