@@ -69,6 +69,7 @@ from .contexts import (  # noqa: F401
     Context,
     ContextError,
     ResourceSpec,
+    TokenGuard,
     base_context,
     load_context,
     plug,
@@ -107,7 +108,6 @@ from .policy import (  # noqa: F401
     InfectingTest,
     IsolationReport,
     NonInfectionVerdict,
-    TokenPolicy,
     UnstableContext,
     add_token_distributor,
     classify_context,

@@ -20,7 +20,7 @@ import sys
 from importlib import resources as importlib_resources
 
 from . import __version__
-from .contexts import Context, ContextError, load_context, save_context
+from .contexts import Context, ContextError, TokenGuard, load_context, save_context
 from .detector import DetectionVerdict, FragmentViolation, detect_via_coverability, explore, viral_set_member
 from .engine import BudgetExhausted, inject, run
 from .malware import MalwareError
@@ -28,7 +28,6 @@ from .parser import ParseError, parse
 from .petri import coverable, parse_net
 from .policy import (
     InfectingTest,
-    TokenPolicy,
     UnstableContext,
     add_token_distributor,
     classify_context,
@@ -36,7 +35,7 @@ from .policy import (
     non_infection_test,
     tokenize_context,
 )
-from .scenarios import ScenarioError, build_context, load_scenario, run_scenario
+from .scenarios import BUDGET_FLOORS, ScenarioError, build_context, check_budget, load_scenario, run_scenario
 from .syntax import Name, pretty
 
 EXIT_OK = 0
@@ -214,15 +213,11 @@ def cmd_policy(args) -> int:
     if args.policy_cmd == "tokenize":
         mode, _, count = args.mode.partition(":")
         try:
-            policy = TokenPolicy(
-                mode=mode,
-                count=int(count) if count else 0,
-                guarded_channels=tuple(g for g in args.guard.split(",") if g),
-            )
+            guard = TokenGuard(mode, int(count) if count else 0, tuple(g for g in args.guard.split(",") if g))
         except ValueError as e:
             print(f"--mode {args.mode}: {e}", file=sys.stderr)
             return EXIT_USAGE
-        guarded = tokenize_context(ctx, policy)
+        guarded = tokenize_context(ctx, guard)
         if args.distribute:
             guarded = add_token_distributor(guarded)
         text = save_context(guarded)
@@ -273,8 +268,17 @@ def cmd_scenario(args) -> int:
     return _VERDICT_EXIT.get(result.outcome, EXIT_OK)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Command-line errors exit 65, since argparse's own 2 means a tripped
+    budget here; subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="jcham", description=__doc__)
+    ap = _ArgumentParser(prog="jcham", description=__doc__)
     ap.add_argument("--version", action="version", version=f"jcham {__version__}")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -340,31 +344,24 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _bad_budget(args):
-    """Why a budget flag is out of range, or None: step, state and depth
-    budgets are 0 or more, and ``--iterations`` is 0 (off) or at least 2."""
-    for dest in ("max_steps", "max_states", "max_depth", "depth"):
+def _check_budgets(args) -> None:
+    """Budget flags keep the floors of the scenario knobs of the same name,
+    except that ``--iterations 0`` (the default) switches iteration off."""
+    for dest in BUDGET_FLOORS:
         value = getattr(args, dest, None)
-        if value is not None and value < 0:
-            return f"--{dest.replace('_', '-')} must be 0 or more, got {value}"
-    iterations = getattr(args, "iterations", 0)
-    if iterations < 0 or iterations == 1:
-        return f"--iterations must be 0 (off) or at least 2, got {iterations}"
-    return None
+        if value is not None and not (dest == "iterations" and value == 0):
+            check_budget("--" + dest.replace("_", "-"), value)
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    bad = _bad_budget(args)
-    if bad is not None:
-        print(bad, file=sys.stderr)
-        return EXIT_USAGE
     try:
+        _check_budgets(args)
         return args.fn(args)
     except ParseError as e:
         print(str(e), file=sys.stderr)
         return EXIT_PARSE
-    except ContextError as e:
+    except (ContextError, ScenarioError) as e:
         print(str(e), file=sys.stderr)
         return EXIT_USAGE
     except BudgetExhausted as e:

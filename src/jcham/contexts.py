@@ -69,23 +69,37 @@ class ResourceSpec:
 
 @dataclass(frozen=True)
 class TokenGuard:
-    """Recorded when a context has been rewritten for token checking."""
+    """A token policy: which published channels check the token, and how.
 
-    token_base: str
-    mode: str  # "spatial" | "counted"
+    Spatial mode only checks the token; counted mode also shares one
+    decrementing counter of ``count`` uses across the guarded channels.
+    ``distributor_base`` names the service that hands the token out, once
+    one is installed."""
+
+    mode: str = "spatial"  # "spatial" | "counted"
     count: int = 0
     guarded: tuple[str, ...] = ()
+    token_base: str = "sectok"
     distributor_base: Optional[str] = None
+
+    def __post_init__(self):
+        if self.mode not in ("spatial", "counted"):
+            raise ValueError(f"unknown token mode {self.mode!r}")
+        if self.mode == "counted" and self.count < 1:
+            raise ValueError("counted policy needs a positive count")
 
 
 @dataclass(frozen=True)
 class Context:
-    """A process with exactly one hole plus its published channel sets."""
+    """A process with exactly one hole plus its channel sets, each a set of
+    base names: published services and resources, unpublished privileged
+    channels, export channels, the bases of resources created at run time,
+    and the executing resource channels."""
 
     template: Process
-    services: frozenset[Name] = frozenset()
-    resources: frozenset[Name] = frozenset()
-    privileged: frozenset[Name] = frozenset()
+    services: frozenset[str] = frozenset()
+    resources: frozenset[str] = frozenset()
+    privileged: frozenset[str] = frozenset()
     exports: frozenset[str] = frozenset()
     dynamic_resource_bases: frozenset[str] = frozenset()
     exec_bases: frozenset[str] = frozenset()
@@ -93,12 +107,6 @@ class Context:
 
     def plug(self, p: Process) -> Process:
         return plug(self.template, p)
-
-    def service_bases(self) -> frozenset[str]:
-        return frozenset(n.base for n in self.services)
-
-    def resource_bases(self) -> frozenset[str]:
-        return frozenset(n.base for n in self.resources)
 
 
 def defined_bases(p: Process) -> frozenset[str]:
@@ -152,10 +160,9 @@ def _validate(ctx: Context) -> Context:
         raise ContextError("a channel cannot be both service and resource")
     if ctx.privileged & (ctx.services | ctx.resources):
         raise ContextError("privileged channels must stay unpublished")
-    defined = defined_bases(ctx.template)
-    for n in ctx.services | ctx.resources:
-        if n.base not in defined:
-            raise ContextError(f"published channel {n} is not defined by the template")
+    undefined = (ctx.services | ctx.resources) - defined_bases(ctx.template)
+    if undefined:
+        raise ContextError(f"published channel {min(undefined)} is not defined by the template")
     return ctx
 
 
@@ -231,24 +238,24 @@ def base_context(services: Seq[tuple[Name, Name]] = (), resources: Seq[ResourceS
 
     rules: list[Rule] = [service_rule(ch, fn) for ch, fn in services]
     initial = []
-    r_set: set[Name] = set()
-    priv: set[Name] = set()
+    r_set: set[str] = set()
+    priv: set[str] = set()
     for spec in resources:
         read, write, content = (Name(f"{spec.label}_{s}") for s in ("read", "write", "content"))
         execute = Name(f"{spec.label}_exec") if spec.kind == "executable" else None
         rules.extend(resource_rules(spec, read, write, execute, content))
         initial.append(f"{content}<{atom_source(spec.initial, ContextError)}>")
-        r_set.update({read, write} | ({execute} if execute else set()))
-        priv.add(content)
+        r_set.update(n.base for n in (read, write, execute) if n is not None)
+        priv.add(content.base)
 
     body = parse(par_text([*initial, "HOLE"]))
     return _validate(
         Context(
             template=LocalDef(conj_of(rules), body) if rules else body,
-            services=frozenset(svc_names),
+            services=frozenset(s.base for s in svc_names),
             resources=frozenset(r_set),
             privileged=frozenset(priv),
-            exec_bases=frozenset(n.base for n in r_set if n.base.endswith("_exec")),
+            exec_bases=frozenset(b for b in r_set if b.endswith("_exec")),
         )
     )
 
@@ -295,9 +302,9 @@ def refined_context(n: int, initial: Optional[Seq[Atom]] = None) -> Context:
     return _validate(
         Context(
             template=template,
-            services=frozenset(map(Name, ("proc_exec", "sys_ref", "sys_rep"))),
-            resources=frozenset(Name(f"{c}{i}") for c in ("sr", "sw", "se") for i in targets),
-            privileged=frozenset(map(Name, ("current", "sys_updt", "sys_copy", "mk_res", *(f"content{i}" for i in targets)))),
+            services=frozenset({"proc_exec", "sys_ref", "sys_rep"}),
+            resources=frozenset(f"{c}{i}" for c in ("sr", "sw", "se") for i in targets),
+            privileged=frozenset({"current", "sys_updt", "sys_copy", "mk_res", *(f"content{i}" for i in targets)}),
             dynamic_resource_bases=frozenset({"tgt_read", "tgt_write", "tgt_exec"}),
             exec_bases=frozenset({f"se{i}" for i in targets} | {"tgt_exec"}),
         )
@@ -331,9 +338,8 @@ def worm_topology(remote_handler: Optional[Process] = None) -> Context:
     return _validate(
         Context(
             template=LocalDef(com, Parallel(remote_handler, local)),
-            services=frozenset(map(Name, ("proc_exec", "sys_ref", "sys_prop"))),
-            resources=frozenset(),
-            privileged=frozenset(map(Name, ("current", "sys_updt", "prop_copy"))),
+            services=frozenset({"proc_exec", "sys_ref", "sys_prop"}),
+            privileged=frozenset({"current", "sys_updt", "prop_copy"}),
             exports=frozenset({"sd"}),
         )
     )
@@ -365,9 +371,8 @@ def rootkit_kernel(syscalls: Seq[Atom], scbase: Atom = Name("scbase"), attacker:
     return _validate(
         Context(
             template=template,
-            services=frozenset(map(Name, ("alloc", "publish", "load", "sd", "rcv"))),
-            resources=frozenset(),
-            privileged=frozenset(map(Name, ("hook", "table"))),
+            services=frozenset({"alloc", "publish", "load", "sd", "rcv"}),
+            privileged=frozenset({"hook", "table"}),
         )
     )
 
@@ -376,20 +381,25 @@ def rootkit_kernel(syscalls: Seq[Atom], scbase: Atom = Name("scbase"), attacker:
 # serialization
 
 
+# the header key of each channel set; the first three share the first line
+_SET_KEYS = (
+    ("services", "services"),
+    ("resources", "resources"),
+    ("privileged", "privileged"),
+    ("exports", "exports"),
+    ("dynamic", "dynamic_resource_bases"),
+    ("exec", "exec_bases"),
+)
+
+
 def save_context(ctx: Context) -> str:
     """Render a context to ``.jc`` text with a header listing its sets."""
-    hdr = "#! services: %s  resources: %s  privileged: %s" % (
-        ",".join(sorted(n.base for n in ctx.services)),
-        ",".join(sorted(n.base for n in ctx.resources)),
-        ",".join(sorted(n.base for n in ctx.privileged)),
-    )
-    lines = [hdr]
-    if ctx.exports:
-        lines.append("#! exports: %s" % ",".join(sorted(ctx.exports)))
-    if ctx.dynamic_resource_bases:
-        lines.append("#! dynamic: %s" % ",".join(sorted(ctx.dynamic_resource_bases)))
-    if ctx.exec_bases:
-        lines.append("#! exec: %s" % ",".join(sorted(ctx.exec_bases)))
+
+    def joined(attr: str) -> str:
+        return ",".join(sorted(getattr(ctx, attr)))
+
+    lines = ["#! " + "  ".join(f"{key}: {joined(attr)}" for key, attr in _SET_KEYS[:3])]
+    lines += [f"#! {key}: {joined(attr)}" for key, attr in _SET_KEYS[3:] if getattr(ctx, attr)]
     if ctx.guard is not None:
         g = ctx.guard
         guard = f"#! guard: token={g.token_base} mode={g.mode} count={g.count} guarded={','.join(g.guarded)}"
@@ -402,7 +412,7 @@ def _load_guard(text: str) -> TokenGuard:
     try:
         f = dict(item.split("=", 1) for item in text.split())
         guarded = tuple(g for g in f["guarded"].split(",") if g)
-        return TokenGuard(f["token"], f["mode"], int(f["count"]), guarded, f.get("distributor"))
+        return TokenGuard(f["mode"], int(f["count"]), guarded, f["token"], f.get("distributor"))
     except (KeyError, ValueError) as e:
         raise ContextError(f"malformed guard header {text.strip()!r}") from e
 
@@ -425,21 +435,5 @@ def load_context(text: str) -> Context:
             else:
                 fields.setdefault(key.strip(), []).extend(v for v in vals.strip().split(",") if v)
 
-    def bases(key: str) -> frozenset[str]:
-        return frozenset(fields.get(key, ()))
-
-    def names(key: str) -> frozenset[Name]:
-        return frozenset(Name(v) for v in bases(key))
-
-    return _validate(
-        Context(
-            template=parse("\n".join(body_lines)),
-            services=names("services"),
-            resources=names("resources"),
-            privileged=names("privileged"),
-            exports=bases("exports"),
-            dynamic_resource_bases=bases("dynamic"),
-            exec_bases=bases("exec"),
-            guard=guard,
-        )
-    )
+    sets = {attr: frozenset(fields.get(key, ())) for key, attr in _SET_KEYS}
+    return _validate(Context(template=parse("\n".join(body_lines)), guard=guard, **sets))

@@ -105,10 +105,9 @@ class _Qualifier:
 
     def __init__(self, ctx: Context, plugged_core: Process, self_base: Optional[str]):
         self.self_base = self_base
-        self.r_bases = set(ctx.resource_bases()) | set(ctx.dynamic_resource_bases)
-        self.export_bases = set(ctx.exports)
-        self.s_bases = set(ctx.service_bases())
-        self.known = defined_bases(plugged_core) | self.s_bases | self.r_bases
+        self.r_bases = ctx.resources | ctx.dynamic_resource_bases
+        self.export_bases = ctx.exports
+        self.known = defined_bases(plugged_core) | ctx.services | self.r_bases
         # id(rules) -> (rules, carriers); holding the tuple keeps its id from
         # being reused while the entry lives
         self._carrier_cache: Dict[int, Tuple[tuple, set[Name]]] = {}

@@ -21,7 +21,7 @@ from typing import Optional, Sequence as Seq
 
 from .contexts import MANAGED_EXECUTION, Context, ContextError, _validate, par_text, resource_text
 from .parser import atom_source, parse, parse_definition
-from .syntax import Atom, LocalDef, Message, Name, Rule, conj_of, cons_list, rules_of
+from .syntax import Atom, LocalDef, Message, Rule, conj_of, cons_list, rules_of
 
 # Completion of short names against the complement list, and preemption.
 HIERARCHY = """
@@ -133,9 +133,9 @@ def file_system(
     return _validate(
         Context(
             template=LocalDef(conj_of([*rules_of(defs), *extra_rules]), parse(par_text([*initial, "HOLE"]))),
-            services=frozenset(map(Name, services)),
-            resources=frozenset(Name(f"{c}{j}") for c in ("fsr", "fsw", "fse") for j in files),
-            privileged=frozenset(map(Name, privileged)),
+            services=frozenset(services),
+            resources=frozenset(f"{c}{j}" for c in ("fsr", "fsw", "fse") for j in files),
+            privileged=frozenset(privileged),
             dynamic_resource_bases=frozenset({"file_read", "file_write", "file_exec"}),
             exec_bases=frozenset({f"fse{j}" for j in files} | {"file_exec"}),
         )

@@ -18,7 +18,7 @@ a battery of tokenless probes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence as Seq, Tuple, Union
 
 from .contexts import Context, ContextError, TokenGuard, _validate, defined_bases
@@ -170,7 +170,7 @@ def _classify_rule(rule: Rule, ctx: Context, contents: Dict[str, List[Atom]], ab
     if ctx.dynamic_resource_bases & defined_bases(rule.body):
         return SERVICE_WRITE  # activates storage behind published dynamic channels
     shape = _rule_shape(rule)
-    r_bases = {n.base for n in ctx.resources} | set(ctx.dynamic_resource_bases)
+    r_bases = ctx.resources | ctx.dynamic_resource_bases
     state_binders = {b for h in shape.state_heads for b in h.binders}
     access_binders = {b for h in shape.access_heads for b in h.binders}
     is_resource = any(h.channel.base in r_bases for h in shape.access_heads)
@@ -191,7 +191,7 @@ def _classify_rule(rule: Rule, ctx: Context, contents: Dict[str, List[Atom]], ab
     return SERVICE_PLAIN
 
 
-def _delegated_to_exec(body: Process, state_binders: set[Name], exec_bases: set[str]) -> bool:
+def _delegated_to_exec(body: Process, state_binders: set[Name], exec_bases: frozenset[str]) -> bool:
     return any(
         isinstance(t, (Message, SyncCall))
         and t.channel.base in exec_bases
@@ -216,25 +216,18 @@ def _chase_exec(rule: Rule, ctx: Context, contents, abstractions, state_heads, s
 def _write_access_bases(ctx: Context) -> set[str]:
     """Resource access channels that can change stored state, derived from
     the resource rules themselves."""
-    out: set[str] = set()
-    r_bases = {n.base for n in ctx.resources} | set(ctx.dynamic_resource_bases)
+    # file-system style name-indexed commands mutate state through dispatch
+    out = set(ctx.services & {"write", "new", "delete", "move", "preempt"})
+    r_bases = ctx.resources | ctx.dynamic_resource_bases
     for rule in _top_rules(ctx):
         shape = _rule_shape(rule)
         if shape.stores_access:
             out.update(h.channel.base for h in shape.access_heads if h.channel.base in r_bases)
-    # file-system style name-indexed commands mutate state through dispatch
-    for cmd in ("write", "new", "delete", "move", "preempt"):
-        if cmd in {n.base for n in ctx.services}:
-            out.add(cmd)
     return out
 
 
-def _exec_access_bases(ctx: Context) -> set[str]:
-    out = set(ctx.exec_bases)
-    for cmd in ("execute", "proc_exec"):
-        if cmd in {n.base for n in ctx.services}:
-            out.add(cmd)
-    return out
+def _exec_access_bases(ctx: Context) -> frozenset[str]:
+    return ctx.exec_bases | (ctx.services & {"execute", "proc_exec"})
 
 
 def classify_context(ctx: Context) -> IsolationReport:
@@ -282,7 +275,7 @@ def _normalize_atom(a: Atom):
 
 def _observable(soup: Soup, ctx: Context, m: GroundMessage) -> bool:
     base = m.channel.base
-    if base in {n.base for n in ctx.services} or base in {n.base for n in ctx.resources}:
+    if base in ctx.services or base in ctx.resources:
         return True
     return not any(r.defines(base) for r in soup.rules)
 
@@ -373,21 +366,7 @@ def _non_infection(ctx: Context, p: Process, tests: Seq[Process], depth: int, qu
 # token policies
 
 
-@dataclass(frozen=True)
-class TokenPolicy:
-    mode: str = "spatial"  # "spatial" | "counted"
-    count: int = 0
-    guarded_channels: Tuple[str, ...] = ()
-    token_base: str = "sectok"
-
-    def __post_init__(self):
-        if self.mode not in ("spatial", "counted"):
-            raise ValueError(f"unknown token mode {self.mode!r}")
-        if self.mode == "counted" and self.count < 1:
-            raise ValueError("counted policy needs a positive count")
-
-
-def tokenize_context(ctx: Context, policy: TokenPolicy) -> Context:
+def tokenize_context(ctx: Context, guard: TokenGuard) -> Context:
     """Rewrite the guarded channels to require a valid token first.
 
     The token is a channel name minted by the environment itself, so it
@@ -395,22 +374,25 @@ def tokenize_context(ctx: Context, policy: TokenPolicy) -> Context:
     atom, the equality check fails, and the request dies while internal
     state is restored.  Counted mode shares one decrementing use counter
     across all guarded channels; at zero even valid tokens stop working.
+    A context is tokenized at most once.
     """
-    published = {n.base for n in ctx.services} | {n.base for n in ctx.resources}
-    for g in policy.guarded_channels:
+    published = ctx.services | ctx.resources
+    for g in guard.guarded:
         if g not in published:
             raise UnknownChannel(f"cannot guard unpublished channel {g}")
+    if ctx.guard is not None:
+        raise ContextError(f"context is already tokenized (guarding {','.join(ctx.guard.guarded)})")
     if not isinstance(ctx.template, LocalDef):
         raise UnknownChannel("environment has no definitions to guard")
 
-    tok = Name(policy.token_base)
+    tok = Name(guard.token_base)
     tk = Name("tk")
-    counted = policy.mode == "counted"
+    counted = guard.mode == "counted"
     cnt = Name("uses_left")
 
     def guard_rule(rule: Rule) -> Rule:
         heads = pattern_atoms(rule.pattern)
-        target = next((h for h in heads if h.channel.base in policy.guarded_channels), None)
+        target = next((h for h in heads if h.channel.base in guard.guarded), None)
         if target is None:
             return rule
         new_heads: List = []
@@ -449,22 +431,10 @@ def tokenize_context(ctx: Context, policy: TokenPolicy) -> Context:
     rules.append(parse_definition(f"{atom_source(tok, ContextError)}<> |> 0"))
     body = ctx.template.body
     if counted:
-        uses = atom_source(cons_list([Name("use")] * policy.count), ContextError)
+        uses = atom_source(cons_list([Name("use")] * guard.count), ContextError)
         body = Parallel(parse(f"uses_left<{uses}>"), body)
-    template = LocalDef(conj_of(rules), body)
-    priv = set(ctx.privileged) | {tok} | ({cnt} if counted else set())
-    return _validate(
-        Context(
-            template=template,
-            services=ctx.services,
-            resources=ctx.resources,
-            privileged=frozenset(priv),
-            exports=ctx.exports,
-            dynamic_resource_bases=ctx.dynamic_resource_bases,
-            exec_bases=ctx.exec_bases,
-            guard=TokenGuard(policy.token_base, policy.mode, policy.count, tuple(policy.guarded_channels)),
-        )
-    )
+    privileged = ctx.privileged | {guard.token_base} | ({cnt.base} if counted else set())
+    return _validate(replace(ctx, template=LocalDef(conj_of(rules), body), privileged=privileged, guard=guard))
 
 
 def _with(p: Process, q: Process) -> Process:
@@ -482,18 +452,11 @@ def add_token_distributor(ctx: Context, channel: str = "get_token") -> Context:
         raise UnknownChannel("environment has no definitions")
     tok, ch = atom_source(Name(ctx.guard.token_base), ContextError), atom_source(Name(channel), ContextError)
     rules = _top_rules(ctx) + [parse_definition(f"{ch}() |> return {tok} to {ch}")]
-    template = LocalDef(conj_of(rules), ctx.template.body)
-    return Context(
-        template=template,
-        services=ctx.services | {Name(channel)},
-        resources=ctx.resources,
-        privileged=ctx.privileged,
-        exports=ctx.exports,
-        dynamic_resource_bases=ctx.dynamic_resource_bases,
-        exec_bases=ctx.exec_bases,
-        guard=TokenGuard(
-            ctx.guard.token_base, ctx.guard.mode, ctx.guard.count, ctx.guard.guarded, channel
-        ),
+    return replace(
+        ctx,
+        template=LocalDef(conj_of(rules), ctx.template.body),
+        services=ctx.services | {channel},
+        guard=replace(ctx.guard, distributor_base=channel),
     )
 
 
@@ -502,7 +465,7 @@ def _probe_battery(ctx: Context) -> List[Process]:
     token (they pass an inert atom where the token belongs)."""
     probes: List[Process] = []
     guarded = ctx.guard.guarded if ctx.guard is not None else tuple(
-        sorted(_write_access_bases(ctx) & {n.base for n in ctx.resources})
+        sorted(_write_access_bases(ctx) & ctx.resources)
     )
     wrong = "not_the_token, " if ctx.guard is not None else ""
     for g in guarded:
@@ -516,9 +479,7 @@ def _probe_battery(ctx: Context) -> List[Process]:
 def _reader_tests(ctx: Context) -> List[Process]:
     """Read-only witnesses: sample each readable channel and report."""
     tests: List[Process] = []
-    read_bases = sorted(
-        n.base for n in ctx.resources if n.base.startswith("sr") or n.base.endswith("_read") or n.base.startswith("fsr")
-    )
+    read_bases = sorted(b for b in ctx.resources if b.startswith(("sr", "fsr")) or b.endswith("_read"))
     for rb in read_bases[:3]:
         if ctx.guard is not None and rb in ctx.guard.guarded:
             continue
@@ -534,7 +495,7 @@ def enforcement_sound(ctx_guarded: Context, depth: int = 6) -> bool:
     Raises :class:`BudgetExhausted` when a comparison runs out of budget."""
     if ctx_guarded.guard is not None and ctx_guarded.guard.distributor_base:
         dist = ctx_guarded.guard.distributor_base
-        if Name(dist) in ctx_guarded.services:
+        if dist in ctx_guarded.services:
             # a published distributor defeats the point: an acquiring probe
             # gets the token and writes
             g = ctx_guarded.guard.guarded[0] if ctx_guarded.guard.guarded else None
@@ -557,7 +518,7 @@ def token_leak_free(ctx_guarded: Context, depth: int = 6, max_states: int = 4000
     if ctx_guarded.guard is None:
         return True
     tok_base = ctx_guarded.guard.token_base
-    published = {n.base for n in ctx_guarded.services} | {n.base for n in ctx_guarded.resources}
+    published = ctx_guarded.services | ctx_guarded.resources
 
     def leak(edge):
         for m in edge.step.emitted:

@@ -27,7 +27,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from .contexts import Context, refined_context, rootkit_kernel, worm_topology
+from .contexts import Context, TokenGuard, refined_context, rootkit_kernel, worm_topology
 from .detector import DetectionVerdict, detect_via_coverability, explore, viral_set_member
 from .engine import BudgetExhausted, barb, inject
 from .filesystem import file_system
@@ -42,7 +42,7 @@ from .malware import (
     token_aware_overwrite,
 )
 from .parser import parse
-from .policy import TokenPolicy, add_token_distributor, tokenize_context
+from .policy import add_token_distributor, tokenize_context
 from .syntax import Atom, Name, Null, Pair, Process
 
 
@@ -51,6 +51,21 @@ class ScenarioError(Exception):
 
 
 VERDICTS = ("vulnerable", "not_vulnerable", "budget_exhausted", "observed", "not_observed")
+
+# the least value of each search budget, by scenario knob (the CLI's flags
+# are the same names with dashes): step, state and depth budgets may be 0,
+# and iterated replication needs at least two generations
+BUDGET_FLOORS = {"max_steps": 0, "max_states": 0, "max_depth": 0, "depth": 0, "barb_depth": 0, "iterations": 2}
+
+
+def check_budget(name: str, value: int) -> int:
+    """``value`` when it meets the floor of budget ``name`` (a scenario knob
+    or its CLI flag), otherwise a :class:`ScenarioError` naming it."""
+    floor = BUDGET_FLOORS[name.lstrip("-").replace("-", "_")]
+    if value < floor:
+        bound = "0 or more" if floor == 0 else f"at least {floor}"
+        raise ScenarioError(f"{name} must be {bound}, got {value}")
+    return value
 
 
 @dataclass
@@ -137,8 +152,8 @@ def build_context(spec: str) -> Context:
 
         return Context(
             template=Hole(),
-            services=frozenset(Name(s) for s in params.get("services", "").split(",") if s),
-            resources=frozenset(Name(r) for r in params.get("resources", "").split(",") if r),
+            services=frozenset(s for s in params.get("services", "").split(",") if s),
+            resources=frozenset(r for r in params.get("resources", "").split(",") if r),
         )
     if kind == "worm":
         return worm_topology()
@@ -163,17 +178,17 @@ def build_context(spec: str) -> Context:
         ctx = refined_context(n)
         mode = params.get("mode", "spatial")
         count = _int_param(params, "count", "0")
-        guard = tuple(g for g in params.get("guard", "").split(",") if g)
-        if not guard:
-            guard = tuple(f"sw{i}" for i in range(1, n + 1))
+        guarded = tuple(g for g in params.get("guard", "").split(",") if g)
+        if not guarded:
+            guarded = tuple(f"sw{i}" for i in range(1, n + 1))
         try:
-            policy = TokenPolicy(mode=mode, count=count, guarded_channels=guard)
+            guard = TokenGuard(mode, count, guarded)
         except ValueError as e:
             raise ScenarioError(str(e)) from None
-        guarded = tokenize_context(ctx, policy)
+        ctx = tokenize_context(ctx, guard)
         if params.get("distribute", "no") == "yes":
-            guarded = add_token_distributor(guarded)
-        return guarded
+            ctx = add_token_distributor(ctx)
+        return ctx
     raise ScenarioError(f"unknown context kind {kind!r}")
 
 
@@ -232,11 +247,15 @@ class ScenarioResult:
         return self.expected is None or self.outcome == self.expected
 
 
+def _budget(sc: Scenario, key: str, default: str) -> int:
+    return check_budget(key, int(sc.knobs.get(key, default)))
+
+
 def run_scenario(sc: Scenario) -> ScenarioResult:
     ctx = build_context(sc.context_spec)
     proc, self_ch = build_process(sc)
-    max_states = int(sc.knobs.get("max_states", "10000"))
-    depth = int(sc.knobs.get("depth", "400"))
+    max_states = _budget(sc, "max_states", "10000")
+    depth = _budget(sc, "depth", "400")
     if sc.mode == "explore":
         v = explore(ctx, proc, max_states=max_states, max_steps_per_branch=depth, self_channel=self_ch)
         return ScenarioResult(v.outcome, v, sc.expect)
@@ -244,7 +263,7 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
         v = detect_via_coverability(ctx, proc, self_channel=self_ch)
         return ScenarioResult(v.outcome, v, sc.expect)
     if sc.mode == "viral_set":
-        iters = int(sc.knobs.get("iterations", "2"))
+        iters = _budget(sc, "iterations", "2")
         v = viral_set_member(
             ctx, proc, iterations=iters, max_states=max_states, max_steps_per_branch=depth, self_channel=self_ch
         )
@@ -253,7 +272,7 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
         channel = Name(sc.knobs.get("channel", "table"))
         value = _parse_atom(sc.knobs["value"]) if "value" in sc.knobs else None
         try:
-            seen = barb(inject(ctx.plug(proc)), channel, value, depth=int(sc.knobs.get("barb_depth", "30")))
+            seen = barb(inject(ctx.plug(proc)), channel, value, depth=_budget(sc, "barb_depth", "30"))
         except BudgetExhausted:
             return ScenarioResult("budget_exhausted", None, sc.expect)
         return ScenarioResult("observed" if seen else "not_observed", None, sc.expect)

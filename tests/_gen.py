@@ -53,7 +53,7 @@ def fragment_instance(rng: random.Random):
         else:
             msgs.append(f"{c}<>")
     text = "def " + " and ".join(rules) + " in " + " | ".join(msgs)
-    ctx = Context(template=Hole(), services=frozenset(), resources=frozenset({Name("r1")}))
+    ctx = Context(template=Hole(), services=frozenset(), resources=frozenset({"r1"}))
     return ctx, parse(text), Name("p")
 
 

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from jcham.canon import canonicalize
-from jcham.contexts import refined_context, rootkit_kernel, worm_topology
+from jcham.contexts import TokenGuard, refined_context, rootkit_kernel, worm_topology
 from jcham.detector import detect_via_coverability, explore, viral_set_member
 from jcham.engine import (
     BudgetExhausted,
@@ -32,7 +32,6 @@ from jcham.malware import (
 from jcham.parser import parse
 from jcham.petri import coverable
 from jcham.policy import (
-    TokenPolicy,
     add_token_distributor,
     classify_context,
     non_infection_test,
@@ -336,7 +335,7 @@ def test_09_token_containment():
     counter blocks the third of three replications."""
     t0 = time.time()
     ctx = refined_context(2)
-    guarded = tokenize_context(ctx, TokenPolicy(mode="spatial", guarded_channels=("sw1", "sw2")))
+    guarded = tokenize_context(ctx, TokenGuard(mode="spatial", guarded=("sw1", "sw2")))
     off = explore(guarded, _class_iii_virus())
     aware = build_virus(
         MalwareSpec(
@@ -350,7 +349,7 @@ def test_09_token_containment():
 
     ctx3 = refined_context(3)
     counted = add_token_distributor(
-        tokenize_context(ctx3, TokenPolicy(mode="counted", count=2, guarded_channels=("sw1", "sw2", "sw3")))
+        tokenize_context(ctx3, TokenGuard(mode="counted", count=2, guarded=("sw1", "sw2", "sw3")))
     )
     aware3 = build_virus(
         MalwareSpec(

@@ -17,7 +17,7 @@ from jcham.filesystem import file_system
 from jcham.engine import barb, enabled_redexes, inject, inject_message, is_inert, run
 from jcham.parser import parse
 from jcham.scenarios import build_context
-from jcham.syntax import Hole, Name, Null
+from jcham.syntax import Hole, Name, Null, pretty
 
 from _atoms import iter_cons
 
@@ -44,8 +44,8 @@ def test_no_spontaneous_privileged_leak(build):
     # a privileged channel; explore a few steps to be sure
     ctx = build()
     soup = inject(ctx.plug(Null()))
-    published = {n.base for n in ctx.services | ctx.resources}
-    priv = {n.base for n in ctx.privileged}
+    published = ctx.services | ctx.resources
+    priv = ctx.privileged
     frontier = [soup]
     for _ in range(6):
         nxt = []
@@ -92,8 +92,8 @@ def test_executable_resource_runs_content():
 
 def test_refined_context_shape():
     ctx = refined_context(2)
-    assert {n.base for n in ctx.services} == {"proc_exec", "sys_ref", "sys_rep"}
-    assert {n.base for n in ctx.resources} == {"sr1", "sw1", "se1", "sr2", "sw2", "se2"}
+    assert ctx.services == {"proc_exec", "sys_ref", "sys_rep"}
+    assert ctx.resources == {"sr1", "sw1", "se1", "sr2", "sw2", "se2"}
     soup = inject(ctx.plug(Null()))
     contents = sorted(str(m) for m in soup.messages if m.channel.base.startswith("content"))
     assert len(contents) == 2
@@ -157,15 +157,34 @@ def test_rootkit_publish_returns_table():
     assert [a.base for a in iter_cons(tbl[0].args[0])] == ["sc1", "sc2"]
 
 
+ROUND_TRIP_SPECS = [
+    "refined(n=2)",
+    "worm()",
+    "filesystem(files=n1=f1,n2=f2; complements=com,exe)",
+    "rootkit(syscalls=sc1,sc2)",
+    "tokenized(n=2; mode=spatial; guard=sw1,sw2; distribute=yes)",
+    "tokenized(n=2; mode=counted; count=2; guard=sw2,sw1; distribute=yes)",
+]
+CHANNEL_SETS = ("services", "resources", "privileged", "exports", "dynamic_resource_bases", "exec_bases")
+
+
 def test_context_serialization_round_trip():
-    ctx = refined_context(2)
-    text = save_context(ctx)
-    assert text.startswith("#! services:")
-    back = load_context(text)
-    assert back.services == ctx.services
-    assert back.resources == ctx.resources
-    assert back.privileged == ctx.privileged
-    assert is_inert(inject(back.plug(Null())))
+    filled = set()
+    for spec in ROUND_TRIP_SPECS:
+        ctx = build_context(spec)
+        text = save_context(ctx)
+        assert text.startswith("#! services:")
+        back = load_context(text)
+        for attr in CHANNEL_SETS:
+            assert getattr(back, attr) == getattr(ctx, attr), (spec, attr)
+        assert back.guard == ctx.guard, spec
+        assert pretty(back.template) == pretty(ctx.template), spec
+        assert is_inert(inject(back.plug(Null())))
+        filled.update(attr for attr in CHANNEL_SETS if getattr(ctx, attr))
+        if spec.startswith("tokenized"):
+            assert ctx.guard.distributor_base == "get_token"
+    # every set is non-empty in some kind, so no comparison above is vacuous
+    assert filled == set(CHANNEL_SETS)
 
 
 @pytest.mark.parametrize(

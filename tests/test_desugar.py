@@ -116,6 +116,23 @@ def test_tail_call_forwards_reply():
     assert any(m.channel.base == "out" and m.args == (3, 3) for m in tr.final.messages)
 
 
+@pytest.mark.parametrize(
+    "src, out",
+    [
+        # a definition in argument position, then in a let-bound expression
+        ("def f(x) |> return x to f in out<def g(z) |> return z to g in g(5)>", 5),
+        ("let y = def g(z) |> return z to g in g(7) in out<y>", 7),
+    ],
+)
+def test_expression_level_definition_runs_and_leaves_the_fragment(src, out):
+    from jcham.engine import run
+
+    p = parse(src)
+    tr = run(inject(p), seed=0, max_steps=50)
+    assert [(m.channel.base, m.args) for m in tr.final.messages] == [("out", (out,))]
+    assert "nested-definition" in {k for _, k in check_core_fragment(p).violations}
+
+
 # -- fragment checking
 
 

@@ -190,7 +190,7 @@ def test_to_petri_shapes():
 
 
 def test_coverability_toy_replicator():
-    ctx = Context(template=Hole(), services=frozenset(), resources=frozenset({Name("sw1")}))
+    ctx = Context(template=Hole(), services=frozenset(), resources=frozenset({"sw1"}))
     toy = parse("def t<> |> sw1<p> | t<> in t<>")
     v = detect_via_coverability(ctx, toy, self_channel=Name("p"))
     assert v.vulnerable
@@ -199,7 +199,7 @@ def test_coverability_toy_replicator():
 
 
 def test_coverability_unreachable_target():
-    ctx = Context(template=Hole(), services=frozenset({Name("sw1")}), resources=frozenset({Name("sw2")}))
+    ctx = Context(template=Hole(), services=frozenset({"sw1"}), resources=frozenset({"sw2"}))
     toy = parse("def t<> |> sw1<p> | t<> in t<>")
     assert detect_via_coverability(ctx, toy, self_channel=Name("p")).outcome == "not_vulnerable"
 

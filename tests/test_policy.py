@@ -3,14 +3,13 @@ from functools import partial
 import pytest
 
 import jcham.policy as policy
-from jcham.contexts import Context, ResourceSpec, _validate, base_context, refined_context
+from jcham.contexts import Context, ContextError, ResourceSpec, TokenGuard, _validate, base_context, refined_context
 from jcham.detector import explore, viral_set_member
 from jcham.engine import BudgetExhausted, inject, is_inert
 from jcham.malware import MalwareSpec, ReplicationMech, TargetRoutine, build_virus, token_aware_overwrite
 from jcham.parser import parse
 from jcham.policy import (
     InfectingTest,
-    TokenPolicy,
     UnknownChannel,
     UnstableContext,
     add_token_distributor,
@@ -52,8 +51,8 @@ def read_only_context():
         Context(
             template=LocalDef(conj_of(rules), par(Message(Name("ro_content"), (NameRef(Name("c0")),)), Hole())),
             services=frozenset(),
-            resources=frozenset({Name("ro_read")}),
-            privileged=frozenset({Name("ro_content")}),
+            resources=frozenset({"ro_read"}),
+            privileged=frozenset({"ro_content"}),
         )
     )
 
@@ -91,7 +90,7 @@ def test_classify_finds_calls_nested_in_expressions():
     def one_service(svc, body):
         x = Name("x")
         rule = Rule(CallPat(svc, (x,)), Return((body(x),), svc))
-        return _validate(Context(template=LocalDef(rule, Hole()), services=frozenset({svc})))
+        return _validate(Context(template=LocalDef(rule, Hole()), services=frozenset({svc.base})))
 
     # svc(x) |> return g(x()) to svc   and   svc2(x) |> return x() to svc2
     nested = one_service(Name("svc"), lambda x: SyncCall(Name("g"), (SyncCall(x, ()),)))
@@ -180,7 +179,7 @@ def test_violation_persists_at_greater_depth():
 
 
 def guarded2():
-    return tokenize_context(refined_context(2), TokenPolicy(mode="spatial", guarded_channels=("sw1", "sw2")))
+    return tokenize_context(refined_context(2), TokenGuard(mode="spatial", guarded=("sw1", "sw2")))
 
 
 def plain_virus():
@@ -207,9 +206,16 @@ def aware_virus(targets=(Name("sw1"), Name("sw2"))):
 
 def test_tokenize_guard_validation():
     with pytest.raises(UnknownChannel):
-        tokenize_context(refined_context(2), TokenPolicy(guarded_channels=("nope",)))
+        tokenize_context(refined_context(2), TokenGuard(guarded=("nope",)))
     with pytest.raises(ValueError):
-        TokenPolicy(mode="counted", count=0)
+        TokenGuard(mode="counted", count=0)
+
+
+def test_tokenize_refuses_a_tokenized_context():
+    with pytest.raises(ContextError, match="already tokenized"):
+        tokenize_context(guarded2(), TokenGuard(guarded=("sw1",)))
+    with pytest.raises(ContextError, match="already tokenized"):
+        tokenize_context(add_token_distributor(guarded2()), TokenGuard(mode="counted", count=1, guarded=("sw2",)))
 
 
 def test_tokenized_context_still_stable():
@@ -244,7 +250,7 @@ def test_tokenless_aware_virus_blocked():
 def test_counted_blocks_third_attempt():
     ctx3 = refined_context(3)
     counted = add_token_distributor(
-        tokenize_context(ctx3, TokenPolicy(mode="counted", count=2, guarded_channels=("sw1", "sw2", "sw3")))
+        tokenize_context(ctx3, TokenGuard(mode="counted", count=2, guarded=("sw1", "sw2", "sw3")))
     )
     v2 = viral_set_member(counted, aware_virus((Name("sw1"), Name("sw2"), Name("sw3"))), iterations=2, max_states=20000)
     v3 = viral_set_member(counted, aware_virus((Name("sw1"), Name("sw2"), Name("sw3"))), iterations=3, max_states=20000)

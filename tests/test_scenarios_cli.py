@@ -119,7 +119,11 @@ def test_cli_parse_prints_expression_definitions(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "header",
-    ["#! services: nosuch  resources:   privileged:", "#! services:  resources:   privileged:  guard: token=t mode=spatial"],
+    [
+        "#! services: nosuch  resources:   privileged:",
+        "#! services:  resources:   privileged:  guard: token=t mode=spatial",
+        "#! services:  resources:   privileged:  guard: token=sectok mode=bogus count=-3 guarded=sw1",
+    ],
 )
 def test_cli_bad_context_file_is_a_usage_error(tmp_path, capsys, header):
     bad = tmp_path / "bad.jc"
@@ -153,6 +157,44 @@ def test_cli_bad_budget_is_a_usage_error(capsys, argv):
     assert captured.out == "" and len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detect", "--process", _RED],
+        ["detect", "--context", "refined(n=2)", "--process", _RED, "--max-states", "abc"],
+    ],
+)
+def test_cli_argument_errors_are_usage_errors(capsys, argv):
+    # argparse's own exit code, 2, would read as a tripped budget
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 65
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: jcham detect")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["detect", "--help"], ["--version"]])
+def test_cli_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    ["mode=explore max_states=-1", "mode=explore depth=-1", "mode=barb barb_depth=-1", "mode=viral_set iterations=1"],
+)
+def test_scenario_budget_knob_out_of_range_is_a_usage_error(tmp_path, capsys, knobs):
+    scn = tmp_path / "bad.scn"
+    scn.write_text(f"context=refined(n=2) process=null {knobs}\n")
+    with pytest.raises(ScenarioError, match="must be"):
+        run_scenario(load_scenario(str(scn)))
+    assert main(["scenario", str(scn)]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+
+
 def test_cli_zero_budgets_stay_valid(capsys):
     assert main(["detect", "--context", "refined(n=2)", "--process", _RED, "--iterations", "0", "--max-states", "0"]) == 2
     assert main(["run", _RED, "--max-steps", "0"]) == 0
@@ -175,6 +217,8 @@ def test_cli_zero_budgets_stay_valid(capsys):
         ["policy", "isolate", "--context", "refined(n=x)"],
         ["policy", "isolate", "--context", "filesystem(files=n1)"],
         ["policy", "isolate", "--context", "DIR"],
+        ["policy", "tokenize", "--context", "tokenized(n=2; mode=counted; count=2; guard=sw1)", "--guard", "sw2",
+         "--mode", "counted:1"],
     ],
 )
 def test_cli_model_errors_are_usage_errors(tmp_path, capsys, argv):
