@@ -4,32 +4,49 @@ Two soups are congruent when one can be turned into the other by reordering
 rules and messages and by a base-preserving bijection of machine-indexed
 names.  ``canonicalize`` computes a digest invariant under exactly those
 changes.  Indexed names are partitioned by iterated signature refinement (a
-name's signature is the multiset of its occurrence slots across all rules
-and messages, described up to the current partition).  When every class is
-a single name, the soup is serialized once in colour order.  Otherwise the
-names alone in their class are fixed, and the rest fall into components,
-joined through the items they share: typically the interchangeable
-clusters (dead reply channels, identical resources) that hang off the same
-live names.  Each component is made discrete on its own by individualizing
-one name of its first ambiguous class and re-refining, over its own items
-only; components are then sorted by their least rendering, and the soup is
-serialized once in the order this gives (component recursion, Junttila &
-Kaski 2011).  A branch budget bounds each component's search; past it the
-digest may tell congruent soups apart, but never merges distinct ones.
+name's signature is the multiset of its occurrence slots across the items,
+described up to the current partition).  When every class is a single
+name, the soup is serialized once in colour order, each indexed name
+written as its base and its position.  Otherwise the names alone in their
+class are fixed, and the rest fall into components, joined through the
+items they share: typically the interchangeable clusters (dead reply
+channels, identical resources) that hang off the same live names.  Each
+component is made discrete on its own by individualizing one name of its
+first ambiguous class and re-refining, over its own items only; components
+are then sorted by their least rendering, and the soup is serialized once
+in the order this gives (component recursion, Junttila & Kaski 2011).  A
+branch budget bounds each component's search; past it the digest may tell
+congruent soups apart, but never merges distinct ones.
 
-Rules persist from state to state, so each ``ActiveRule`` is flattened into
-its skeleton (and the indexed-name slots in it) only once and keeps it.
-Refinement colours are integer ranks: a name's new colour is the rank of
-its (old colour, sorted signature) among those of all names.
+Rules first.  In a reflexive CHAM the activated rules persist and only
+messages come and go, so a search meets few rules tuples and many message
+multisets over each.  The rules part of a rules tuple is computed once: its
+indexed names, the stable colouring of those names over the rules alone
+(from their bases), and, when that colouring is discrete, the sorted
+rendering of all rules.  A soup's names are then refined jointly over all
+items, starting from the rules' colours for the names the rules mention and
+from the base for the names only messages carry.  The joint partition
+refines the rules' one, so its classes are those a refinement from bases
+alone reaches; only the order of the colours differs.  Mostly the rules
+alone are discrete and every name a message carries occurs in a rule: the
+joint colouring is then the rules' one, and only the messages are rendered.
+Refinement stops as soon as the partition is discrete, which is stable, so
+no round is spent confirming it.
+
+Each ``ActiveRule`` is flattened into its skeleton (and the indexed-name
+slots in it) only once and keeps it.  Refinement colours are integer ranks:
+a name's new colour is the rank of its (old colour, sorted signature) among
+those of all names.
 
 Reactions on disjoint messages that create no names commute, so a search
 reaches the same soup along several paths, mostly with the very same rules
-tuple and message counts.  ``engine.search`` therefore hands
-``canonicalize`` a memo that lives for that one search, keyed by the rules
-and the message counts in insertion order.  The key keeps the order
-because the digest is a function of exactly that input: once the branch
-budget trips, the digest can depend on item order, and an order-free key
-could return another order's digest.
+tuple and message counts.  ``engine.search`` (and ``run`` and ``replay``,
+for one trace) therefore hands ``canonicalize`` a memo that lives for that
+one call.  It holds two kinds of entries: the rules part, keyed by the rules
+tuple, and the form, keyed by the rules and the message counts in insertion
+order.  That key keeps the order because the digest is a function of
+exactly that input: once the branch budget trips, the digest can depend on
+item order, and an order-free key could return another order's digest.
 """
 
 from __future__ import annotations
@@ -70,34 +87,80 @@ class CanonicalForm:
     serialization: str
 
 
-def canonicalize(soup: Soup, forms: Optional[Dict[tuple, CanonicalForm]] = None) -> CanonicalForm:
+def canonicalize(soup: Soup, forms: Optional[dict] = None) -> CanonicalForm:
     """The soup's canonical form.  ``forms`` is a memo kept by the caller for
-    one search: a soup whose rules and message counts equal, in the same
-    order, those of a soup seen before gets the stored form back, which is
-    the form it would have got computed afresh (see the module docstring)."""
+    one search or trace: it holds the rules part of each rules tuple met,
+    and the form of each soup met, so a soup whose rules and message counts
+    equal, in the same order, those of a soup seen before gets the stored
+    form back, which is the form it would have got computed afresh (see the
+    module docstring)."""
     if forms is None:
-        return _canonical_form(soup)
+        return _canonical_form(soup, _rules_part(soup.rules))
     key = (soup.rules, tuple(soup.messages.items()))
     form = forms.get(key)
     if form is None:
-        form = forms[key] = _canonical_form(soup)
+        part = forms.get(soup.rules)
+        if part is None:
+            part = forms[soup.rules] = _rules_part(soup.rules)
+        form = forms[key] = _canonical_form(soup, part)
     return form
 
 
-def _canonical_form(soup: Soup) -> CanonicalForm:
-    items = _items(soup)
-    flats = [_flatten(item) for item in items]
-    skeletons = [(item[0], f.toks) for item, f in zip(items, flats)]
-    fresh = _sorted_names(n for f in flats for n in f.slots)
-    slotted = _slot_items(flats, fresh)
-    colors = _refine_fixpoint(slotted, _ranks([n.base for n in fresh]))
+class _RulesPart(NamedTuple):
+    """What a state's canonical form needs of its rules alone."""
+
+    names: List[Name]  # the rules' indexed names, sorted
+    number: Dict[Name, int]  # each name's position in ``names``
+    flats: List[_Flat]  # every rule
+    slotted: List[SlotItem]  # the rules with slots, numbered by ``number``
+    colors: List[int]  # the stable colouring of ``names`` over the rules alone
+    marks: Optional[Dict[Name, str]]  # when discrete: each name as ``base%colour``
+    rendering: Optional[str]  # when discrete: the sorted rendering of all rules
+
+
+def _rules_part(rules: Tuple[ActiveRule, ...]) -> _RulesPart:
+    flats = [_rule_flat(r) for r in rules]
+    names = _sorted_names(n for f in flats for n in f.slots)
+    number = {n: i for i, n in enumerate(names)}
+    slotted = [(f.shape, tuple(number[n] for n in f.slots)) for f in flats if f.slots]
+    colors = _refine_fixpoint(slotted, _ranks([n.base for n in names]))
+    marks = rendering = None
+    if len(set(colors)) == len(colors):
+        # discrete ranks are 0..n-1, so a name's colour is its position
+        marks = {n: f"{n.base}%{c}" for n, c in zip(names, colors)}
+        rendering = ";".join(sorted(_render(f.toks, marks) for f in flats))
+    return _RulesPart(names, number, flats, slotted, colors, marks, rendering)
+
+
+def _canonical_form(soup: Soup, part: _RulesPart) -> CanonicalForm:
+    msgs = [_message_flat(m, k) for m, k in soup.messages.items()]
+    outside = _sorted_names(n for f in msgs for n in f.slots if n not in part.number)
+    if part.rendering is not None and not outside:
+        # the rules alone fix every name: render only the messages
+        best_s = part.rendering + "//" + ";".join(sorted(_render(f.toks, part.marks) for f in msgs))
+    else:
+        best_s = _joint_serialization(part, msgs, outside)
+    return CanonicalForm(hashlib.sha256(best_s.encode()).hexdigest(), best_s)
+
+
+def _joint_serialization(part: _RulesPart, msgs: List[_Flat], outside: List[Name]) -> str:
+    """The soup refined over all its items, from the rules' colours for the
+    rules' names and from the base for ``outside``, the names only messages
+    carry."""
+    fresh = part.names + outside
+    number = dict(part.number)
+    number.update((n, i) for i, n in enumerate(outside, len(part.names)))
+    slotted = part.slotted + [(f.shape, tuple(number[n] for n in f.slots)) for f in msgs if f.slots]
+    start = [(0, c) for c in part.colors] + [(1, n.base) for n in outside]
+    colors = _refine_fixpoint(slotted, _ranks(start))
     if len(set(colors)) == len(colors):
         order = sorted(range(len(fresh)), key=colors.__getitem__)
     else:
-        slotted_skeletons = [(item[0], f.toks) for item, f in zip(items, flats) if f.slots]
+        slotted_skeletons = [("rule", f.toks) for f in part.flats if f.slots]
+        slotted_skeletons += [("msg", f.toks) for f in msgs if f.slots]
         order = _component_order(slotted, slotted_skeletons, fresh, colors)
-    best_s = _serialize_soup(skeletons, {fresh[i]: f"%{p}" for p, i in enumerate(order)})
-    return CanonicalForm(hashlib.sha256(best_s.encode()).hexdigest(), best_s)
+    skeletons = [("rule", f.toks) for f in part.flats] + [("msg", f.toks) for f in msgs]
+    return _serialize_soup(skeletons, {fresh[i]: f"{fresh[i].base}%{p}" for p, i in enumerate(order)})
 
 
 def congruent(a: Soup, b: Soup) -> bool:
@@ -105,13 +168,7 @@ def congruent(a: Soup, b: Soup) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# items: a uniform view of the soup's rules and messages
-
-
-def _items(soup: Soup) -> list:
-    out: list = [("msg", m, k) for m, k in soup.messages.items()]
-    out.extend(("rule", r, 1) for r in soup.rules)
-    return out
+# names
 
 
 def _sorted_names(names: Iterable[Name]) -> List[Name]:
@@ -127,10 +184,11 @@ def _sorted_names(names: Iterable[Name]) -> List[Name]:
 # after that: refinement reads only each skeleton's shape and slot names, and
 # colours there are integer ranks, not hashes of renderings.  The soup is
 # serialized once, joining tokens under the final order, so an item without
-# slots is rendered once per call; only the items of a component are
-# rendered per candidate order of that component.  A rule's skeleton
-# is built once and kept on the ActiveRule (rules persist across states);
-# message skeletons carry the multiplicity and are rebuilt.
+# slots is rendered once per call (the rules not at all when their rules
+# part holds their rendering); only the items of a component are rendered
+# per candidate order of that component.  A rule's skeleton is built once
+# and kept on the ActiveRule (rules persist across states); message
+# skeletons carry the multiplicity and are rebuilt.
 # Composite structure (parallel parts, nested rules) is ordered by the
 # base-name projection of the part skeletons, which does not depend on the
 # coloring; ties keep their syntactic order.
@@ -296,11 +354,7 @@ class _Flat(NamedTuple):
     shape: str  # the base projection
 
 
-def _flatten(item) -> _Flat:
-    kind, payload, count = item
-    if kind == "rule":
-        return _rule_flat(payload)
-    m: GroundMessage = payload
+def _message_flat(m: GroundMessage, count: int) -> _Flat:
     sk = _Skel()
     sk.lit(f"{count}*")
     sk.name(m.channel, {})
@@ -332,22 +386,16 @@ def _serialize_soup(skeletons: List[Tuple[str, Skeleton]], colors: Dict[Name, st
 # refinement
 #
 # names are numbered by their position in ``fresh`` and colours are integer
-# ranks.  Each slotted item is reduced to its shape (the rank of its base
-# projection) and the numbers of the names in its slots, in order.  A round
-# describes every item by its shape and the colours of its slots, and gives
-# each name the rank of its (old colour, sorted signature) among all names,
-# where the signature lists the items it occurs in and at which slot.  The
-# old colour leads the key, so each round refines the last and the fixpoint
-# is reached when the number of classes stops growing.
+# ranks.  Each slotted item is reduced to its shape (its base projection)
+# and the numbers of the names in its slots, in order.  A round describes
+# every item by its shape and the colours of its slots, and gives each name
+# the rank of its (old colour, sorted signature) among all names, where the
+# signature lists the items it occurs in and at which slot.  The old colour
+# leads the key, so each round refines the last and the fixpoint is reached
+# when the number of classes stops growing, or at once when every class is
+# a single name: a discrete partition is stable, so no round confirms it.
 
-SlotItem = Tuple[int, Tuple[int, ...]]
-
-
-def _slot_items(flats: List[_Flat], fresh: List[Name]) -> List[SlotItem]:
-    number = {n: i for i, n in enumerate(fresh)}
-    slotted = [f for f in flats if f.slots]
-    shapes = _ranks([f.shape for f in slotted])
-    return [(shape, tuple(number[n] for n in f.slots)) for shape, f in zip(shapes, slotted)]
+SlotItem = Tuple[str, Tuple[int, ...]]
 
 
 def _ranks(keys: list) -> List[int]:
@@ -358,7 +406,7 @@ def _ranks(keys: list) -> List[int]:
 
 def _refine_fixpoint(slotted: List[SlotItem], colors: List[int]) -> List[int]:
     classes = len(set(colors))
-    for _ in range(len(colors)):
+    while classes < len(colors):
         described = _ranks([(shape, tuple(colors[i] for i in ids)) for shape, ids in slotted])
         sigs: List[List[Tuple[int, int]]] = [[] for _ in colors]
         for d, (_, ids) in zip(described, slotted):
@@ -458,7 +506,7 @@ def _component_order(
 
         def rendering(order: List[int]) -> Tuple[str, List[int]]:
             mine = [vertices[v] for v in order if v < len(names)]
-            marks.update((fresh[g], f"%{p}") for p, g in enumerate(mine))
+            marks.update((fresh[g], f"{fresh[g].base}%{p}") for p, g in enumerate(mine))
             return _serialize_soup(own, marks), mine
 
         return min(map(rendering, _discrete_orders(sub, [colors[g] for g in vertices])), key=lambda r: r[0])

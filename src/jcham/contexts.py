@@ -163,6 +163,12 @@ def _validate(ctx: Context) -> Context:
     undefined = (ctx.services | ctx.resources) - defined_bases(ctx.template)
     if undefined:
         raise ContextError(f"published channel {min(undefined)} is not defined by the template")
+    if ctx.guard is not None:
+        if not ctx.guard.guarded:
+            raise ContextError("a token guard must guard at least one channel")
+        unpublished = set(ctx.guard.guarded) - ctx.services - ctx.resources
+        if unpublished:
+            raise ContextError(f"cannot guard unpublished channel {min(unpublished)}")
     return ctx
 
 

@@ -376,9 +376,10 @@ def replay(trace: Trace) -> Soup:
     from .canon import canonicalize
 
     current = trace.initial.copy()
+    forms: dict = {}  # canonicalize's memo for this trace
     for step in trace.steps:
         current, _ = reduce_with_info(current, step.redex)
-        got = canonicalize(current).digest[: len(step.digest)]
+        got = canonicalize(current, forms).digest[: len(step.digest)]
         if got != step.digest:
             raise StaleRedex(f"replay diverged: {got} != {step.digest}")
     return current
@@ -392,13 +393,14 @@ def run(soup: Soup, seed: int, max_steps: int) -> Trace:
     rng = random.Random(seed)
     current = soup.copy()
     trace = Trace(initial=soup.copy(), seed=seed)
+    forms: dict = {}  # canonicalize's memo for this run
     for _ in range(max_steps):
         redexes = enabled_redexes(current)
         if not redexes:
             break
         choice = rng.choice(redexes)
         current, emitted = reduce_with_info(current, choice)
-        trace.steps.append(TraceStep(choice.label, choice, emitted, canonicalize(current).digest[:16]))
+        trace.steps.append(TraceStep(choice.label, choice, emitted, canonicalize(current, forms).digest[:16]))
     trace.final = current
     return trace
 

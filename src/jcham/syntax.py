@@ -478,6 +478,20 @@ class FreshNames:
         return Name(base, self.n)
 
 
+class _FreshAbove(FreshNames):
+    """Mints names above every index in ``term``.  The term is walked on
+    the first ``fresh``: most substitutions rename no binder."""
+
+    def __init__(self, term: object):
+        self.term = term
+        self.n = None
+
+    def fresh(self, base: str) -> Name:
+        if self.n is None:
+            self.n = _max_index(self.term)
+        return super().fresh(base)
+
+
 def _max_index(term: Term) -> int:
     """The largest index of a name anywhere in ``term``, or -1."""
     hi = -1
@@ -512,8 +526,7 @@ def substitute(term: Term, mapping: dict[Name, Atom]) -> Term:
     """
     if not mapping:
         return term
-    ctr = FreshNames(_max_index((term, tuple(mapping.items()))))
-    return _subst(term, dict(mapping), ctr)
+    return _subst(term, dict(mapping), _FreshAbove((term, tuple(mapping.items()))))
 
 
 def _range_names(mapping: dict[Name, Atom]) -> set[Name]:

@@ -3,7 +3,7 @@ import random
 from collections import Counter
 from itertools import permutations
 
-from jcham.canon import _flatten, _items, _render, canonicalize, congruent
+from jcham.canon import CanonicalForm, _message_flat, _render, _rule_flat, canonicalize, congruent
 from jcham.engine import ActiveRule, GroundMessage, Soup, enabled_redexes, inject, reduce
 from jcham.parser import parse
 from jcham.syntax import Name
@@ -36,6 +36,16 @@ def test_message_difference_detected():
     assert not congruent(inject(parse("a<>")), inject(parse("a<> | a<>")))
 
 
+def test_distinguishes_bases_of_indexed_names():
+    # the rendering of an indexed name keeps its base next to its position
+    assert not congruent(inject(parse("def a<> |> 0 in a<>")), inject(parse("def b<> |> 0 in b<>")))
+    p, q = Name("p", 1), Name("q", 2)
+    tell = Name("tell")
+    pp = Soup((), Counter({GroundMessage(tell, (p, Name("p", 2))): 1}), [], 3)
+    pq = Soup((), Counter({GroundMessage(tell, (p, q)): 1}), [], 3)
+    assert not congruent(pp, pq) and not brute_congruent(pp, pq)
+
+
 def test_distinguishes_wiring():
     # same bases, different message-to-rule wiring
     s1 = inject(parse("def x<> |> p<> and y<> |> q<> in x<>"))
@@ -46,15 +56,21 @@ def test_distinguishes_wiring():
 # -- brute-force congruence oracle
 
 
+def _flats(soup: Soup) -> list:
+    """Each rule and message of the soup, as ("rule" or "msg", skeleton)."""
+    out = [("rule", _rule_flat(r)) for r in soup.rules]
+    return out + [("msg", _message_flat(m, k)) for m, k in soup.messages.items()]
+
+
 def _global_indexed_names(soup: Soup) -> list[Name]:
     """The indexed names occurring free in the soup, sorted: exactly the
     slots of the item skeletons."""
-    return sorted({n for item in _items(soup) for n in _flatten(item).slots}, key=lambda n: (n.base, n.index))
+    return sorted({n for _, f in _flats(soup) for n in f.slots}, key=lambda n: (n.base, n.index))
 
 
 def _serialize_with(soup, mapping):
     colors = {n: str(mapping.get(n, n)) for n in _global_indexed_names(soup)}
-    rendered = [(item[0], _render(_flatten(item).toks, colors)) for item in _items(soup)]
+    rendered = [(kind, _render(f.toks, colors)) for kind, f in _flats(soup)]
     rules = tuple(sorted(s for kind, s in rendered if kind == "rule"))
     msgs = tuple(sorted(s for kind, s in rendered if kind == "msg"))
     return (rules, msgs)
@@ -449,9 +465,9 @@ def test_memo_closes_a_diamond_without_recomputing(monkeypatch):
     soup = inject(parse("def x<> |> 0 and y<> |> 0 in x<> | y<>"))
     computed, edges = [0], []
 
-    def counted(s):
+    def counted(s, part):
         computed[0] += 1
-        return canonical_form(s)
+        return canonical_form(s, part)
 
     canonical_form = canon._canonical_form
     monkeypatch.setattr(canon, "_canonical_form", counted)
@@ -471,10 +487,138 @@ def test_memo_closes_a_diamond_without_recomputing(monkeypatch):
 def test_memo_keys_keep_message_insertion_order():
     x, y = GroundMessage(Name("x", 1)), GroundMessage(Name("y", 2))
     forms: dict = {}
+
+    def stored_forms() -> int:
+        return sum(isinstance(v, CanonicalForm) for v in forms.values())
+
     first = canonicalize(Soup((), Counter({x: 1, y: 1})), forms)
     second = canonicalize(Soup((), Counter({y: 1, x: 1})), forms)
-    assert len(forms) == 2 and first == second
-    assert canonicalize(Soup((), Counter({x: 1, y: 1})), forms) is first and len(forms) == 2
+    # one rules part for the shared (empty) rules tuple, one form per order
+    assert len(forms) == 3 and stored_forms() == 2 and first == second
+    assert canonicalize(Soup((), Counter({x: 1, y: 1})), forms) is first and len(forms) == 3
+
+
+# -- rules first: the rules part of each rules tuple, then the messages
+
+
+def _with_messages(soup: Soup, *messages: GroundMessage) -> Soup:
+    """``soup`` with more messages, over the very same rules tuple."""
+    return Soup(soup.rules, soup.messages + Counter(messages), [], soup.fresh_counter)
+
+
+def _outside_soups(rng: random.Random) -> list:
+    """Groups of random soups, each soup of a group being one rules tuple
+    plus messages on a channel no rule reads.  These carry indexed names
+    that no rule mentions, next to a name that the rules do, and the soups
+    of a group differ only in how those messages wire the names."""
+    p, p2, q = Name("p", 90), Name("p", 91), Name("q", 92)
+    wirings = [
+        ((p, p2), (p2, None)),
+        ((p2, p), (p, None)),  # the first with p~90 and p~91 swapped
+        ((p, p), (p2, None)),
+        ((p, p2), (p, None)),
+        ((q, p), (p, None)),
+    ]
+    groups = []
+    while len(groups) < 12:
+        s = _random_soup(rng)
+        inside = _global_indexed_names(s)
+        if inside:
+            n = rng.choice(inside)
+            groups.append(
+                [_with_messages(s, *(GroundMessage(Name("tell"), (a, b or n)) for a, b in w)) for w in wirings]
+            )
+    return groups
+
+
+def test_names_outside_the_rules_agree_with_brute_force():
+    import jcham.canon as canon
+
+    rng = random.Random(14)
+    verdicts = []
+    for group in _outside_soups(rng):
+        for i, a in enumerate(group):
+            assert set(_global_indexed_names(a)) - set(canon._rules_part(a.rules).names)
+            assert all(canonicalize(congruent_copy(a, rng)).digest == canonicalize(a).digest for _ in range(3)), a.dump()
+            for b in group[i + 1 :]:
+                expected = brute_congruent(a, b)
+                assert (canonicalize(a).digest == canonicalize(b).digest) == expected, (a.dump(), b.dump())
+                verdicts.append(expected)
+    assert True in verdicts and False in verdicts
+
+
+def test_messages_split_rules_that_refine_to_no_discrete_colouring(monkeypatch):
+    import jcham.canon as canon
+
+    split = []
+    component_order = canon._component_order
+    monkeypatch.setattr(canon, "_component_order", lambda *a: split.append(a) or component_order(*a))
+    rng = random.Random(15)
+    for copies in (2, 3):
+        base = _hub_soup([_CLUSTER] * copies)
+        assert canon._rules_part(base.rules).rendering is None
+        ks = sorted({n for n in _global_indexed_names(base) if n.base == "k"})
+        js = sorted({n for n in _global_indexed_names(base) if n.base == "j"})
+        soups = [_with_messages(base, GroundMessage(Name("mark"), (n,))) for n in ks + js]
+        soups.append(_with_messages(base, GroundMessage(Name("mark"), (ks[0],)), GroundMessage(Name("mark"), (js[1],))))
+        soups.append(_with_messages(base, GroundMessage(Name("mark"), (ks[1],)), GroundMessage(Name("mark"), (js[0],))))
+        soups.append(_with_messages(base, GroundMessage(Name("mark"), (ks[0],)), GroundMessage(Name("mark"), (js[0],))))
+        routes = []
+        for s in soups:
+            split.clear()
+            digest = canonicalize(s).digest
+            routes.append(bool(split))
+            assert all(canonicalize(congruent_copy(s, rng)).digest == digest for _ in range(3)), s.dump()
+        # of two clusters, marking one leaves none interchangeable; of three,
+        # two stay interchangeable unless two clusters are marked
+        assert not any(routes) if copies == 2 else any(routes) and not all(routes)
+        verdicts = []
+        for i, a in enumerate(soups):
+            for b in soups[i + 1 :]:
+                expected = brute_congruent(a, b)
+                assert (canonicalize(a).digest == canonicalize(b).digest) == expected, (a.dump(), b.dump())
+                verdicts.append(expected)
+        assert True in verdicts and False in verdicts
+
+
+def test_shared_memo_gives_the_unshared_digest_across_one_rules_tuple():
+    from jcham.canon import _RulesPart
+
+    rng = random.Random(16)
+    soups = [s for group in _outside_soups(rng) for s in group]
+    hub = _hub_soup([_CLUSTER] * 3)
+    k1 = next(n for n in _global_indexed_names(hub) if n.base == "k")
+    soups += [hub, _with_messages(hub, GroundMessage(Name("mark"), (k1,)))]
+    soups += [_with_messages(hub, GroundMessage(Name("tell"), (Name("p", 90 + i),))) for i in range(2)]
+    rng.shuffle(soups)
+    forms: dict = {}
+    for s in soups + soups[::-1]:
+        assert canonicalize(s, forms).digest == canonicalize(s).digest, s.dump()
+    parts = [v for v in forms.values() if isinstance(v, _RulesPart)]
+    assert len(parts) == len({s.rules for s in soups}) < len(soups)
+
+
+def test_rules_part_is_built_once_per_rules_tuple_in_a_search(monkeypatch):
+    import jcham.canon as canon
+    from jcham.contexts import refined_context
+    from jcham.engine import DetectionStats, search
+
+    built, calls = [], [0]
+    rules_part, canonicalize_ = canon._rules_part, canon.canonicalize
+
+    def counted_part(rules):
+        built.append(rules)
+        return rules_part(rules)
+
+    def counted(soup, forms=None):
+        calls[0] += 1
+        return canonicalize_(soup, forms)
+
+    monkeypatch.setattr(canon, "_rules_part", counted_part)
+    monkeypatch.setattr(canon, "canonicalize", counted)
+    stats = DetectionStats()
+    assert search([inject(refined_context(2).plug(_class_iii_virus(2)))], 500, stats=stats) is None
+    assert len(built) == len(set(built)) and 1 < len(built) < stats.states_explored < calls[0]
 
 
 # -- hashes cached on the object, outside equality, ordering and repr

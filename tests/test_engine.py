@@ -15,6 +15,7 @@ from jcham.engine import (
     is_inert,
     reduce,
     reduce_with_info,
+    replay,
     run,
     valued_reaction,
 )
@@ -152,6 +153,37 @@ def test_run_deterministic():
     assert t1.format() == t2.format()
     t3 = run(inject(parse(src)), seed=43, max_steps=25)
     assert len(t3.steps) == 25
+
+
+def test_run_and_replay_keep_one_memo_per_trace(monkeypatch):
+    import jcham.canon as canon
+    from jcham.cli import corpus_path
+
+    with open(corpus_path("pingpong.jc")) as fh:
+        soup = inject(parse(fh.read()))
+    computed, parts = [0], [0]
+
+    def counted_form(s, part):
+        computed[0] += 1
+        return canonical_form(s, part)
+
+    def counted_part(rules):
+        parts[0] += 1
+        return rules_part(rules)
+
+    canonical_form, rules_part = canon._canonical_form, canon._rules_part
+    monkeypatch.setattr(canon, "_canonical_form", counted_form)
+    monkeypatch.setattr(canon, "_rules_part", counted_part)
+    trace = run(soup, seed=7, max_steps=200)
+    # the token goes back and forth between two soups over one rules tuple
+    assert len(trace.steps) == 200 and (computed[0], parts[0]) == (2, 1)
+    replay(trace)
+    assert (computed[0], parts[0]) == (4, 2)
+    original = canon.canonicalize
+    monkeypatch.setattr(canon, "canonicalize", lambda s, forms=None: original(s))
+    assert run(soup, seed=7, max_steps=200).format() == trace.format()
+    # without the memo every step builds its rules part again
+    assert parts[0] == 2 + 200
 
 
 def test_run_inert_empty_trace():

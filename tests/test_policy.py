@@ -207,6 +207,8 @@ def aware_virus(targets=(Name("sw1"), Name("sw2"))):
 def test_tokenize_guard_validation():
     with pytest.raises(UnknownChannel):
         tokenize_context(refined_context(2), TokenGuard(guarded=("nope",)))
+    with pytest.raises(ContextError, match="at least one channel"):
+        tokenize_context(refined_context(2), TokenGuard())
     with pytest.raises(ValueError):
         TokenGuard(mode="counted", count=0)
 

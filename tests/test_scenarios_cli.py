@@ -89,6 +89,54 @@ def test_corpus_scenarios_meet_expectations(name, expected_exit):
     assert _VERDICT_EXIT[result.outcome] == expected_exit
 
 
+# (states_explored, dedup_hits) of each corpus scenario.  The counts move
+# when a change to the canonical forms moves the congruence classes, which
+# the verdicts alone need not show.
+CORPUS_DEDUP = {
+    "companion_preempt.scn": (76, 60),
+    "companion_rename.scn": (76, 60),
+    "diverge.scn": (400, 197),
+    "null.scn": (1, 0),
+    "rootkit.scn": (17, 9),
+    "token_counted.scn": (73, 21),
+    "token_distributed.scn": (27, 11),
+    "token_spatial.scn": (20, 7),
+    "toy_petri.scn": (1, 0),
+    "virus_append.scn": (35, 19),
+    "virus_class1.scn": (18, 5),
+    "virus_class2.scn": (18, 5),
+    "virus_class3.scn": (18, 5),
+    "virus_class4.scn": (18, 5),
+    "virus_dynamic.scn": (23, 8),
+    "worm_class1.scn": (18, 5),
+    "worm_class2.scn": (18, 5),
+    "worm_class3.scn": (18, 5),
+    "worm_class4.scn": (18, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_EXPECTATIONS))
+def test_corpus_scenarios_keep_their_dedup_counts(monkeypatch, name):
+    import jcham.engine as engine
+
+    # a barb scenario reports no verdict: read its one search's counters
+    searched = []
+    search = engine.search
+
+    def counted(starts, max_states, *args, stats=None, **kwargs):
+        searched.append(stats if stats is not None else engine.DetectionStats())
+        return search(starts, max_states, *args, stats=searched[-1], **kwargs)
+
+    monkeypatch.setattr(engine, "search", counted)
+    result = run_scenario(load_scenario(corpus_path(name)))
+    if result.detail is None:
+        assert len(searched) == 1
+        stats = searched[0]
+    else:
+        stats = result.detail.stats
+    assert (stats.states_explored, stats.dedup_hits) == CORPUS_DEDUP[name]
+
+
 def test_cli_run_trace_and_exit():
     code, out, err = cli("run", corpus_path("red_basic.jc"))
     assert code == 0
@@ -123,6 +171,8 @@ def test_cli_parse_prints_expression_definitions(tmp_path, capsys):
         "#! services: nosuch  resources:   privileged:",
         "#! services:  resources:   privileged:  guard: token=t mode=spatial",
         "#! services:  resources:   privileged:  guard: token=sectok mode=bogus count=-3 guarded=sw1",
+        "#! services:  resources:   privileged:  guard: token=sectok mode=spatial count=0 guarded=",
+        "#! services:  resources:   privileged:  guard: token=sectok mode=spatial count=0 guarded=zz",
     ],
 )
 def test_cli_bad_context_file_is_a_usage_error(tmp_path, capsys, header):
@@ -211,6 +261,7 @@ def test_cli_zero_budgets_stay_valid(capsys):
         ["scenario", "context=filesystem(files=n1=f1) family=virus class=III mech=companion_rename:in targets=n1"],
         ["policy", "isolate", "--context", "tokenized(n=2; mode=spatial; guard=zz)"],
         ["policy", "tokenize", "--context", "refined(n=2)", "--guard", "zz"],
+        ["policy", "tokenize", "--context", "refined(n=2)", "--guard", ","],
         ["policy", "tokenize", "--context", "refined(n=2)", "--guard", "sw1", "--mode", "bogus"],
         ["policy", "tokenize", "--context", "refined(n=2)", "--guard", "sw1", "--mode", "counted:x"],
         ["policy", "isolate", "--context", "tokenized(n=2;mode=bogus)"],

@@ -131,6 +131,21 @@ def test_substitute_avoids_capture():
     assert args[1] == NameRef(Name("u"))
 
 
+def test_substitute_finds_its_fresh_floor_only_to_rename(monkeypatch):
+    import jcham.syntax as syntax
+
+    walks = []
+    max_index = syntax._max_index
+    monkeypatch.setattr(syntax, "_max_index", lambda t: walks.append(t) or max_index(t))
+    p = Parallel(parse("def x<u> |> out<u, w> in 0"), Message(Name("k", 4), ()))
+    assert substitute(p, {Name("w"): Name("a")}).left.defs.pattern.binders == (Name("u"),)
+    assert walks == []
+    # both binders of the pattern collide; one walk gives the floor for both
+    p = Parallel(parse("def x<u, v> |> out<u, v, w> in 0"), Message(Name("k", 4), ()))
+    q = substitute(p, {Name("w"): Pair(Name("u"), Name("v")), Name("z"): Name("q", 9)})
+    assert q.left.defs.pattern.binders == (Name("u", 10), Name("v", 11)) and len(walks) == 1
+
+
 def test_substitute_pair_values():
     p = Message(Name("out"), (NameRef(Name("z")),))
     q = substitute(p, {Name("z"): Pair(Name("a"), Name("b"))})
