@@ -22,16 +22,20 @@ Rules first.  In a reflexive CHAM the activated rules persist and only
 messages come and go, so a search meets few rules tuples and many message
 multisets over each.  The rules part of a rules tuple is computed once: its
 indexed names, the stable colouring of those names over the rules alone
-(from their bases), and, when that colouring is discrete, the sorted
-rendering of all rules.  A soup's names are then refined jointly over all
-items, starting from the rules' colours for the names the rules mention and
-from the base for the names only messages carry.  The joint partition
-refines the rules' one, so its classes are those a refinement from bases
-alone reaches; only the order of the colours differs.  Mostly the rules
-alone are discrete and every name a message carries occurs in a rule: the
-joint colouring is then the rules' one, and only the messages are rendered.
-Refinement stops as soon as the partition is discrete, which is stable, so
-no round is spent confirming it.
+(from their bases), the loose names (those sharing their colour with
+another; the others are fixed), the order of the names over the rules
+alone (colour order, or the component order below when some are loose) and
+the sorted rendering of all rules in that order.  When every name a
+message carries occurs in a rule and is fixed there, the digest renders
+only the messages under that order.  This is what the joint route below
+gives: messages on fixed names split no class of a stable colouring, and
+the components hold only rule items, the same ones at the same indices.
+Otherwise a soup's names are refined jointly over all items, starting from
+the rules' colours for the names the rules mention and from the base for
+the names only messages carry.  The joint partition refines the rules'
+one, so its classes are those a refinement from bases alone reaches; only
+the order of the colours differs.  Refinement stops as soon as the
+partition is discrete, which is stable, so no round is spent confirming it.
 
 Each ``ActiveRule`` is flattened into its skeleton (and the indexed-name
 slots in it) only once and keeps it.  Refinement colours are integer ranks:
@@ -114,8 +118,9 @@ class _RulesPart(NamedTuple):
     flats: List[_Flat]  # every rule
     slotted: List[SlotItem]  # the rules with slots, numbered by ``number``
     colors: List[int]  # the stable colouring of ``names`` over the rules alone
-    marks: Optional[Dict[Name, str]]  # when discrete: each name as ``base%colour``
-    rendering: Optional[str]  # when discrete: the sorted rendering of all rules
+    loose: frozenset  # the names that share their colour with another
+    marks: Dict[Name, str]  # each name as ``base%position`` in the rules-only order
+    rendering: str  # the sorted rendering of all rules under ``marks``
 
 
 def _rules_part(rules: Tuple[ActiveRule, ...]) -> _RulesPart:
@@ -124,19 +129,21 @@ def _rules_part(rules: Tuple[ActiveRule, ...]) -> _RulesPart:
     number = {n: i for i, n in enumerate(names)}
     slotted = [(f.shape, tuple(number[n] for n in f.slots)) for f in flats if f.slots]
     colors = _refine_fixpoint(slotted, _ranks([n.base for n in names]))
-    marks = rendering = None
-    if len(set(colors)) == len(colors):
-        # discrete ranks are 0..n-1, so a name's colour is its position
-        marks = {n: f"{n.base}%{c}" for n, c in zip(names, colors)}
-        rendering = ";".join(sorted(_render(f.toks, marks) for f in flats))
-    return _RulesPart(names, number, flats, slotted, colors, marks, rendering)
+    size = Counter(colors)
+    loose = frozenset(n for n, c in zip(names, colors) if size[c] > 1)
+    # with no loose name this is colour order
+    order = _component_order(slotted, [("rule", f.toks) for f in flats if f.slots], names, colors)
+    marks = {names[i]: f"{names[i].base}%{p}" for p, i in enumerate(order)}
+    rendering = ";".join(sorted(_render(f.toks, marks) for f in flats))
+    return _RulesPart(names, number, flats, slotted, colors, loose, marks, rendering)
 
 
 def _canonical_form(soup: Soup, part: _RulesPart) -> CanonicalForm:
     msgs = [_message_flat(m, k) for m, k in soup.messages.items()]
-    outside = _sorted_names(n for f in msgs for n in f.slots if n not in part.number)
-    if part.rendering is not None and not outside:
-        # the rules alone fix every name: render only the messages
+    carried = {n for f in msgs for n in f.slots}
+    outside = _sorted_names(n for n in carried if n not in part.number)
+    if not outside and part.loose.isdisjoint(carried):
+        # the messages carry only names the rules alone fix: render only them
         best_s = part.rendering + "//" + ";".join(sorted(_render(f.toks, part.marks) for f in msgs))
     else:
         best_s = _joint_serialization(part, msgs, outside)
@@ -184,8 +191,8 @@ def _sorted_names(names: Iterable[Name]) -> List[Name]:
 # after that: refinement reads only each skeleton's shape and slot names, and
 # colours there are integer ranks, not hashes of renderings.  The soup is
 # serialized once, joining tokens under the final order, so an item without
-# slots is rendered once per call (the rules not at all when their rules
-# part holds their rendering); only the items of a component are rendered
+# slots is rendered once per call (the rules not at all when the messages
+# carry only fixed names); only the items of a component are rendered
 # per candidate order of that component.  A rule's skeleton is built once
 # and kept on the ActiveRule (rules persist across states); message
 # skeletons carry the multiplicity and are rebuilt.

@@ -62,6 +62,15 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        print(str(e), file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+
+
 def _load_program(path: str):
     try:
         return parse(_read(path))
@@ -84,8 +93,7 @@ def _load_context_arg(spec: str) -> Context:
 def _emit_verdict(v: DetectionVerdict, args) -> int:
     trace_path = getattr(args, "trace", None)
     if trace_path and v.witness is not None:
-        with open(trace_path, "w") as fh:
-            fh.write(v.witness.format() + "\n")
+        _write(trace_path, v.witness.format() + "\n")
     if getattr(args, "json", False):
         record = {
             "outcome": v.outcome,
@@ -122,11 +130,10 @@ def cmd_run(args) -> int:
     p = _load_program(args.file)
     trace = run(inject(p), seed=args.seed, max_steps=args.max_steps)
     text = trace.format()
+    if args.trace:
+        _write(args.trace, text + ("\n" if text else ""))
     if text:
         print(text)
-    if args.trace:
-        with open(args.trace, "w") as fh:
-            fh.write(text + ("\n" if text else ""))
     if args.dump:
         print("-- final configuration --")
         print(trace.final.dump())
@@ -198,7 +205,7 @@ def cmd_policy(args) -> int:
         tests = [_load_program(t) for t in args.tests.split(",") if t]
         try:
             verdict = non_infection_test(ctx, proc, tests, depth=args.depth)
-        except (UnstableContext, InfectingTest) as e:
+        except (UnstableContext, InfectingTest, ValueError) as e:
             print(str(e), file=sys.stderr)
             return EXIT_USAGE
         print(f"outcome: {verdict.outcome}(depth={verdict.depth})")
@@ -222,8 +229,7 @@ def cmd_policy(args) -> int:
             guarded = add_token_distributor(guarded)
         text = save_context(guarded)
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+            _write(args.out, text)
         else:
             print(text, end="")
         return EXIT_OK

@@ -330,7 +330,8 @@ def non_infection_test(
     """Compare the environment before and after hosting ``p``, through the
     eyes of each test process, on observable traces bounded by ``depth``;
     the outcome is ``budget_exhausted`` when a trace set grows past its
-    budget."""
+    budget.  Raises ``ValueError`` when ``tests`` is empty: nothing would
+    be compared, and ``satisfied_to_depth`` would hold vacuously."""
     try:
         return _non_infection(ctx, p, tests, depth, quiescence_budget)
     except BudgetExhausted as e:
@@ -342,6 +343,8 @@ def _non_infection(ctx: Context, p: Process, tests: Seq[Process], depth: int, qu
     null_soup = inject(ctx.plug(Null()))
     if enabled_redexes(null_soup):
         raise UnstableContext("the environment reacts without any plugged process")
+    if not tests:
+        raise ValueError("no test process: a non-infection test would compare nothing")
     for t in tests:
         check_test_harmless(ctx, t)
 

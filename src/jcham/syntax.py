@@ -550,11 +550,13 @@ def _subst_channel(ch: Name, mapping: dict[Name, Atom]) -> Name:
 
 
 def _rename_binders(binders: tuple[Name, ...], mapping: dict[Name, Atom], ctr: FreshNames) -> dict[Name, Atom]:
-    """Renaming for binders colliding with the substitution's range."""
+    """Renaming for binders colliding with the substitution's range, minted
+    in the order of ``binders`` so that the fresh indices do not depend on
+    the hash seed; a binder listed twice is renamed once."""
     danger = _range_names(mapping)
     ren: dict[Name, Atom] = {}
     for b in binders:
-        if b in danger:
+        if b in danger and b not in ren:
             ren[b] = ctr.fresh(b.base)
     return ren
 
@@ -596,9 +598,9 @@ def _subst(term: Term, mapping: dict[Name, Atom], ctr: FreshNames) -> Term:
         case Rule(j, p):
             # pattern channels behave as free occurrences of a bare rule;
             # received names are binders scoping the body
-            rv = pattern_rv(j)
-            inner = _narrow(mapping, rv)
-            ren = _rename_binders(tuple(rv), inner, ctr)
+            binders = tuple(b for a in pattern_atoms(j) for b in a.binders)
+            inner = _narrow(mapping, set(binders))
+            ren = _rename_binders(binders, inner, ctr)
             if ren:
                 j = _rename_pattern_binders(j, ren)
                 p = _subst(p, ren, ctr)
@@ -617,11 +619,10 @@ def _subst(term: Term, mapping: dict[Name, Atom], ctr: FreshNames) -> Term:
 
 def _subst_scope(d: Definition, body, mapping: dict[Name, Atom], ctr: FreshNames):
     """Handle a def scope: dv(d) binds inside rule bodies and the body."""
-    dv = def_dv(d)
-    inner = _narrow(mapping, dv)
-    collide = _range_names(inner) & dv
-    if collide:
-        ren: dict[Name, Atom] = {c: ctr.fresh(c.base) for c in collide}
+    channels = tuple(a.channel for r in rules_of(d) for a in pattern_atoms(r.pattern))
+    inner = _narrow(mapping, set(channels))
+    ren = _rename_binders(channels, inner, ctr)
+    if ren:
         d = _subst(d, ren, ctr)  # renames pattern channels and recursive uses
         body = _subst(body, ren, ctr)
     if not inner:

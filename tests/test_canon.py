@@ -248,17 +248,28 @@ def _hub_soup(clusters) -> Soup:
     return inject(parse("def hub<x> |> 0 and tap<x> |> 0 in " + " | ".join(clusters)))
 
 
-def test_component_split_agrees_with_brute_force(monkeypatch):
+def _needs_joint(soup: Soup) -> bool:
+    """Whether a message of ``soup`` carries a name that its rules leave
+    loose or do not mention: only then is the soup refined jointly."""
     import jcham.canon as canon
 
-    split = []
+    part = canon._rules_part(soup.rules)
+    carried = {n for m, k in soup.messages.items() for n in _message_flat(m, k).slots}
+    return bool(carried - (set(part.names) - part.loose))
 
-    def counted(*args):
-        split.append(args)
-        return component_order(*args)
 
-    component_order = canon._component_order
-    monkeypatch.setattr(canon, "_component_order", counted)
+def _spy_joint(monkeypatch) -> list:
+    """Record every call of the joint refinement."""
+    import jcham.canon as canon
+
+    joint = []
+    joint_serialization = canon._joint_serialization
+    monkeypatch.setattr(canon, "_joint_serialization", lambda *a: joint.append(a) or joint_serialization(*a))
+    return joint
+
+
+def test_component_split_agrees_with_brute_force(monkeypatch):
+    joint = _spy_joint(monkeypatch)
     verdicts = []
     for copies in (2, 3):
         soups = [
@@ -270,11 +281,15 @@ def test_component_split_agrees_with_brute_force(monkeypatch):
         soups += [_hub_soup([odd] + [_CLUSTER] * (copies - 1)) for odd in _PERTURBED]
         routes = []
         for s in soups:
-            split.clear()
+            joint.clear()
             canonicalize(s)
-            routes.append(bool(split))
-        # identical clusters are interchangeable: only a perturbed pair is split apart by refinement
-        assert routes == [True] * 3 + [copies > 2] * 2 * len(_PERTURBED)
+            routes.append(bool(joint))
+        # identical clusters are interchangeable, and every go<k> message
+        # carries a loose k: only a pair whose rules differ is told apart by
+        # the rules alone, and its messages then skip the joint refinement.
+        # Publishing the other name perturbs a message, not the rules.
+        perturbed = [copies > 2, copies > 2, True]
+        assert routes == [_needs_joint(s) for s in soups] == [True] * 3 + perturbed * 2
         for i, a in enumerate(soups):
             for b in soups[i:]:
                 expected = brute_congruent(a, b)
@@ -553,25 +568,33 @@ def test_messages_split_rules_that_refine_to_no_discrete_colouring(monkeypatch):
     split = []
     component_order = canon._component_order
     monkeypatch.setattr(canon, "_component_order", lambda *a: split.append(a) or component_order(*a))
+    joint = _spy_joint(monkeypatch)
     rng = random.Random(15)
     for copies in (2, 3):
         base = _hub_soup([_CLUSTER] * copies)
-        assert canon._rules_part(base.rules).rendering is None
+        part = canon._rules_part(base.rules)
         ks = sorted({n for n in _global_indexed_names(base) if n.base == "k"})
         js = sorted({n for n in _global_indexed_names(base) if n.base == "j"})
+        assert set(ks + js) <= part.loose
         soups = [_with_messages(base, GroundMessage(Name("mark"), (n,))) for n in ks + js]
         soups.append(_with_messages(base, GroundMessage(Name("mark"), (ks[0],)), GroundMessage(Name("mark"), (js[1],))))
         soups.append(_with_messages(base, GroundMessage(Name("mark"), (ks[1],)), GroundMessage(Name("mark"), (js[0],))))
         soups.append(_with_messages(base, GroundMessage(Name("mark"), (ks[0],)), GroundMessage(Name("mark"), (js[0],))))
-        routes = []
+        routes, splits = [], []
         for s in soups:
+            joint.clear()
             split.clear()
-            digest = canonicalize(s).digest
-            routes.append(bool(split))
+            # the rules part comes from the memo, so only the joint route splits
+            digest = canonicalize(s, {s.rules: part}).digest
+            routes.append(bool(joint))
+            splits.append(bool(split))
+            assert digest == canonicalize(s).digest
             assert all(canonicalize(congruent_copy(s, rng)).digest == digest for _ in range(3)), s.dump()
+        # the go<k> messages carry loose names, so every soup is refined jointly
+        assert routes == [_needs_joint(s) for s in soups] and all(routes)
         # of two clusters, marking one leaves none interchangeable; of three,
         # two stay interchangeable unless two clusters are marked
-        assert not any(routes) if copies == 2 else any(routes) and not all(routes)
+        assert not any(splits) if copies == 2 else any(splits) and not all(splits)
         verdicts = []
         for i, a in enumerate(soups):
             for b in soups[i + 1 :]:
@@ -579,6 +602,54 @@ def test_messages_split_rules_that_refine_to_no_discrete_colouring(monkeypatch):
                 assert (canonicalize(a).digest == canonicalize(b).digest) == expected, (a.dump(), b.dump())
                 verdicts.append(expected)
         assert True in verdicts and False in verdicts
+
+
+def _marked_hub_soups() -> list:
+    """Three interchangeable clusters with ``mark`` messages on the names
+    their rules fix, and no message on a loose name."""
+    import jcham.canon as canon
+
+    hub = _hub_soup([_CLUSTER] * 3)
+    part = canon._rules_part(hub.rules)
+    fixed = [n for n in part.names if n not in part.loose]
+    marks = [GroundMessage(Name("mark"), (n,)) for n in fixed]
+    counts = [Counter({m: 1}) for m in marks] + [Counter(marks), Counter({marks[0]: 2, GroundMessage(Name("mark")): 1})]
+    return [Soup(hub.rules, c, [], hub.fresh_counter) for c in counts]
+
+
+def test_messages_clear_of_loose_names_render_only_the_messages(monkeypatch):
+    import jcham.canon as canon
+
+    joint = _spy_joint(monkeypatch)
+    soups = _marked_hub_soups()
+    part = canon._rules_part(soups[0].rules)
+    assert part.loose  # the rules alone refine to no discrete colouring
+    for s in soups:
+        form = canonicalize(s)
+        assert form.serialization.startswith(part.rendering + "//")
+    assert joint == []
+    # a mark on a loose name takes the joint route
+    k = min(part.loose, key=lambda n: (n.base, n.index))
+    canonicalize(_with_messages(soups[0], GroundMessage(Name("mark"), (k,))))
+    assert len(joint) == 1
+
+
+def test_rules_only_order_agrees_with_the_joint_refinement():
+    # the joint refinement is the referee: whichever route a soup takes, its
+    # serialization is the one the joint refinement gives
+    import jcham.canon as canon
+
+    marked = _marked_hub_soups()
+    states = _viral_states(3) + _viral_states(4) + marked
+    rules_only = 0
+    for s in states:
+        part = canon._rules_part(s.rules)
+        msgs = [_message_flat(m, k) for m, k in s.messages.items()]
+        outside = canon._sorted_names(n for f in msgs for n in f.slots if n not in part.number)
+        assert canonicalize(s).serialization == canon._joint_serialization(part, msgs, outside), s.dump()
+        rules_only += bool(part.loose) and not _needs_joint(s)
+    # the viral states take that route too, not only the marked clusters
+    assert rules_only >= len(marked) + 10
 
 
 def test_shared_memo_gives_the_unshared_digest_across_one_rules_tuple():

@@ -140,6 +140,11 @@ def test_non_infection_rejects_unstable_context():
         non_infection_test(busy, Null(), [], depth=2)
 
 
+def test_non_infection_refuses_an_empty_test_list():
+    with pytest.raises(ValueError, match="no test process"):
+        non_infection_test(refined_context(2), parse("sw1(evil); probe_done<>"), [], depth=4)
+
+
 def test_trace_sets_do_not_depend_on_rule_order():
     # s -> b1 -> m -> y1 -> y2 -> out takes 5 reductions; the a-branch reaches
     # m at depth 4, which must not hide the shorter path

@@ -22,8 +22,9 @@ from jcham.syntax import Name, pretty
 _SRC = os.path.dirname(os.path.dirname(jcham.cli.__file__))
 
 
-def cli(*args):
+def cli(*args, **env_overrides):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))))
+    env.update(env_overrides)
     proc = subprocess.run(
         [sys.executable, "-m", "jcham.cli", *args], capture_output=True, text=True, timeout=300, env=env
     )
@@ -243,6 +244,48 @@ def test_scenario_budget_knob_out_of_range_is_a_usage_error(tmp_path, capsys, kn
     assert main(["scenario", str(scn)]) == 65
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", _RED, "--trace", "OUT"],
+        ["detect", "--context", "bare(resources=sw1)", "--process", corpus_path("toy_replicator.jc"),
+         "--self-channel", "p", "--mode", "petri", "--trace", "OUT"],
+        ["policy", "tokenize", "--context", "refined(n=2)", "--guard", "sw1", "--out", "OUT"],
+    ],
+)
+def test_cli_unwritable_output_file_is_a_usage_error(tmp_path, capsys, argv):
+    # exit 1 would read as vulnerable / violated
+    unwritable = str(tmp_path / "missing" / "out")
+    with pytest.raises(SystemExit) as exit_:
+        main([unwritable if a == "OUT" else a for a in argv])
+    assert exit_.value.code == 65
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
+def test_cli_policy_noninfect_without_tests_is_a_usage_error(capsys):
+    # no test process compares nothing, so "satisfied_to_depth" would be vacuous
+    assert main(["policy", "noninfect", "--context", "refined(n=2)", "--process", _PROBE, "--tests", ","]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+
+
+_HASH_SEEDED = "def g<a, b> |> (def f<u, v> |> out<a, b, u, v> in f<a, b>) in g<u, v>"
+
+
+def test_cli_run_dump_does_not_depend_on_the_hash_seed(tmp_path):
+    # g's arguments collide with both binders of f; the renamed binders get
+    # their fresh indices in pattern order, whatever the order of a set
+    prog = tmp_path / "p.jc"
+    prog.write_text(_HASH_SEEDED)
+    runs = [cli("run", str(prog), "--seed", "7", "--dump", PYTHONHASHSEED=seed) for seed in ("0", "1")]
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert code == 0, err
+    assert "def f~2<u~0, v~1>" in out
 
 
 def test_cli_zero_budgets_stay_valid(capsys):

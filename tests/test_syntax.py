@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from typing import get_args
 
 import pytest
 
+import jcham.syntax
 from jcham.parser import ParseError, atom_source, parse
 from jcham.syntax import (
     CallPat,
@@ -32,6 +36,9 @@ from jcham.syntax import (
     substitute,
     subterms,
 )
+
+# the child process imports the same ``jcham`` as the tests do
+_SRC = os.path.dirname(os.path.dirname(jcham.syntax.__file__))
 
 
 def test_parse_null():
@@ -144,6 +151,20 @@ def test_substitute_finds_its_fresh_floor_only_to_rename(monkeypatch):
     p = Parallel(parse("def x<u, v> |> out<u, v, w> in 0"), Message(Name("k", 4), ()))
     q = substitute(p, {Name("w"): Pair(Name("u"), Name("v")), Name("z"): Name("q", 9)})
     assert q.left.defs.pattern.binders == (Name("u", 10), Name("v", 11)) and len(walks) == 1
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_fresh_floor_renaming_does_not_depend_on_the_hash_seed(seed):
+    # minted in the order of a set of binders, the fresh indices would
+    # follow the set's order, which changes with the hash seed
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
+    test = f"{__file__}::test_substitute_finds_its_fresh_floor_only_to_rename"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_substitute_pair_values():
