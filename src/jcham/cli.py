@@ -14,6 +14,7 @@ expectation mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -92,8 +93,9 @@ def _load_context_arg(spec: str) -> Context:
 
 def _emit_verdict(v: DetectionVerdict, args) -> int:
     trace_path = getattr(args, "trace", None)
-    if trace_path and v.witness is not None:
-        _write(trace_path, v.witness.format() + "\n")
+    if trace_path:
+        # an empty file when there is no witness, so no earlier trace stays
+        _write(trace_path, "" if v.witness is None else v.witness.format() + "\n")
     if getattr(args, "json", False):
         record = {
             "outcome": v.outcome,
@@ -283,7 +285,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call shares it."""
     ap = _ArgumentParser(prog="jcham", description=__doc__)
     ap.add_argument("--version", action="version", version=f"jcham {__version__}")
     sub = ap.add_subparsers(dest="cmd", required=True)

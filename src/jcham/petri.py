@@ -19,6 +19,25 @@ firing sequence, which is replayed forwards before it is returned.  When no
 such marking appears, the antichain saturates, which well-quasi-ordering of
 markings guarantees, and the targets are uncoverable.
 
+The set of markings the antichain covers only grows, so a candidate that is
+covered once stays covered and would be rejected.  Three exact skips keep
+the search from testing such candidates against the whole antichain:
+
+* A pre-image that dominates its source is never built.  ``pre_image(m, t)
+  >= m`` exactly when ``m[p] <= pre[p]`` on every place where ``t`` gains
+  tokens (``post[p] > pre[p]``).  ``m`` was inserted, so ``m`` or a later
+  minimal element below it covers such a pre-image.
+* A candidate tested before in the same call is dropped: it was inserted,
+  and so covers itself, or it was covered already.
+* Each antichain element carries its token sum and its support as a bit
+  mask.  ``b <= c`` is tested only when ``sum(b) <= sum(c)`` and ``b``'s
+  support lies inside ``c``'s, and pruning filters the other way round.
+
+None of them changes which candidates are inserted, or in which order.  The
+verdict, the parent pointers and so the witness, and the insertion count
+that ``max_basis`` bounds are those of the search without them, which
+``tests/_petri_referee.py`` keeps as ``plain_coverable``.
+
 A text format exchanges nets with the command line, one declaration per
 line: ``place <i> [label]``, ``trans <label> pre <counts> post <counts>``,
 ``init <counts>`` and ``target <counts>``, where ``<counts>`` is
@@ -74,16 +93,21 @@ def fire(m: Marking, t: Transition) -> Optional[Marking]:
 
 def pre_image(m: Marking, t: Transition) -> Marking:
     """Smallest marking that can fire ``t`` and then dominate ``m``."""
-    return tuple(max(c - o, 0) + i for c, i, o in zip(m, t.pre, t.post))
+    return tuple([c - o + i if c > o else i for c, i, o in zip(m, t.pre, t.post)])
 
 
-def _insert_minimal(basis: List[Marking], cand: Marking) -> bool:
-    """Add ``cand`` to the antichain unless it is already covered; prune
-    elements it covers.  Returns True when the basis changed."""
-    if any(leq(b, cand) for b in basis):
-        return False
-    basis[:] = [b for b in basis if not leq(cand, b)]
-    basis.append(cand)
+def _insert_minimal(basis: Dict[Marking, Tuple[int, int]], cand: Marking, total: int, support: int) -> bool:
+    """Add ``cand``, whose token sum is ``total`` and support mask
+    ``support``, to the antichain unless it is already covered; prune the
+    elements it covers.  ``basis`` maps each element to its own sum and
+    mask, and ``leq`` runs only on pairs that those admit.  Returns True
+    when the basis changed."""
+    for b, (s, k) in basis.items():
+        if s <= total and not k & ~support and leq(b, cand):
+            return False
+    for b in [b for b, (s, k) in basis.items() if total <= s and not support & ~k and leq(cand, b)]:
+        del basis[b]
+    basis[cand] = (total, support)
     return True
 
 
@@ -125,14 +149,22 @@ def coverable(
         return tuple(m[p] for p in places)
 
     moves = [Transition(project(t.pre), project(t.post)) for t in (net.transitions[ti] for ti in live)]
+    # per move, (place, preset count) where it gains tokens: its pre-image of
+    # m dominates m, and is covered, unless m exceeds one of those counts
+    gains = [[(p, i) for p, (i, o) in enumerate(zip(t.pre, t.post)) if o > i] for t in moves]
+    bits = [1 << p for p in range(len(places))]
     low = project(init)
-    basis: List[Marking] = []
+    basis: Dict[Marking, Tuple[int, int]] = {}  # minimal marking -> (token sum, support mask)
     parent: Dict[Marking, Optional[Tuple[int, Marking]]] = {}  # (move, successor) back to a target
+    tested: set[Marking] = set()
     candidates: Iterable[Tuple[Marking, Optional[Tuple[int, Marking]]]] = [(project(t), None) for t in targets]
     while True:
         inserted: List[Marking] = []
         for pm, via in candidates:
-            if not _insert_minimal(basis, pm):
+            if pm in tested:
+                continue
+            tested.add(pm)
+            if not _insert_minimal(basis, pm, sum(pm), sum([b for b, c in zip(bits, pm) if c])):
                 continue
             parent[pm] = via  # a marking once inserted stays covered, so never returns
             if leq(pm, low):
@@ -140,11 +172,15 @@ def coverable(
             if len(parent) > max_basis:
                 raise BudgetExhausted("max_basis", max_basis)
             inserted.append(pm)
-        still_minimal = set(basis)
-        frontier = [m for m in inserted if m in still_minimal]
+        frontier = [m for m in inserted if m in basis]
         if not frontier:
             return False, None
-        candidates = ((pre_image(m, t), (mi, m)) for m in frontier for mi, t in enumerate(moves))
+        candidates = (
+            (pre_image(m, t), (mi, m))
+            for m in frontier
+            for mi, (t, gain) in enumerate(zip(moves, gains))
+            if any(m[p] > i for p, i in gain)
+        )
 
 
 def _saturate(net: PetriNet, init: Marking) -> Tuple[List[int], List[int]]:

@@ -1,6 +1,6 @@
-"""Referees for the coverability route: forward ones for the backward
-decision in ``jcham.petri``, and the product grounding for
-``jcham.detector.ground``.
+"""Referees for the coverability route: forward ones and the unfiltered
+backward loop for the backward decision in ``jcham.petri``, and the product
+grounding for ``jcham.detector.ground``.
 
 ``forward_enumerate`` lists the reachable markings of a net breadth-first, up
 to a cap, so it settles coverability only on nets it saturates.
@@ -10,6 +10,11 @@ when one of the tree's markings dominates it.  Markings are the tuples of
 per-place counts that ``jcham.petri`` uses.  Both referees fire transitions
 with ``jcham.petri.fire`` semantics but share no code with the backward
 search.
+
+``plain_coverable`` is the backward search without its skips: every
+pre-image of every frontier marking is tested against the whole antichain,
+repeated ones too, and the verdict, witness and ``max_basis`` trip must
+come out the same.
 
 ``product_ground`` instantiates every rule over the whole ``atoms^k``
 product of the payload universe, a superset of the reachable instances
@@ -24,8 +29,8 @@ from itertools import product
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from jcham.detector import GroundRule
-from jcham.engine import GroundMessage, ModelError, Soup, eval_atom, heat, inject
-from jcham.petri import Marking, PetriNet, fire
+from jcham.engine import BudgetExhausted, GroundMessage, ModelError, Soup, eval_atom, heat, inject
+from jcham.petri import Marking, PetriNet, Transition, _saturate, _witness, fire, leq
 from jcham.syntax import Atom, Message, Pair, Process, SubstitutionError, free_names, is_atom_expr, substitute, subterms
 
 OMEGA = math.inf  # a place the tree has found unbounded
@@ -91,6 +96,56 @@ def karp_miller(net: PetriNet, init: Marking, cap: int = 100_000) -> Set[Marking
 
 
 km_covers = covers_any  # an OMEGA place covers any count
+
+
+def _insert_minimal(basis: List[Marking], cand: Marking) -> bool:
+    """Add ``cand`` to the antichain unless it is already covered; prune
+    elements it covers.  Returns True when the basis changed."""
+    if any(leq(b, cand) for b in basis):
+        return False
+    basis[:] = [b for b in basis if not leq(cand, b)]
+    basis.append(cand)
+    return True
+
+
+def plain_coverable(
+    net: PetriNet, init: Marking, *targets: Marking, max_basis: int = 200_000
+) -> Tuple[bool, Optional[List[int]]]:
+    """``jcham.petri.coverable`` over the same cut net, with each round's
+    candidates all tested against the whole antichain."""
+    places, live = _saturate(net, init)
+    targets = tuple(t for t in targets if all(c == 0 or p in places for p, c in enumerate(t)))
+    if not targets:
+        return False, None
+
+    def project(m: Marking) -> Marking:
+        return tuple(m[p] for p in places)
+
+    moves = [Transition(project(t.pre), project(t.post)) for t in (net.transitions[ti] for ti in live)]
+    low = project(init)
+    basis: List[Marking] = []
+    parent: Dict[Marking, Optional[Tuple[int, Marking]]] = {}
+    candidates: Iterable[Tuple[Marking, Optional[Tuple[int, Marking]]]] = [(project(t), None) for t in targets]
+    while True:
+        inserted: List[Marking] = []
+        for pm, via in candidates:
+            if not _insert_minimal(basis, pm):
+                continue
+            parent[pm] = via
+            if leq(pm, low):
+                return True, _witness(net, init, targets, parent, pm, live)
+            if len(parent) > max_basis:
+                raise BudgetExhausted("max_basis", max_basis)
+            inserted.append(pm)
+        still_minimal = set(basis)
+        frontier = [m for m in inserted if m in still_minimal]
+        if not frontier:
+            return False, None
+        candidates = (
+            (tuple(max(c - o, 0) + i for c, i, o in zip(m, t.pre, t.post)), (mi, m))
+            for m in frontier
+            for mi, t in enumerate(moves)
+        )
 
 
 def format_net(net: PetriNet, init: Marking, target: Optional[Marking] = None) -> str:

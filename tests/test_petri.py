@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+import jcham.petri as petri
 from jcham.cli import main
+from jcham.engine import BudgetExhausted
 from jcham.petri import (
     PetriNet,
     Transition,
@@ -15,7 +17,7 @@ from jcham.petri import (
     pre_image,
 )
 
-from _petri_referee import OMEGA, format_net, forward_enumerate, karp_miller, km_covers
+from _petri_referee import OMEGA, format_net, forward_enumerate, karp_miller, km_covers, plain_coverable
 
 
 def net_of(places, transitions):
@@ -220,6 +222,81 @@ def test_cover_witness_indexes_the_files_transitions(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"coverable": True, "witness": [1]}
     assert main(["petri", "cover", "--net", str(net)]) == 1
     assert capsys.readouterr().out == "coverable: True\nwitness: go\n"
+
+
+def _outcome(search, net, init, targets, max_basis):
+    try:
+        return search(net, init, *targets, max_basis=max_basis)
+    except BudgetExhausted as e:
+        return e.budget, e.limit
+
+
+def test_skips_keep_verdict_witness_and_budget_of_the_plain_search():
+    rng = random.Random(2024)
+    outcomes = []
+    for _ in range(2000):
+        places = rng.randint(1, 7)
+
+        def tokens(least, most):
+            return [(rng.randrange(places), 1) for _ in range(rng.randint(least, most))]
+
+        net = net_of(places, [(tokens(1, 2), tokens(1, 4)) for _ in range(rng.randint(0, 9))])
+        init = net.marking(tokens(1, 3))
+        targets = [net.marking(tokens(2, 5)) for _ in range(rng.randint(1, 3))]
+        max_basis = rng.choice((5, 20, 200_000))
+        got = _outcome(coverable, net, init, targets, max_basis)
+        assert got == _outcome(plain_coverable, net, init, targets, max_basis)
+        outcomes.append(got)
+    # all three outcomes occur, and many witnesses take several steps
+    assert sum(o[0] == "max_basis" for o in outcomes) >= 100
+    assert sum(o[0] is True and len(o[1]) >= 2 for o in outcomes) >= 200
+    assert sum(o == (False, None) for o in outcomes) >= 500
+
+
+def _record(monkeypatch, name):
+    """The arguments and result of each call to ``jcham.petri.<name>``
+    that ``coverable`` makes."""
+    calls = []
+    real = getattr(petri, name)
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(petri, name, spy)
+    return calls
+
+
+def test_pre_images_that_dominate_their_source_are_not_built(monkeypatch):
+    # the pump p0 -> p0 + p1 gains on p1 only, so from a marking without
+    # tokens on p1 its pre-image is the marking itself
+    net = net_of(2, [({0: 1}, {0: 1, 1: 1})])
+    built = _record(monkeypatch, "pre_image")
+    assert coverable(net, net.marking({0: 1}), net.marking({0: 2, 1: 1})) == (False, None)
+    assert [args[0] for args, _ in built] == [(2, 1)]  # not (2, 0), whose pre-image is (2, 0)
+    assert plain_coverable(net, net.marking({0: 1}), net.marking({0: 2, 1: 1})) == (False, None)
+
+
+def test_a_repeated_candidate_is_not_tested_again(monkeypatch):
+    # two copies of p0 -> p1 give the same pre-image of the p1 target
+    net = net_of(3, [({0: 1}, {1: 1}), ({0: 1}, {1: 1}), ({2: 1}, {0: 1})])
+    init, target = net.marking({2: 1}), net.marking({1: 1})
+    built = _record(monkeypatch, "pre_image")
+    tested = _record(monkeypatch, "_insert_minimal")
+    assert coverable(net, init, target) == (True, [2, 0]) == plain_coverable(net, init, target)
+    assert [m for _, m in built] == [(1, 0, 0), (1, 0, 0), (0, 0, 1)]
+    assert [args[1] for args, _ in tested] == [(0, 1, 0), (1, 0, 0), (0, 0, 1)]
+
+
+def test_max_basis_trips_at_the_same_insertion_as_the_plain_search():
+    # p1 is pumped one token a round, beside an idle loop and a copy of
+    # the pump: six insertions, from the target (0, 5) down to (1, 0)
+    net = net_of(2, [({0: 1}, {0: 1, 1: 1}), ({0: 1}, {0: 1}), ({0: 1}, {0: 1, 1: 1})])
+    init, target = net.marking({0: 1}), net.marking({1: 5})
+    for max_basis in range(7):
+        got = _outcome(coverable, net, init, [target], max_basis)
+        assert got == _outcome(plain_coverable, net, init, [target], max_basis)
+        assert got == (("max_basis", max_basis) if max_basis < 5 else (True, [0] * 5))
 
 
 def test_antichain_is_minimal_after_run():

@@ -9,7 +9,7 @@ import pytest
 import jcham.cli
 import jcham.policy
 import jcham.scenarios
-from jcham.cli import corpus_path, main
+from jcham.cli import corpus_path, main, make_parser
 from jcham.engine import BudgetExhausted, barb
 from jcham.malware import MalwareSpec, ReplicationMech, TargetRoutine, build_virus
 from jcham.parser import parse
@@ -264,6 +264,45 @@ def test_cli_unwritable_output_file_is_a_usage_error(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     assert "Traceback" not in captured.err
+
+
+def test_cli_detect_trace_without_witness_leaves_an_empty_file(tmp_path, capsys):
+    # an earlier run's trace must not stay behind a verdict with no witness
+    trace = tmp_path / "w.trace"
+    trace.write_text("STEP 0 RULE stale\n")
+    argv = ["detect", "--context", "refined(n=2)", "--process", corpus_path("inert.jc"), "--json", "--trace", str(trace)]
+    assert main(argv) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["outcome"] == "not_vulnerable" and record["witness_path"] is None
+    assert trace.read_text() == ""
+
+
+def test_cli_main_calls_share_the_parser_but_no_state(tmp_path, capsys):
+    net = tmp_path / "n.net"
+    net.write_text("place 0 start\nplace 1 goal\ntrans go pre 0:1 post 1:1\ninit 0:1\ntarget 1:1\n")
+    runs = [
+        ["petri", "cover", "--net", str(net), "--json"],
+        ["detect", "--process", _RED],
+        ["detect", "--context", "refined(n=2)", "--process", corpus_path("inert.jc")],
+        ["scenario", "null.scn", "--json"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    shared = [outcome(argv) for argv in runs]
+    fresh = []
+    for argv in runs:
+        make_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [1, 65, 0, 0]
+    assert shared[2][1].startswith("outcome: not_vulnerable\n")
 
 
 def test_cli_policy_noninfect_without_tests_is_a_usage_error(capsys):
