@@ -22,12 +22,14 @@ Rules first.  In a reflexive CHAM the activated rules persist and only
 messages come and go, so a search meets few rules tuples and many message
 multisets over each.  The rules part of a rules tuple is computed once: its
 indexed names, the stable colouring of those names over the rules alone
-(from their bases), the loose names (those sharing their colour with
-another; the others are fixed), the order of the names over the rules
-alone (colour order, or the component order below when some are loose) and
-the sorted rendering of all rules in that order.  When every name a
-message carries occurs in a rule and is fixed there, the digest renders
-only the messages under that order.  This is what the joint route below
+(from their bases) and the loose names (those sharing their colour with
+another; the others are fixed).  When every name a message carries occurs
+in a rule and is fixed there, the digest renders only the messages, under
+the order of the names over the rules alone (colour order, or the
+component order below when some are loose), after the sorted rendering of
+all rules in that order.  That order and that rendering are built when a
+state of the rules tuple first takes this route, and each message is
+rendered under the order once.  This is what the joint route below
 gives: messages on fixed names split no class of a stable colouring, and
 the components hold only rule items, the same ones at the same indices.
 Otherwise a soup's names are refined jointly over all items, starting from
@@ -46,18 +48,22 @@ Reactions on disjoint messages that create no names commute, so a search
 reaches the same soup along several paths, mostly with the very same rules
 tuple and message counts.  ``engine.search`` (and ``run`` and ``replay``,
 for one trace) therefore hands ``canonicalize`` a memo that lives for that
-one call.  It holds two kinds of entries: the rules part, keyed by the rules
-tuple, and the form, keyed by the rules and the message counts in insertion
-order.  That key keeps the order because the digest is a function of
-exactly that input: once the branch budget trips, the digest can depend on
-item order, and an order-free key could return another order's digest.
+one call.  It holds three kinds of entries: the rules part, keyed by the
+rules tuple; the skeleton of a message, keyed by the message and its count;
+and the form, keyed by the rules and the message counts in insertion order.
+That last key keeps the order because the digest is a function of exactly
+that input: once the branch budget trips, the digest can depend on item
+order, and an order-free key could return another order's digest.  On the
+rules-only route a new state then costs a lookup per message met before,
+one sort and one sha256; the joint route still refines the whole soup.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .engine import ActiveRule, GroundMessage, Soup
@@ -94,24 +100,27 @@ class CanonicalForm:
 def canonicalize(soup: Soup, forms: Optional[dict] = None) -> CanonicalForm:
     """The soup's canonical form.  ``forms`` is a memo kept by the caller for
     one search or trace: it holds the rules part of each rules tuple met,
-    and the form of each soup met, so a soup whose rules and message counts
-    equal, in the same order, those of a soup seen before gets the stored
-    form back, which is the form it would have got computed afresh (see the
-    module docstring)."""
+    the skeleton of each (message, count) met, and the form of each soup
+    met, so a soup whose rules and message counts equal, in the same order,
+    those of a soup seen before gets the stored form back, which is the form
+    it would have got computed afresh (see the module docstring)."""
     if forms is None:
-        return _canonical_form(soup, _rules_part(soup.rules))
+        return _canonical_form(soup, _rules_part(soup.rules), {})
     key = (soup.rules, tuple(soup.messages.items()))
     form = forms.get(key)
     if form is None:
         part = forms.get(soup.rules)
         if part is None:
             part = forms[soup.rules] = _rules_part(soup.rules)
-        form = forms[key] = _canonical_form(soup, part)
+        form = forms[key] = _canonical_form(soup, part, forms)
     return form
 
 
-class _RulesPart(NamedTuple):
-    """What a state's canonical form needs of its rules alone."""
+@dataclass
+class _RulesPart:
+    """What a state's canonical form needs of its rules alone.  The
+    rules-only order, and what is rendered under it, are built when a state
+    first takes the rules-only route."""
 
     names: List[Name]  # the rules' indexed names, sorted
     number: Dict[Name, int]  # each name's position in ``names``
@@ -119,8 +128,25 @@ class _RulesPart(NamedTuple):
     slotted: List[SlotItem]  # the rules with slots, numbered by ``number``
     colors: List[int]  # the stable colouring of ``names`` over the rules alone
     loose: frozenset  # the names that share their colour with another
-    marks: Dict[Name, str]  # each name as ``base%position`` in the rules-only order
-    rendering: str  # the sorted rendering of all rules under ``marks``
+    # each (message, count) whose names the rules fix, rendered under ``marks``
+    rendered: Dict[Tuple[GroundMessage, int], str] = field(default_factory=dict)
+
+    @cached_property
+    def marks(self) -> Dict[Name, str]:
+        """Each name as ``base%position`` in the rules-only order."""
+        # with no loose name this is colour order
+        skeletons = [("rule", f.toks) for f in self.flats if f.slots]
+        order = _component_order(self.slotted, skeletons, self.names, self.colors)
+        return {self.names[i]: f"{self.names[i].base}%{p}" for p, i in enumerate(order)}
+
+    @cached_property
+    def rendering(self) -> str:
+        """The sorted rendering of all rules under ``marks``."""
+        return ";".join(sorted(_render(f.toks, self.marks) for f in self.flats))
+
+    def fixes(self, flat: _Flat) -> bool:
+        """Every name the item carries occurs in a rule and is fixed there."""
+        return all(n in self.number and n not in self.loose for n in flat.slots)
 
 
 def _rules_part(rules: Tuple[ActiveRule, ...]) -> _RulesPart:
@@ -131,21 +157,23 @@ def _rules_part(rules: Tuple[ActiveRule, ...]) -> _RulesPart:
     colors = _refine_fixpoint(slotted, _ranks([n.base for n in names]))
     size = Counter(colors)
     loose = frozenset(n for n, c in zip(names, colors) if size[c] > 1)
-    # with no loose name this is colour order
-    order = _component_order(slotted, [("rule", f.toks) for f in flats if f.slots], names, colors)
-    marks = {names[i]: f"{names[i].base}%{p}" for p, i in enumerate(order)}
-    rendering = ";".join(sorted(_render(f.toks, marks) for f in flats))
-    return _RulesPart(names, number, flats, slotted, colors, loose, marks, rendering)
+    return _RulesPart(names, number, flats, slotted, colors, loose)
 
 
-def _canonical_form(soup: Soup, part: _RulesPart) -> CanonicalForm:
-    msgs = [_message_flat(m, k) for m, k in soup.messages.items()]
-    carried = {n for f in msgs for n in f.slots}
-    outside = _sorted_names(n for n in carried if n not in part.number)
-    if not outside and part.loose.isdisjoint(carried):
+def _canonical_form(soup: Soup, part: _RulesPart, flats: dict) -> CanonicalForm:
+    """``flats`` maps each (message, count) met to its skeleton; a search
+    passes its memo, so each is built once per search."""
+    items = soup.messages.items()
+    rendered = part.rendered
+    new = {mk: _memo_flat(mk, flats) for mk in items if mk not in rendered}
+    if all(part.fixes(f) for f in new.values()):
         # the messages carry only names the rules alone fix: render only them
-        best_s = part.rendering + "//" + ";".join(sorted(_render(f.toks, part.marks) for f in msgs))
+        marks = part.marks
+        rendered.update((mk, _render(f.toks, marks)) for mk, f in new.items())
+        best_s = part.rendering + "//" + ";".join(sorted(rendered[mk] for mk in items))
     else:
+        msgs = [_memo_flat(mk, flats) for mk in items]
+        outside = _sorted_names(n for f in msgs for n in f.slots if n not in part.number)
         best_s = _joint_serialization(part, msgs, outside)
     return CanonicalForm(hashlib.sha256(best_s.encode()).hexdigest(), best_s)
 
@@ -194,8 +222,9 @@ def _sorted_names(names: Iterable[Name]) -> List[Name]:
 # slots is rendered once per call (the rules not at all when the messages
 # carry only fixed names); only the items of a component are rendered
 # per candidate order of that component.  A rule's skeleton is built once
-# and kept on the ActiveRule (rules persist across states); message
-# skeletons carry the multiplicity and are rebuilt.
+# and kept on the ActiveRule (rules persist across states); a message's
+# skeleton carries its multiplicity, and a search's memo keeps one per
+# (message, count) met.
 # Composite structure (parallel parts, nested rules) is ordered by the
 # base-name projection of the part skeletons, which does not depend on the
 # coloring; ties keep their syntactic order.
@@ -372,6 +401,13 @@ def _message_flat(m: GroundMessage, count: int) -> _Flat:
         sk.atom(a, {})
     sk.lit(">")
     return _Flat(sk.toks, _slots(sk.toks), _base_proj(sk.toks))
+
+
+def _memo_flat(item: Tuple[GroundMessage, int], flats: dict) -> _Flat:
+    flat = flats.get(item)
+    if flat is None:
+        flat = flats[item] = _message_flat(*item)
+    return flat
 
 
 def _rule_flat(r: ActiveRule) -> _Flat:

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, List, Optional, Sequence as Seq, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence as Seq, Tuple
 
 from .canon import canonicalize
 from .contexts import Context, defined_bases
 from .desugar import FragmentReport, check_core_fragment, desugar
 from .engine import (
     CUT,
+    ActiveRule,
     BudgetExhausted,
     DetectionStats,
     GroundMessage,
@@ -108,17 +109,18 @@ class _Qualifier:
         self.r_bases = ctx.resources | ctx.dynamic_resource_bases
         self.export_bases = ctx.exports
         self.known = defined_bases(plugged_core) | ctx.services | self.r_bases
-        # id(rules) -> (rules, carriers); holding the tuple keeps its id from
-        # being reused while the entry lives
-        self._carrier_cache: Dict[int, Tuple[tuple, set[Name]]] = {}
+        # for one verdict: the carriers of each rules tuple met, and the
+        # free names of each rule body outside the rule's binders
+        self._carrier_cache: Dict[Tuple[ActiveRule, ...], set[Name]] = {}
+        self._free: Dict[ActiveRule, FrozenSet[Name]] = {}
 
     def _carriers(self, soup: Soup) -> set[Name]:
-        hit = self._carrier_cache.get(id(soup.rules))
-        if hit is not None and hit[0] is soup.rules:
-            return hit[1]
+        carriers = self._carrier_cache.get(soup.rules)
+        if carriers is not None:
+            return carriers
         assert self.self_base is not None
         viral_names: set[Name] = set()
-        carriers: set[Name] = set()
+        carriers = set()
         changed = True
         while changed:
             changed = False
@@ -128,15 +130,20 @@ class _Qualifier:
                 ch = r.heads[0].channel
                 if ch.base == "k" or ch in carriers:
                     continue
-                binders = {b for h in r.heads for b in h.binders}
-                for n in free_names(r.body) - binders:
+                for n in self._free_outside_binders(r):
                     if n.base == self.self_base or n in viral_names:
                         carriers.add(ch)
                         viral_names.add(ch)
                         changed = True
                         break
-        self._carrier_cache[id(soup.rules)] = (soup.rules, carriers)
+        self._carrier_cache[soup.rules] = carriers
         return carriers
+
+    def _free_outside_binders(self, r: ActiveRule) -> FrozenSet[Name]:
+        free = self._free.get(r)
+        if free is None:
+            free = self._free[r] = frozenset(free_names(r.body) - {b for h in r.heads for b in h.binders})
+        return free
 
     def _payload_viral(self, atom: Atom, soup: Soup) -> bool:
         if isinstance(atom, Name):

@@ -284,19 +284,32 @@ def graft(soup: Soup, p: Process) -> Soup:
 # matching and reduction
 
 
-def enabled_redexes(soup: Soup) -> list[Redex]:
+def enabled_redexes(soup: Soup, heads: Optional[dict] = None) -> list[Redex]:
     """Every (rule, message combination) that can react, one redex per
     distinct multiset of matched messages, in a stable order.
 
     The messages are grouped by (channel, arity) once per call, and each
     head reads its group (sorted by ``str`` when first read) instead of
-    scanning the whole soup."""
+    scanning the whole soup.  ``heads`` is a memo kept by the caller for one
+    search or run: it maps each rules tuple met to its head index, the
+    indices of the rules by the (channel, arity) of their first head, so
+    only the rules whose first head has messages are tried.  Without it
+    every rule is tried; the redexes are the same either way."""
     groups: dict[tuple[Name, int], list[GroundMessage]] = {}
     for m in soup.messages:
         groups.setdefault((m.channel, len(m.args)), []).append(m)
+    rules = soup.rules
+    if heads is None:
+        indices: Iterable[int] = range(len(rules))
+    else:
+        index = heads.get(rules)
+        if index is None:
+            index = heads[rules] = _head_index(rules)
+        indices = [i for key in groups for i in index.get(key, ())]
     ready: dict[tuple[Name, int], list[GroundMessage]] = {}
     out: list[Redex] = []
-    for idx, rule in enumerate(soup.rules):
+    for idx in indices:
+        rule = rules[idx]
         candidates: list[list[GroundMessage]] = []
         for head in rule.heads:
             key = (head.channel, len(head.binders))
@@ -314,6 +327,15 @@ def enabled_redexes(soup: Soup) -> list[Redex]:
                 out.append(Redex(idx, rule.label, tuple(combo), tuple(binding)))
     out.sort(key=lambda r: (r.rule_index, str(r)))
     return out
+
+
+def _head_index(rules: tuple[ActiveRule, ...]) -> dict[tuple[Name, int], list[int]]:
+    """The indices of ``rules`` by the (channel, arity) of their first head."""
+    index: dict[tuple[Name, int], list[int]] = {}
+    for i, rule in enumerate(rules):
+        first = rule.heads[0]
+        index.setdefault((first.channel, len(first.binders)), []).append(i)
+    return index
 
 
 def is_inert(soup: Soup) -> bool:
@@ -394,8 +416,9 @@ def run(soup: Soup, seed: int, max_steps: int) -> Trace:
     current = soup.copy()
     trace = Trace(initial=soup.copy(), seed=seed)
     forms: dict = {}  # canonicalize's memo for this run
+    heads: dict = {}  # enabled_redexes' memo for this run
     for _ in range(max_steps):
-        redexes = enabled_redexes(current)
+        redexes = enabled_redexes(current, heads)
         if not redexes:
             break
         choice = rng.choice(redexes)
@@ -480,18 +503,22 @@ def search(
     ``max_states`` (start soups are not counted), raises
     :class:`BudgetExhausted` naming that budget.
 
-    Every soup, at the starts and along each edge, is canonicalized with a
-    memo that lives for this call only: an edge that reaches a soup exactly
-    equal (same rules, same message counts in the same order) to one met
-    before reuses its form, as the closing edge of a diamond of commuting
-    reactions typically does.  Each edge still reaches ``visit`` and is
-    deduplicated as before.
+    Two memos live for this call only.  ``canonicalize``'s holds the rules
+    part of each rules tuple, the skeleton of each (message, count) and the
+    form of each soup met: an edge that reaches a soup exactly equal (same
+    rules, same message counts in the same order) to one met before reuses
+    its form, as the closing edge of a diamond of commuting reactions
+    typically does, and any other soup is built from the skeletons of the
+    messages it shares with those met before.  ``enabled_redexes``' memo
+    holds the head index of each rules tuple.  Each edge still reaches
+    ``visit`` and is deduplicated as before.
     """
     from .canon import canonicalize
 
     stats = stats if stats is not None else DetectionStats()
     tree: dict = {}  # key -> its start soup, or (parent key, step)
     forms: dict = {}  # canonicalize's memo for this search
+    heads: dict = {}  # enabled_redexes' memo for this search
     queue: deque = deque()
     for s in starts:
         key = (canonicalize(s, forms).digest, root_label)
@@ -506,7 +533,7 @@ def search(
             stats.frontier_peak = max(stats.frontier_peak, len(queue) + 1)
         if depth == horizon:
             continue
-        for r in enabled_redexes(soup):
+        for r in enabled_redexes(soup, heads):
             s2, emitted = reduce_with_info(soup, r)
             lab = label(key[1], r, s2, emitted) if label is not None else root_label
             digest = canonicalize(s2, forms).digest

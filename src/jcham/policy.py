@@ -338,8 +338,17 @@ def non_infection_test(
         return NonInfectionVerdict("budget_exhausted", depth, None, [str(e)])
 
 
-def _non_infection(ctx: Context, p: Process, tests: Seq[Process], depth: int, quiescence_budget: int = 600):
-    """``non_infection_test`` with a tripped budget raised, not reported."""
+def _non_infection(
+    ctx: Context,
+    p: Process,
+    tests: Seq[Process],
+    depth: int,
+    quiescence_budget: int = 600,
+    baselines: Optional[dict] = None,
+):
+    """``non_infection_test`` with a tripped budget raised, not reported.
+    ``baselines`` keeps each test's trace set without ``p`` across the calls
+    that share it; those sets do not depend on ``p``."""
     null_soup = inject(ctx.plug(Null()))
     if enabled_redexes(null_soup):
         raise UnstableContext("the environment reacts without any plugged process")
@@ -353,10 +362,13 @@ def _non_infection(ctx: Context, p: Process, tests: Seq[Process], depth: int, qu
 
     from .engine import graft
 
+    baselines = {} if baselines is None else baselines
     for t in tests:
-        baseline = inject(ctx.plug(t))
+        baseline = None if t in baselines else inject(ctx.plug(t))
         mutated = graft(evolved, t)
-        ta = observable_traces(baseline, ctx, depth)
+        if baseline is not None:
+            baselines[t] = observable_traces(baseline, ctx, depth)
+        ta = baselines[t]
         tb = observable_traces(mutated, ctx, depth)
         if ta != tb:
             only_a = tuple(sorted(ta - tb, key=str))[:4]
@@ -496,6 +508,14 @@ def enforcement_sound(ctx_guarded: Context, depth: int = 6) -> bool:
     """True when tokenless probes cannot distinguish the environment from an
     untouched one, i.e. the checks cannot be bypassed without the token.
     Raises :class:`BudgetExhausted` when a comparison runs out of budget."""
+    tests: List[Process] = []  # the reader tests, built on first use
+    baselines: dict = {}  # each test's trace set without a probe, for this call
+
+    def sound_against(probe: Process) -> bool:
+        if not tests:
+            tests.extend(_reader_tests(ctx_guarded))
+        return _non_infection(ctx_guarded, probe, tests, depth, baselines=baselines).satisfied
+
     if ctx_guarded.guard is not None and ctx_guarded.guard.distributor_base:
         dist = ctx_guarded.guard.distributor_base
         if dist in ctx_guarded.services:
@@ -505,13 +525,8 @@ def enforcement_sound(ctx_guarded: Context, depth: int = 6) -> bool:
             if g is not None:
                 dist, g = (atom_source(Name(c), ContextError) for c in (dist, g))
                 acquire = parse(f"let t = {dist}() in {g}(t, probe_val); probe_done<>")
-                verdict = _non_infection(ctx_guarded, acquire, _reader_tests(ctx_guarded), depth)
-                return verdict.satisfied
-    for probe in _probe_battery(ctx_guarded):
-        verdict = _non_infection(ctx_guarded, probe, _reader_tests(ctx_guarded), depth)
-        if not verdict.satisfied:
-            return False
-    return True
+                return sound_against(acquire)
+    return all(sound_against(probe) for probe in _probe_battery(ctx_guarded))
 
 
 def token_leak_free(ctx_guarded: Context, depth: int = 6, max_states: int = 4000) -> bool:

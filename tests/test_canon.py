@@ -480,9 +480,9 @@ def test_memo_closes_a_diamond_without_recomputing(monkeypatch):
     soup = inject(parse("def x<> |> 0 and y<> |> 0 in x<> | y<>"))
     computed, edges = [0], []
 
-    def counted(s, part):
+    def counted(s, part, flats):
         computed[0] += 1
-        return canonical_form(s, part)
+        return canonical_form(s, part, flats)
 
     canonical_form = canon._canonical_form
     monkeypatch.setattr(canon, "_canonical_form", counted)
@@ -500,17 +500,115 @@ def test_memo_closes_a_diamond_without_recomputing(monkeypatch):
 
 
 def test_memo_keys_keep_message_insertion_order():
+    from jcham.canon import _Flat, _RulesPart
+
     x, y = GroundMessage(Name("x", 1)), GroundMessage(Name("y", 2))
     forms: dict = {}
 
-    def stored_forms() -> int:
-        return sum(isinstance(v, CanonicalForm) for v in forms.values())
+    def stored() -> Counter:
+        return Counter(type(v).__name__ for v in forms.values())
 
     first = canonicalize(Soup((), Counter({x: 1, y: 1})), forms)
     second = canonicalize(Soup((), Counter({y: 1, x: 1})), forms)
-    # one rules part for the shared (empty) rules tuple, one form per order
-    assert len(forms) == 3 and stored_forms() == 2 and first == second
-    assert canonicalize(Soup((), Counter({x: 1, y: 1})), forms) is first and len(forms) == 3
+    # one rules part for the shared (empty) rules tuple, one skeleton per
+    # (message, count), one form per order
+    assert stored() == {_RulesPart.__name__: 1, _Flat.__name__: 2, CanonicalForm.__name__: 2} and first == second
+    assert canonicalize(Soup((), Counter({x: 1, y: 1})), forms) is first and len(forms) == 5
+
+
+# -- the per-search memo against the plain calls: skeletons, renderings and
+# head indices kept across the states of one search change nothing
+
+
+def _walk(start: Soup, rng: random.Random, steps: int) -> list:
+    """``start`` and the soups of one seeded random walk from it."""
+    out = [start]
+    for _ in range(steps):
+        rs = enabled_redexes(out[-1])
+        if not rs:
+            break
+        out.append(reduce(out[-1], rng.choice(rs)))
+    return out
+
+
+def _memo_referee_states() -> list:
+    from _gen import fragment_instance
+
+    rng = random.Random(17)
+    states = [s for _ in range(30) for s in _walk(_random_soup(rng), rng, 6)]
+    for _ in range(30):
+        ctx, program, _ = fragment_instance(rng)
+        states += _walk(inject(ctx.plug(program)), rng, 6)
+    states += _viral_states(3)
+    states += [s for start in _viral_states(2)[:4] for s in _walk(start, rng, 8)]
+    return states
+
+
+def test_memoized_matching_and_forms_agree_with_the_plain_calls():
+    from jcham.canon import _Flat
+
+    states = _memo_referee_states()
+    forms, heads = {}, {}
+    for s in states + states[::-1]:
+        assert enabled_redexes(s, heads) == enabled_redexes(s), s.dump()
+        assert canonicalize(s, forms).serialization == canonicalize(s).serialization, s.dump()
+    # one memo served many rules tuples, and messages met over several of them
+    assert len(heads) == len({s.rules for s in states}) > 30
+    assert {k for k, v in forms.items() if isinstance(v, _Flat)} == {mk for s in states for mk in s.messages.items()}
+    tuples_of: dict = {}
+    for s in states:
+        for mk in s.messages.items():
+            tuples_of.setdefault(mk, set()).add(s.rules)
+    assert max(map(len, tuples_of.values())) > 1
+
+
+def test_one_message_over_changing_rules_tuples():
+    # tell<a~1> keeps one skeleton while a~1 is fixed by one rule, loose
+    # between two twins, first or second of two fixed names, and in no rule
+    import jcham.canon as canon
+
+    a1 = Name("a", 1)
+    tell, ping = GroundMessage(Name("tell"), (a1,)), GroundMessage(a1)
+    one = inject(parse("def a<> |> 0 in 0")).rules
+    twins = inject(parse("def a<> |> 0 in (def a<> |> 0 in 0)")).rules
+    pair = inject(parse("def a<> |> 0 in (def a<> |> out<> in 0)")).rules
+    swapped = inject(parse("def a<> |> out<> in (def a<> |> 0 in 0)")).rules
+    tuples = (one, twins, pair, swapped)
+    assert {rules[0].heads[0].channel for rules in tuples} == {a1}
+    soups = [
+        Soup(rules, Counter(counts), [], 3)
+        for rules in tuples + ((),)
+        for counts in ({tell: 1}, {tell: 1, ping: 1}, {ping: 2, tell: 1})
+    ]
+    forms, heads = {}, {}
+    for s in soups + soups[::-1]:
+        assert canonicalize(s, forms).serialization == canonicalize(s).serialization, s.dump()
+        assert enabled_redexes(s, heads) == enabled_redexes(s), s.dump()
+    assert sum(isinstance(v, canon._Flat) for v in forms.values()) == 3
+    # tell<a~1> is rendered under the rules-only order of each tuple that
+    # fixes a~1, as a different position in ``pair`` and ``swapped``
+    rendered = [forms[rules].rendered.get((tell, 1)) for rules in tuples]
+    assert rendered[1] is None and len(set(rendered[2:])) == 2
+
+
+def test_rules_only_order_is_built_when_a_state_first_needs_it(monkeypatch):
+    import jcham.canon as canon
+
+    orders = []
+    component_order = canon._component_order
+    monkeypatch.setattr(canon, "_component_order", lambda *a: orders.append(a) or component_order(*a))
+    # every go<k> carries a loose name: only the joint route runs
+    hub = _hub_soup([_CLUSTER] * 3)
+    canonicalize(hub)
+    assert len(orders) == 1
+    forms: dict = {}
+    canonicalize(hub, forms)
+    assert "marks" not in vars(forms[hub.rules]) and "rendering" not in vars(forms[hub.rules])
+    # a state on the rules' fixed names alone builds the order, once
+    orders.clear()
+    for s in _marked_hub_soups():
+        canonicalize(s, forms)
+    assert len(orders) == 1 and "rendering" in vars(forms[hub.rules])
 
 
 # -- rules first: the rules part of each rules tuple, then the messages

@@ -320,3 +320,29 @@ def test_worm_detection_via_export():
     v = explore(wt, w)
     assert v.vulnerable
     replay(v.witness)
+
+
+def test_equal_rules_tuples_share_one_carrier_entry(monkeypatch):
+    import jcham.detector as detector
+    from jcham.engine import ActiveRule, Soup
+
+    walked = []
+
+    def counted_free_names(p):
+        walked.append(p)
+        return free_names(p)
+
+    free_names = detector.free_names
+    monkeypatch.setattr(detector, "free_names", counted_free_names)
+    soup, _, qual = detector._prepare(refined_context(2), virus("I", "prepend"), None)
+    carriers = qual._carriers(soup)
+    assert carriers and len(walked) == sum(len(r.heads) == 1 and r.heads[0].channel.base != "k" for r in soup.rules)
+    # the same rules, rebuilt: an equal tuple of other objects
+    rebuilt = tuple(ActiveRule(r.heads, r.body) for r in soup.rules)
+    assert rebuilt == soup.rules and rebuilt is not soup.rules
+    assert qual._carriers(Soup(rebuilt)) is carriers and len(qual._carrier_cache) == 1
+    # a longer tuple is a new entry, and walks only its new rule's body
+    walks = len(walked)
+    longer = Soup(soup.rules + (ActiveRule(soup.rules[0].heads, Null()),))
+    assert qual._carriers(longer) == carriers and len(qual._carrier_cache) == 2
+    assert len(walked) == walks + 1

@@ -163,9 +163,9 @@ def test_run_and_replay_keep_one_memo_per_trace(monkeypatch):
         soup = inject(parse(fh.read()))
     computed, parts = [0], [0]
 
-    def counted_form(s, part):
+    def counted_form(s, part, flats):
         computed[0] += 1
-        return canonical_form(s, part)
+        return canonical_form(s, part, flats)
 
     def counted_part(rules):
         parts[0] += 1

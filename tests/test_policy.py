@@ -282,3 +282,23 @@ def test_isolation_implies_noninfection_for_probes():
     probe = parse("let x = ro_read() in peek<x>")
     test = parse("let y = ro_read() in observed<y>")
     assert non_infection_test(ctx, probe, [test], depth=6).satisfied
+
+
+def test_enforcement_sound_computes_each_baseline_once(monkeypatch):
+    from jcham.canon import canonicalize
+
+    counted = tokenize_context(refined_context(2), TokenGuard(mode="counted", count=2, guarded=("sw1", "sw2")))
+    tests = policy._reader_tests(counted)
+    baselines = {canonicalize(inject(counted.plug(t))).digest for t in tests}
+    probes = policy._probe_battery(counted)
+    traced = []
+
+    def recording(soup, ctx, depth, max_paths=20_000):
+        traced.append(canonicalize(soup).digest)
+        return observable_traces(soup, ctx, depth, max_paths)
+
+    monkeypatch.setattr(policy, "observable_traces", recording)
+    assert enforcement_sound(counted)
+    # every probe is compared with every test, against one baseline per test
+    assert len(tests) == 2 and len(probes) == 4 and len(traced) == len(tests) * (1 + len(probes))
+    assert sorted(d for d in traced if d in baselines) == sorted(baselines)
