@@ -64,7 +64,7 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .engine import ActiveRule, GroundMessage, Soup
 from .syntax import (
@@ -75,6 +75,7 @@ from .syntax import (
     Lit,
     LocalDef,
     Message,
+    MsgPat,
     Name,
     NameRef,
     Null,
@@ -84,7 +85,6 @@ from .syntax import (
     Proj,
     parallel_parts,
     pattern_atoms,
-    pretty,
     rules_of,
 )
 
@@ -270,38 +270,31 @@ class _Skel:
         else:
             self.toks.append(n)
 
-    def atom(self, a: Atom, local: Dict[Name, str]) -> None:
-        if isinstance(a, Name):
-            self.name(a, local)
-        elif isinstance(a, Pair):
-            self.lit("(")
-            self.atom(a.first, local)
-            self.lit(".")
-            self.atom(a.second, local)
-            self.lit(")")
-        elif isinstance(a, str):
-            self.lit(f'"{a}"')
-        else:
-            self.lit(str(a))
-
-    def expr(self, e: Expression, local: Dict[Name, str]) -> None:
-        match e:
+    def value(self, v: Union[Atom, Expression], local: Dict[Name, str]) -> None:
+        """A runtime atom or an atom expression: the two are written alike."""
+        match v:
+            case Name():
+                self.name(v, local)
             case NameRef(n):
                 self.name(n, local)
-            case Lit(v):
-                self.lit(f'"{v}"' if isinstance(v, str) else str(v))
-            case Concat(l, r):
+            case Pair(l, r) | Concat(l, r):
                 self.lit("(")
-                self.expr(l, local)
+                self.value(l, local)
                 self.lit(".")
-                self.expr(r, local)
+                self.value(r, local)
                 self.lit(")")
+            case Lit(a):
+                self.value(a, local)
+            case str():
+                self.lit(f'"{v}"')
+            case int():
+                self.lit(str(v))
             case Proj(inner, i):
                 self.lit(f"pi{i}(")
-                self.expr(inner, local)
+                self.value(inner, local)
                 self.lit(")")
             case _:
-                self.lit("enriched{" + pretty(e) + "}")
+                raise TypeError(f"not a core value: {v!r}")
 
     def process(self, p: Process, local: Dict[Name, str]) -> None:
         match p:
@@ -326,7 +319,7 @@ class _Skel:
                 for i, a in enumerate(args):
                     if i:
                         self.lit(",")
-                    self.expr(a, local)
+                    self.value(a, local)
                 self.lit(">")
             case LocalDef(d, body):
                 inner = dict(local)
@@ -336,18 +329,8 @@ class _Skel:
                             inner[h.channel] = f"!{len(inner)}"
                 rule_skels = []
                 for r in rules_of(d):
-                    rb = dict(inner)
-                    for h in pattern_atoms(r.pattern):
-                        for b in h.binders:
-                            rb[b] = f"!{len(rb)}"
                     sub = _Skel()
-                    for j, h in enumerate(pattern_atoms(r.pattern)):
-                        if j:
-                            sub.lit(",")
-                        sub.name(h.channel, inner)
-                        sub.lit("(" + ",".join(rb[b] for b in h.binders) + ")")
-                    sub.lit("=>")
-                    sub.process(r.body, rb)
+                    sub.rule(pattern_atoms(r.pattern), r.body, inner)
                     rule_skels.append(sub.toks)
                 rule_skels.sort(key=_base_proj)
                 self.lit("def[")
@@ -359,29 +342,32 @@ class _Skel:
                 self.process(body, inner)
             case Conditional(a, b, t, o):
                 self.lit("if(")
-                self.expr(a, local)
+                self.value(a, local)
                 self.lit("=")
-                self.expr(b, local)
+                self.value(b, local)
                 self.lit("){")
                 self.process(t, local)
                 self.lit("}{")
                 self.process(o, local)
                 self.lit("}")
             case _:
-                self.lit("enriched{" + pretty(p) + "}")
+                raise TypeError(f"not a core process: {p!r}")
 
-    def rule(self, r: ActiveRule) -> None:
-        local: Dict[Name, str] = {}
-        for h in r.heads:
+    def rule(self, heads: Sequence[MsgPat], body: Process, local: Dict[Name, str]) -> None:
+        """An activated rule (``local`` empty) or a rule of a nested ``def``
+        (``local`` naming the channels it defines): the binders are local
+        to the rule."""
+        bound = dict(local)
+        for h in heads:
             for b in h.binders:
-                local[b] = f"!{len(local)}"
-        for j, h in enumerate(r.heads):
+                bound[b] = f"!{len(bound)}"
+        for j, h in enumerate(heads):
             if j:
                 self.lit(",")
-            self.name(h.channel, {})
-            self.lit("(" + ",".join(local[b] for b in h.binders) + ")")
+            self.name(h.channel, local)
+            self.lit("(" + ",".join(bound[b] for b in h.binders) + ")")
         self.lit("=>")
-        self.process(r.body, local)
+        self.process(body, bound)
 
 
 class _Flat(NamedTuple):
@@ -398,7 +384,7 @@ def _message_flat(m: GroundMessage, count: int) -> _Flat:
     for i, a in enumerate(m.args):
         if i:
             sk.lit(",")
-        sk.atom(a, {})
+        sk.value(a, {})
     sk.lit(">")
     return _Flat(sk.toks, _slots(sk.toks), _base_proj(sk.toks))
 
@@ -413,7 +399,7 @@ def _memo_flat(item: Tuple[GroundMessage, int], flats: dict) -> _Flat:
 def _rule_flat(r: ActiveRule) -> _Flat:
     if r.canon_skeleton is None:
         sk = _Skel()
-        sk.rule(r)
+        sk.rule(r.heads, r.body, {})
         toks = tuple(sk.toks)
         object.__setattr__(r, "canon_skeleton", _Flat(toks, _slots(toks), _base_proj(toks)))
     return r.canon_skeleton

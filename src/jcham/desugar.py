@@ -41,7 +41,6 @@ from .syntax import (
     NameRef,
     Null,
     Parallel,
-    PatJoin,
     Process,
     Proj,
     Return,
@@ -53,6 +52,7 @@ from .syntax import (
     conj_of,
     def_dv,
     is_atom_expr,
+    join_of,
     pattern_atoms,
     rules_of,
 )
@@ -87,7 +87,12 @@ class _Renv:
 
 
 def desugar(p: Process) -> Process:
-    """Compile ``p`` to the core; identity on programs already in the core."""
+    """Compile ``p`` to the core; identity on programs already in the core.
+
+    This is the one boundary between sugar and core: nothing below it
+    (``substitute``, ``heat``, ``canon``) has a case for synchronous calls,
+    ``let``, ``;``, ``return`` or call patterns, and ``substitute`` raises
+    ``TypeError`` on them."""
     gen = FreshNames(_max_index(p))
     return _proc(p, _Renv(), gen)
 
@@ -97,26 +102,20 @@ def _defs(d: Definition, renv: _Renv, gen: FreshNames) -> Definition:
 
 
 def _rule(r: Rule, renv: _Renv, gen: FreshNames) -> Rule:
-    atoms = pattern_atoms(r.pattern)
     replies: dict[Name, Name] = {}
-    new_atoms = []
-    for a in atoms:
+    atoms = []
+    for a in pattern_atoms(r.pattern):
         if isinstance(a, CallPat):
-            k = gen.fresh("k")
-            replies[a.channel] = k
-            new_atoms.append(MsgPat(a.channel, a.binders + (k,)))
-        else:
-            new_atoms.append(a)
-    pattern = new_atoms[0]
-    for a in new_atoms[1:]:
-        pattern = PatJoin(pattern, a)
+            replies[a.channel] = k = gen.fresh("k")
+            a = MsgPat(a.channel, a.binders + (k,))
+        atoms.append(a)
     inner = renv.extend(replies)
     body = _proc(r.body, inner, gen)
     # auto-acknowledge call patterns the body never replies to
     for ch, k in replies.items():
         if k not in inner.used:
             body = Parallel(body, Message(k, ()))
-    return Rule(pattern, body)
+    return Rule(join_of(atoms), body)
 
 
 def _proc(p: Process, renv: _Renv, gen: FreshNames) -> Process:

@@ -265,18 +265,20 @@ def inject_message(soup: Soup, channel: Name, args: Iterable[Atom] = ()) -> Soup
 
 
 def graft(soup: Soup, p: Process) -> Soup:
-    """Heat a process into a copy of ``soup``, binding its free names to the
-    soup's activated channels of the same base first - the process behaves
-    as if it had been part of the original program's hole."""
-    mapping: dict[Name, Name] = {}
-    for n in free_names(p):
+    """Heat a process into a copy of ``soup``, binding each free name to the
+    soup's activated channel of the same base, when there is exactly one -
+    the process behaves as if it had been part of the original program's
+    hole.  ``p`` is desugared first, so the substitution sees core terms
+    only (``substitute`` raises ``TypeError`` on sugar)."""
+    core = desugar(p)
+    mapping: dict[Name, Atom] = {}
+    for n in free_names(core):
         if n.index is None:
             built = soup.channels(n.base)
             if len(built) == 1:
                 mapping[n] = built[0]
-    bound = substitute(p, mapping) if mapping else p  # type: ignore[arg-type]
     out = soup.copy()
-    heat(out, desugar(bound))  # type: ignore[arg-type]
+    heat(out, substitute(core, mapping))  # type: ignore[arg-type]
     return out
 
 

@@ -46,7 +46,6 @@ from .syntax import (
     Null,
     Pair,
     Parallel,
-    PatJoin,
     Process,
     Proj,
     Rule,
@@ -55,6 +54,7 @@ from .syntax import (
     conj_of,
     cons_list,
     free_names,
+    join_of,
     pattern_atoms,
     rules_of,
     subterms,
@@ -410,15 +410,7 @@ def tokenize_context(ctx: Context, guard: TokenGuard) -> Context:
         target = next((h for h in heads if h.channel.base in guard.guarded), None)
         if target is None:
             return rule
-        new_heads: List = []
-        for h in heads:
-            if h is target:
-                if isinstance(h, CallPat):
-                    new_heads.append(CallPat(h.channel, (tk,) + h.binders))
-                else:
-                    new_heads.append(MsgPat(h.channel, (tk,) + h.binders))
-            else:
-                new_heads.append(h)
+        new_heads: List = [type(h)(h.channel, (tk,) + h.binders) if h is target else h for h in heads]
         restore_parts: List[Process] = [
             Message(h.channel, tuple(NameRef(b) for b in h.binders)) for h in heads if h is not target
         ]
@@ -437,10 +429,7 @@ def tokenize_context(ctx: Context, guard: TokenGuard) -> Context:
         else:
             granted = rule.body
             denied = restore
-        pattern = new_heads[0]
-        for h in new_heads[1:]:
-            pattern = PatJoin(pattern, h)
-        return Rule(pattern, Conditional(NameRef(tk), NameRef(tok), granted, denied))
+        return Rule(join_of(new_heads), Conditional(NameRef(tk), NameRef(tok), granted, denied))
 
     rules = [guard_rule(r) for r in _top_rules(ctx)]
     rules.append(parse_definition(f"{atom_source(tok, ContextError)}<> |> 0"))

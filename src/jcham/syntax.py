@@ -187,6 +187,14 @@ def pattern_atoms(j: JoinPattern) -> list[Union[MsgPat, CallPat]]:
             return [j]
 
 
+def join_of(atoms: list[Union[MsgPat, CallPat]]) -> JoinPattern:
+    """The left-nested join of ``atoms``, the shape the parser builds."""
+    j: JoinPattern = atoms[0]
+    for a in atoms[1:]:
+        j = PatJoin(j, a)
+    return j
+
+
 # ---------------------------------------------------------------------------
 # definitions
 
@@ -519,10 +527,12 @@ def _atom_names(a: Atom) -> Iterator[Name]:
 def substitute(term: Term, mapping: dict[Name, Atom]) -> Term:
     """Replace free occurrences of the mapping keys, avoiding capture.
 
-    Values may be names, literals or pairs.  Binders that would capture a
-    free name of a substituted value are renamed to fresh indexed names.
-    A mapping that puts a non-name atom in channel position raises
-    :class:`SubstitutionError`.
+    ``term`` must be a core term (see ``desugar``): a synchronous call,
+    expression-level ``def``, sequence, ``let``, ``return`` or bare join
+    pattern raises :class:`TypeError`.  Values may be names, literals or
+    pairs.  Binders that would capture a free name of a substituted value
+    are renamed to fresh indexed names.  A mapping that puts a non-name
+    atom in channel position raises :class:`SubstitutionError`.
     """
     if not mapping:
         return term
@@ -563,31 +573,16 @@ def _rename_binders(binders: tuple[Name, ...], mapping: dict[Name, Atom], ctr: F
 
 def _subst(term: Term, mapping: dict[Name, Atom], ctr: FreshNames) -> Term:
     match term:
-        case Message(ch, args) | SyncCall(ch, args):
-            return type(term)(_subst_channel(ch, mapping), tuple(_subst(a, mapping, ctr) for a in args))
+        case Message(ch, args):
+            return Message(_subst_channel(ch, mapping), tuple(_subst(a, mapping, ctr) for a in args))
         case NameRef(n):
             return embed_atom(mapping[n]) if n in mapping else term
-        case LocalDef(d, p) | ExprDef(d, p):
-            return type(term)(*_subst_scope(d, p, mapping, ctr))
+        case LocalDef(d, p):
+            return LocalDef(*_subst_scope(d, p, mapping, ctr))
         case Parallel(l, r):
             return Parallel(_subst(l, mapping, ctr), _subst(r, mapping, ctr))
         case Null() | Top() | Hole() | Lit():
             return term
-        case Sequence(e, p):
-            return Sequence(_subst(e, mapping, ctr), _subst(p, mapping, ctr))
-        case Let(xs, e, p):
-            e2 = _subst(e, mapping, ctr)
-            inner = _narrow(mapping, set(xs))
-            ren = _rename_binders(xs, inner, ctr)
-            if ren:
-                p = _subst(p, ren, ctr)
-                xs = tuple(ren.get(x, x) for x in xs)  # type: ignore[misc]
-            return Let(xs, e2, _subst(p, inner, ctr) if inner else p)
-        case Return(vals, to):
-            return Return(
-                tuple(_subst(v, mapping, ctr) for v in vals),
-                _subst_channel(to, mapping),
-            )
         case Conditional(a, b, t, o):
             return Conditional(
                 _subst(a, mapping, ctr),
@@ -597,27 +592,30 @@ def _subst(term: Term, mapping: dict[Name, Atom], ctr: FreshNames) -> Term:
             )
         case Rule(j, p):
             # pattern channels behave as free occurrences of a bare rule;
-            # received names are binders scoping the body
-            binders = tuple(b for a in pattern_atoms(j) for b in a.binders)
+            # received names are binders scoping the body.  Each head keeps
+            # its own type, so a call pattern left undesugared still reaches
+            # ``heat``, which rejects it.
+            heads = pattern_atoms(j)
+            binders = tuple(b for a in heads for b in a.binders)
             inner = _narrow(mapping, set(binders))
             ren = _rename_binders(binders, inner, ctr)
             if ren:
-                j = _rename_pattern_binders(j, ren)
                 p = _subst(p, ren, ctr)
-            j2 = _subst_pattern_channels(j, inner)
-            return Rule(j2, _subst(p, inner, ctr) if inner else p)
+            j = join_of([
+                type(a)(_subst_channel(a.channel, inner), tuple(ren.get(b, b) for b in a.binders))  # type: ignore[misc]
+                for a in heads
+            ])
+            return Rule(j, _subst(p, inner, ctr) if inner else p)
         case Conj(l, r):
             return Conj(_subst(l, mapping, ctr), _subst(r, mapping, ctr))
-        case MsgPat() | CallPat() | PatJoin():
-            return _subst_pattern_channels(term, mapping)
         case Concat(l, r):
             return Concat(_subst(l, mapping, ctr), _subst(r, mapping, ctr))
         case Proj(inner, i):
             return Proj(_subst(inner, mapping, ctr), i)
-    raise TypeError(f"not a term: {term!r}")
+    raise TypeError(f"not a core term: {term!r}")
 
 
-def _subst_scope(d: Definition, body, mapping: dict[Name, Atom], ctr: FreshNames):
+def _subst_scope(d: Definition, body: Process, mapping: dict[Name, Atom], ctr: FreshNames):
     """Handle a def scope: dv(d) binds inside rule bodies and the body."""
     channels = tuple(a.channel for r in rules_of(d) for a in pattern_atoms(r.pattern))
     inner = _narrow(mapping, set(channels))
@@ -628,28 +626,6 @@ def _subst_scope(d: Definition, body, mapping: dict[Name, Atom], ctr: FreshNames
     if not inner:
         return d, body
     return _subst(d, inner, ctr), _subst(body, inner, ctr)
-
-
-def _subst_pattern_channels(j: JoinPattern, mapping: dict[Name, Atom]) -> JoinPattern:
-    match j:
-        case MsgPat(ch, binders):
-            return MsgPat(_subst_channel(ch, mapping), binders)
-        case CallPat(ch, binders):
-            return CallPat(_subst_channel(ch, mapping), binders)
-        case PatJoin(l, r):
-            return PatJoin(_subst_pattern_channels(l, mapping), _subst_pattern_channels(r, mapping))
-    raise TypeError(j)
-
-
-def _rename_pattern_binders(j: JoinPattern, ren: dict[Name, Atom]) -> JoinPattern:
-    match j:
-        case MsgPat(ch, binders):
-            return MsgPat(ch, tuple(ren.get(b, b) for b in binders))  # type: ignore[misc]
-        case CallPat(ch, binders):
-            return CallPat(ch, tuple(ren.get(b, b) for b in binders))  # type: ignore[misc]
-        case PatJoin(l, r):
-            return PatJoin(_rename_pattern_binders(l, ren), _rename_pattern_binders(r, ren))
-    raise TypeError(j)
 
 
 # ---------------------------------------------------------------------------

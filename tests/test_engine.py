@@ -4,12 +4,17 @@ from itertools import combinations
 import pytest
 
 from jcham.canon import canonicalize
+from jcham.contexts import refined_context
 from jcham.engine import (
     BudgetExhausted,
     GroundMessage,
+    ModelError,
+    Soup,
     StaleRedex,
     barb,
     enabled_redexes,
+    graft,
+    heat,
     inject,
     inject_message,
     is_inert,
@@ -20,7 +25,7 @@ from jcham.engine import (
     valued_reaction,
 )
 from jcham.parser import parse
-from jcham.syntax import Name
+from jcham.syntax import Name, Null
 
 
 def bases(soup):
@@ -266,3 +271,28 @@ def test_inject_message_copies():
     assert s.message_count() == 0
     assert s2.message_count() == 1
     assert enabled_redexes(s2)
+
+
+def test_heat_rejects_a_call_pattern_left_undesugared():
+    # substitution keeps each head's own type, so the call pattern reaches
+    # the check in ``heat`` instead of passing as a message pattern
+    with pytest.raises(ModelError, match="call pattern survived desugaring"):
+        heat(Soup(), parse("def x(u) |> 0 in 0"))
+
+
+def test_graft_binds_a_free_name_to_its_one_activation():
+    soup = inject(refined_context(2).plug(Null()))
+    before = soup.copy()
+    grafted = graft(soup, parse("let x = sr1() in observed<x>"))
+    assert soup == before
+    # the desugared call is one reply rule plus one message on sr1's activation
+    assert grafted.rules[:-1] == soup.rules
+    reply = grafted.rules[-1].heads[0].channel
+    assert grafted.messages - soup.messages == {GroundMessage(soup.channel("sr1"), (reply,)): 1}
+
+
+def test_graft_leaves_a_name_with_two_activations_free():
+    soup = inject(parse("(def c<> |> 0 in 0) | (def c<> |> 0 in 0)"))
+    assert len(soup.channels("c")) == 2
+    grafted = graft(soup, parse("c<> | e<>"))
+    assert [str(m) for m in grafted.message_list()] == ["c<>", "e<>"]

@@ -12,7 +12,9 @@ from jcham.syntax import (
     CallPat,
     Concat,
     Conditional,
+    ExprDef,
     Expression,
+    Let,
     Lit,
     LocalDef,
     Message,
@@ -29,6 +31,7 @@ from jcham.syntax import (
     Rule,
     Sequence,
     SyncCall,
+    Top,
     embed_atom,
     free_names,
     name_sets,
@@ -165,6 +168,27 @@ def test_fresh_floor_renaming_does_not_depend_on_the_hash_seed(seed):
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+_A, _F = Name("a"), Name("f")
+_CALL = SyncCall(_F, (NameRef(_A),))
+_SUGAR = {
+    "call": _CALL,
+    "expression def": ExprDef(Top(), NameRef(_A)),
+    "sequence": Sequence(_CALL, Null()),
+    "let": Let((Name("x"),), _CALL, Message(Name("out"), (NameRef(Name("x")),))),
+    "return": Return((NameRef(_A),), _F),
+    "call pattern": CallPat(_F, (Name("u"),)),
+    "call in a message": Message(Name("out"), (_CALL,)),
+    "let in a rule body": parse("def g<u> |> (let x = f(a) in out<x>) in 0"),
+}
+
+
+@pytest.mark.parametrize("term", _SUGAR.values(), ids=_SUGAR.keys())
+def test_substitute_refuses_sugar(term):
+    # substitution runs below ``desugar``: it takes core terms only
+    with pytest.raises(TypeError, match="not a core term"):
+        substitute(term, {_A: Name("b"), _F: Name("h")})
 
 
 def test_substitute_pair_values():
