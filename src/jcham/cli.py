@@ -236,7 +236,11 @@ def cmd_policy(args) -> int:
             print(text, end="")
         return EXIT_OK
     if args.policy_cmd == "enforce":
-        sound = enforcement_sound(ctx, depth=args.depth)
+        try:
+            sound = enforcement_sound(ctx, depth=args.depth)
+        except (UnstableContext, InfectingTest, ValueError) as e:
+            print(str(e), file=sys.stderr)
+            return EXIT_USAGE
         print(f"enforcement_sound: {sound}")
         return EXIT_OK if sound else EXIT_VULNERABLE
     raise SystemExit(EXIT_USAGE)

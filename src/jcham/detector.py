@@ -485,10 +485,10 @@ def _replay(gs: GroundSystem, transition_seq: List[int]) -> Trace:
     """Fire the witness transitions in the machine to get a replayable trace."""
     soup = gs.soup.copy()
     steps: List[TraceStep] = []
-    forms: dict = {}  # canonicalize's memo for this trace
+    memo: dict = {}  # canonicalize's memo for this trace
     for ti in transition_seq:
         gr = gs.rules[ti]
         redex = Redex(gr.rule_index, soup.rules[gr.rule_index].label, gr.guard, gr.binding)
         soup, emitted = reduce_with_info(soup, redex)
-        steps.append(TraceStep(redex.label, redex, emitted, canonicalize(soup, forms).digest[:16]))
+        steps.append(TraceStep(redex.label, redex, emitted, canonicalize(soup, memo).digest[:16]))
     return Trace(initial=gs.soup.copy(), seed=0, steps=steps)

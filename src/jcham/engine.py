@@ -292,25 +292,22 @@ def enabled_redexes(soup: Soup, heads: Optional[dict] = None) -> list[Redex]:
 
     The messages are grouped by (channel, arity) once per call, and each
     head reads its group (sorted by ``str`` when first read) instead of
-    scanning the whole soup.  ``heads`` is a memo kept by the caller for one
-    search or run: it maps each rules tuple met to its head index, the
-    indices of the rules by the (channel, arity) of their first head, so
-    only the rules whose first head has messages are tried.  Without it
-    every rule is tried; the redexes are the same either way."""
+    scanning the whole soup.  Only the rules whose first head has messages
+    are tried, found through the head index of the rules tuple: the indices
+    of the rules by the (channel, arity) of their first head.  ``heads`` is
+    a memo kept by the caller for one search or run that maps each rules
+    tuple met to its head index; without it the index is built afresh."""
     groups: dict[tuple[Name, int], list[GroundMessage]] = {}
     for m in soup.messages:
         groups.setdefault((m.channel, len(m.args)), []).append(m)
     rules = soup.rules
-    if heads is None:
-        indices: Iterable[int] = range(len(rules))
-    else:
-        index = heads.get(rules)
-        if index is None:
-            index = heads[rules] = _head_index(rules)
-        indices = [i for key in groups for i in index.get(key, ())]
+    heads = {} if heads is None else heads
+    index = heads.get(rules)
+    if index is None:
+        index = heads[rules] = _head_index(rules)
     ready: dict[tuple[Name, int], list[GroundMessage]] = {}
     out: list[Redex] = []
-    for idx in indices:
+    for idx in [i for key in groups for i in index.get(key, ())]:
         rule = rules[idx]
         candidates: list[list[GroundMessage]] = []
         for head in rule.heads:
@@ -400,10 +397,10 @@ def replay(trace: Trace) -> Soup:
     from .canon import canonicalize
 
     current = trace.initial.copy()
-    forms: dict = {}  # canonicalize's memo for this trace
+    memo: dict = {}  # canonicalize's memo for this trace
     for step in trace.steps:
         current, _ = reduce_with_info(current, step.redex)
-        got = canonicalize(current, forms).digest[: len(step.digest)]
+        got = canonicalize(current, memo).digest[: len(step.digest)]
         if got != step.digest:
             raise StaleRedex(f"replay diverged: {got} != {step.digest}")
     return current
@@ -417,7 +414,7 @@ def run(soup: Soup, seed: int, max_steps: int) -> Trace:
     rng = random.Random(seed)
     current = soup.copy()
     trace = Trace(initial=soup.copy(), seed=seed)
-    forms: dict = {}  # canonicalize's memo for this run
+    memo: dict = {}  # canonicalize's memo for this run
     heads: dict = {}  # enabled_redexes' memo for this run
     for _ in range(max_steps):
         redexes = enabled_redexes(current, heads)
@@ -425,7 +422,7 @@ def run(soup: Soup, seed: int, max_steps: int) -> Trace:
             break
         choice = rng.choice(redexes)
         current, emitted = reduce_with_info(current, choice)
-        trace.steps.append(TraceStep(choice.label, choice, emitted, canonicalize(current, forms).digest[:16]))
+        trace.steps.append(TraceStep(choice.label, choice, emitted, canonicalize(current, memo).digest[:16]))
     trace.final = current
     return trace
 
@@ -506,24 +503,20 @@ def search(
     :class:`BudgetExhausted` naming that budget.
 
     Two memos live for this call only.  ``canonicalize``'s holds the rules
-    part of each rules tuple, the skeleton of each (message, count) and the
-    form of each soup met: an edge that reaches a soup exactly equal (same
-    rules, same message counts in the same order) to one met before reuses
-    its form, as the closing edge of a diamond of commuting reactions
-    typically does, and any other soup is built from the skeletons of the
-    messages it shares with those met before.  ``enabled_redexes``' memo
-    holds the head index of each rules tuple.  Each edge still reaches
-    ``visit`` and is deduplicated as before.
+    part of each rules tuple and the skeleton of each (message, count) met,
+    so a state's form is built from the skeletons of the messages it shares
+    with the states met before.  ``enabled_redexes``' memo holds the head
+    index of each rules tuple.  Neither changes a digest or a redex.
     """
     from .canon import canonicalize
 
     stats = stats if stats is not None else DetectionStats()
     tree: dict = {}  # key -> its start soup, or (parent key, step)
-    forms: dict = {}  # canonicalize's memo for this search
+    memo: dict = {}  # canonicalize's memo for this search
     heads: dict = {}  # enabled_redexes' memo for this search
     queue: deque = deque()
     for s in starts:
-        key = (canonicalize(s, forms).digest, root_label)
+        key = (canonicalize(s, memo).digest, root_label)
         if key not in tree:
             tree[key] = s
             queue.append((key, s, 0))
@@ -538,7 +531,7 @@ def search(
         for r in enabled_redexes(soup, heads):
             s2, emitted = reduce_with_info(soup, r)
             lab = label(key[1], r, s2, emitted) if label is not None else root_label
-            digest = canonicalize(s2, forms).digest
+            digest = canonicalize(s2, memo).digest
             edge = Edge(s2, TraceStep(r.label, r, emitted, digest[:16]), lab, key, tree)
             answer = visit(edge) if visit is not None else None
             if answer is CUT:

@@ -496,26 +496,25 @@ def _reader_tests(ctx: Context) -> List[Process]:
 def enforcement_sound(ctx_guarded: Context, depth: int = 6) -> bool:
     """True when tokenless probes cannot distinguish the environment from an
     untouched one, i.e. the checks cannot be bypassed without the token.
-    Raises :class:`BudgetExhausted` when a comparison runs out of budget."""
-    tests: List[Process] = []  # the reader tests, built on first use
+    Raises :class:`BudgetExhausted` when a comparison runs out of budget,
+    and ``ValueError`` when there is no probe (no guarded channel and no
+    write-access resource): ``True`` would then hold vacuously."""
+    tests = _reader_tests(ctx_guarded)
     baselines: dict = {}  # each test's trace set without a probe, for this call
 
     def sound_against(probe: Process) -> bool:
-        if not tests:
-            tests.extend(_reader_tests(ctx_guarded))
         return _non_infection(ctx_guarded, probe, tests, depth, baselines=baselines).satisfied
 
-    if ctx_guarded.guard is not None and ctx_guarded.guard.distributor_base:
-        dist = ctx_guarded.guard.distributor_base
-        if dist in ctx_guarded.services:
-            # a published distributor defeats the point: an acquiring probe
-            # gets the token and writes
-            g = ctx_guarded.guard.guarded[0] if ctx_guarded.guard.guarded else None
-            if g is not None:
-                dist, g = (atom_source(Name(c), ContextError) for c in (dist, g))
-                acquire = parse(f"let t = {dist}() in {g}(t, probe_val); probe_done<>")
-                return sound_against(acquire)
-    return all(sound_against(probe) for probe in _probe_battery(ctx_guarded))
+    guard = ctx_guarded.guard
+    if guard is not None and guard.distributor_base in ctx_guarded.services and guard.guarded:
+        # a published distributor defeats the point: an acquiring probe gets
+        # the token and writes
+        dist, g = (atom_source(Name(c), ContextError) for c in (guard.distributor_base, guard.guarded[0]))
+        return sound_against(parse(f"let t = {dist}() in {g}(t, probe_val); probe_done<>"))
+    probes = _probe_battery(ctx_guarded)
+    if not probes:
+        raise ValueError("no probe: the context has no guarded channel and no write-access resource")
+    return all(sound_against(probe) for probe in probes)
 
 
 def token_leak_free(ctx_guarded: Context, depth: int = 6, max_states: int = 4000) -> bool:

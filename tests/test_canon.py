@@ -3,7 +3,7 @@ import random
 from collections import Counter
 from itertools import permutations
 
-from jcham.canon import CanonicalForm, _message_flat, _render, _rule_flat, canonicalize, congruent
+from jcham.canon import _message_flat, _render, _rule_flat, canonicalize, congruent
 from jcham.engine import ActiveRule, GroundMessage, Soup, enabled_redexes, inject, reduce
 from jcham.parser import parse
 from jcham.syntax import Name
@@ -404,7 +404,7 @@ def test_viral_component_searches_stay_within_budget(monkeypatch):
     assert tripped
 
 
-# -- the per-search memo: an exactly equal soup gets the stored form back
+# -- the per-search memo: rules parts and message skeletons, never a form
 
 
 def _checked_memo(monkeypatch) -> list:
@@ -473,47 +473,41 @@ def test_memo_is_exact_where_the_branch_budget_trips(monkeypatch):
     assert tripped[0] > 0 and hits[0] > 0
 
 
-def test_memo_closes_a_diamond_without_recomputing(monkeypatch):
+def test_memo_closes_a_diamond_with_one_rules_part(monkeypatch):
     import jcham.canon as canon
     from jcham.engine import DetectionStats, search
 
     soup = inject(parse("def x<> |> 0 and y<> |> 0 in x<> | y<>"))
-    computed, edges = [0], []
-
-    def counted(s, part, flats):
-        computed[0] += 1
-        return canonical_form(s, part, flats)
-
-    canonical_form = canon._canonical_form
-    monkeypatch.setattr(canon, "_canonical_form", counted)
+    built, edges = [], []
+    rules_part = canon._rules_part
+    monkeypatch.setattr(canon, "_rules_part", lambda rules: built.append(rules) or rules_part(rules))
     memoized = DetectionStats()
     assert search([soup], 10, stats=memoized, visit=edges.append) is None
     # x then y and y then x both reach the soup with no messages left
     assert len(edges) == 4 and edges[2].soup.messages == edges[3].soup.messages == Counter()
-    assert computed[0] == len(edges) + 1 - 1
+    assert len(built) == 1
 
     original = canon.canonicalize
-    monkeypatch.setattr(canon, "canonicalize", lambda s, forms=None: original(s))
-    unmemoized = DetectionStats()
-    search([soup], 10, stats=unmemoized)
+    monkeypatch.setattr(canon, "canonicalize", lambda s, memo=None: original(s))
+    unmemoized, plain_edges = DetectionStats(), []
+    search([soup], 10, stats=unmemoized, visit=plain_edges.append)
     assert (memoized.states_explored, memoized.dedup_hits) == (unmemoized.states_explored, unmemoized.dedup_hits) == (3, 1)
+    assert [e.step.digest for e in edges] == [e.step.digest for e in plain_edges]
+    # without the memo the start soup and every edge build the rules part
+    assert len(built) == 1 + 1 + len(edges)
 
 
-def test_memo_keys_keep_message_insertion_order():
+def test_memo_holds_rules_parts_and_skeletons_only():
     from jcham.canon import _Flat, _RulesPart
 
     x, y = GroundMessage(Name("x", 1)), GroundMessage(Name("y", 2))
-    forms: dict = {}
-
-    def stored() -> Counter:
-        return Counter(type(v).__name__ for v in forms.values())
-
-    first = canonicalize(Soup((), Counter({x: 1, y: 1})), forms)
-    second = canonicalize(Soup((), Counter({y: 1, x: 1})), forms)
-    # one rules part for the shared (empty) rules tuple, one skeleton per
-    # (message, count), one form per order
-    assert stored() == {_RulesPart.__name__: 1, _Flat.__name__: 2, CanonicalForm.__name__: 2} and first == second
-    assert canonicalize(Soup((), Counter({x: 1, y: 1})), forms) is first and len(forms) == 5
+    memo: dict = {}
+    first = canonicalize(Soup((), Counter({x: 1, y: 1})), memo)
+    second = canonicalize(Soup((), Counter({y: 1, x: 1})), memo)
+    # one rules part for the shared (empty) rules tuple and one skeleton per
+    # (message, count); no form is stored, for either order
+    assert Counter(type(v).__name__ for v in memo.values()) == {_RulesPart.__name__: 1, _Flat.__name__: 2}
+    assert first == second == canonicalize(Soup((), Counter({x: 1, y: 1})), memo) and len(memo) == 3
 
 
 # -- the per-search memo against the plain calls: skeletons, renderings and

@@ -272,6 +272,17 @@ def test_enforcement_sound_cases():
     assert not enforcement_sound(refined_context(2))
 
 
+@pytest.mark.parametrize("spec", ["worm()", "rootkit(syscalls=s1)", "bare(resources=r1)"])
+def test_enforcement_sound_refuses_a_context_without_probes(spec):
+    from jcham.scenarios import build_context
+
+    # no guarded channel and no write-access resource: nothing to probe
+    ctx = build_context(spec)
+    assert policy._probe_battery(ctx) == []
+    with pytest.raises(ValueError, match="no probe"):
+        enforcement_sound(ctx)
+
+
 def test_token_never_leaks():
     assert token_leak_free(guarded2())
 

@@ -533,6 +533,21 @@ def test_cli_file_loaded_context_enforces_like_inline(tmp_path):
     assert from_file == inline == (1, "enforcement_sound: False\n", "")
 
 
+def test_cli_enforce_without_an_answer_exits_65(tmp_path):
+    guarded, unstable = tmp_path / "g.jc", tmp_path / "g2.jc"
+    assert cli("policy", "tokenize", "--context", "refined(n=1)", "--guard", "sw1", "--out", str(guarded))[0] == 0
+    text = guarded.read_text()
+    # a rule and a message that react without any plugged process
+    unstable.write_text(text.replace(" in current<null>", " and go<> |> go<> in go<> | current<null>", 1))
+    assert unstable.read_text() != text
+    code, out, err = cli("policy", "enforce", "--context", str(unstable))
+    assert (code, out, err) == (65, "", "the environment reacts without any plugged process\n")
+    # no guarded channel and no write-access resource: no probe runs
+    for spec in ("worm()", "rootkit(syscalls=s1)", "bare(resources=r1)"):
+        code, out, err = cli("policy", "enforce", "--context", spec)
+        assert code == 65 and out == "" and err.startswith("no probe") and len(err.splitlines()) == 1, (spec, err)
+
+
 def test_cli_scenario_expectation_mismatch(tmp_path):
     scn = tmp_path / "bad.scn"
     scn.write_text("context=refined(n=2) process=null mode=explore expect=vulnerable\n")
