@@ -21,15 +21,19 @@ Grammar sketch::
     aterm    := ident | integer | string | "fst" "(" aexpr ")"
               | "snd" "(" aexpr ")" | "(" aexpr ")"
 
-Comments run from ``#`` to end of line.  ``ident~N`` denotes a
-machine-indexed name and only appears in machine output.  The environment
-and malware builders write their models in this syntax, formatting
-caller-supplied atoms with :func:`atom_source`.
+An identifier starts with a letter or ``_`` and goes on with letters,
+digits and ``_``; an integer is decimal digits; a comment runs from ``#``
+to the end of its line.  ``ident~N`` denotes a machine-indexed name and
+only appears in machine output.  The environment and malware builders
+write their models in this syntax, formatting caller-supplied atoms with
+:func:`atom_source`.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import reduce
 
 from .syntax import (
     Atom,
@@ -65,7 +69,13 @@ from .syntax import (
 
 KEYWORDS = {"def", "in", "let", "return", "to", "if", "then", "else", "and", "T", "fst", "snd", "HOLE"}
 
-PUNCT = ["|>", "++", "<", ">", "(", ")", "[", "]", "=", ",", ";", "|"]
+# One token per match, with the blanks and comment before it (group 1);
+# tokens never span lines, so ``_lex`` matches one line at a time.
+_TOKEN = re.compile(
+    r"((?:[ \t\r]+|#.*)*)"
+    r"(?:(?P<punct>\|>|\+\+|[<>()\[\]=,;|])|(?P<int>\d+)|(?P<ident>\w+(?:~\d*)?)"
+    r'|(?P<str>"[^"]*")|(?P<eol>\Z)|(?P<bad>.))'
+)
 
 
 class ParseError(Exception):
@@ -87,77 +97,41 @@ class _Tok:
 
 def _lex(src: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            text = src[i:j]
-            idx = None
-            if j < n and src[j] == "~":
-                k = j + 1
-                while k < n and src[k].isdigit():
-                    k += 1
-                if k == j + 1:
-                    raise ParseError(line, col, "expected digits after '~'")
-                idx = int(src[j + 1 : k])
-                j = k
-            col += j - i
-            i = j
-            if idx is not None:
-                toks.append(_Tok("name", text, start_line, start_col, Name(text, idx)))
-            elif text in KEYWORDS:
-                toks.append(_Tok("kw", text, start_line, start_col))
-            else:
-                toks.append(_Tok("ident", text, start_line, start_col))
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(_Tok("int", src[i:j], start_line, start_col, int(src[i:j])))
-            col += j - i
-            i = j
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n and src[j] != '"':
-                if src[j] == "\n":
-                    raise ParseError(start_line, start_col, "unterminated string literal")
-                j += 1
-            if j >= n:
-                raise ParseError(start_line, start_col, "unterminated string literal")
-            toks.append(_Tok("str", src[i : j + 1], start_line, start_col, src[i + 1 : j]))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        for p in PUNCT:
-            if src.startswith(p, i):
-                toks.append(_Tok("punct", p, start_line, start_col))
-                i += len(p)
-                col += len(p)
+    for line, text in enumerate(src.split("\n"), 1):
+        for m in _TOKEN.finditer(text):
+            col = m.end(1) + 1  # the token's offset in its line, from 1
+            kind = m.lastgroup
+            tok = m.group(kind)
+            if kind == "punct":
+                toks.append(_Tok("punct", tok, line, col))
+            elif kind == "ident":
+                if tok in KEYWORDS:
+                    toks.append(_Tok("kw", tok, line, col))
+                elif not (tok[0].isalpha() or tok[0] == "_"):
+                    raise ParseError(line, col, f"unexpected character {tok[0]!r}")
+                elif "~" not in tok:
+                    toks.append(_Tok("ident", tok, line, col))
+                else:
+                    ident, idx = tok.split("~")
+                    if not idx:
+                        raise ParseError(line, col, "expected digits after '~'")
+                    toks.append(_Tok("name", ident, line, col, Name(ident, int(idx))))
+            elif kind == "int":
+                toks.append(_Tok("int", tok, line, col, int(tok)))
+            elif kind == "str":
+                toks.append(_Tok("str", tok, line, col, tok[1:-1]))
+            elif kind == "eol":
                 break
-        else:
-            raise ParseError(line, col, f"unexpected character {c!r}")
+            elif tok == '"':
+                raise ParseError(line, col, "unterminated string literal")
+            else:
+                raise ParseError(line, col, f"unexpected character {tok!r}")
     toks.append(_Tok("eof", "", line, col))
     return toks
+
+
+# a join pattern's opening bracket -> its closing bracket and atom type
+_PATTERNS = {"<": (">", MsgPat), "(": (")", CallPat)}
 
 
 class _Parser:
@@ -171,88 +145,83 @@ class _Parser:
     def peek2(self) -> _Tok:
         return self.toks[min(self.pos + 1, len(self.toks) - 1)]
 
-    def next(self) -> _Tok:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
     def fail(self, msg: str, expected: tuple[str, ...] = ()) -> ParseError:
         t = self.peek()
         what = f"got {t.text!r}" if t.kind != "eof" else "got end of input"
         return ParseError(t.line, t.col, f"{msg}, {what}", expected)
 
-    def expect(self, kind: str, text: str | None = None) -> _Tok:
-        t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
-            raise self.fail(f"expected {text or kind}", (text or kind,))
-        return self.next()
+    def at(self, kind: str, text: str) -> bool:
+        t = self.toks[self.pos]
+        return t.kind == kind and t.text == text
 
-    def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.peek()
-        return t.kind == kind and (text is None or t.text == text)
+    def accept(self, kind: str, text: str) -> bool:
+        """Advance past the token if it is ``text`` of ``kind``."""
+        t = self.toks[self.pos]
+        if t.kind == kind and t.text == text:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, kind: str, text: str) -> None:
+        if not self.accept(kind, text):
+            raise self.fail(f"expected {text}", (text,))
+
+    def sep_by(self, item, sep: str = ",", kind: str = "punct") -> tuple:
+        """``item { sep item }``"""
+        out = [item()]
+        while self.accept(kind, sep):
+            out.append(item())
+        return tuple(out)
+
+    def parenthesized(self, item):
+        self.expect("punct", "(")
+        out = item()
+        self.expect("punct", ")")
+        return out
+
+    def listed(self, item, closer: str) -> tuple:
+        """``[ item { "," item } ] closer``"""
+        out = () if self.at("punct", closer) else self.sep_by(item)
+        self.expect("punct", closer)
+        return out
 
     # -- names
 
     def name(self) -> Name:
         t = self.peek()
         if t.kind == "ident":
-            self.next()
+            self.pos += 1
             return Name(t.text)
         if t.kind == "name":
-            self.next()
+            self.pos += 1
             return t.value  # type: ignore[return-value]
         raise self.fail("expected a name", ("identifier",))
-
-    def idlist(self, closer: str) -> tuple[Name, ...]:
-        if self.at("punct", closer):
-            return ()
-        out = [self.name()]
-        while self.at("punct", ","):
-            self.next()
-            out.append(self.name())
-        return tuple(out)
 
     # -- processes
 
     def process(self) -> Process:
-        left = self.unit()
-        while self.at("punct", "|"):
-            self.next()
-            left = Parallel(left, self.unit())
-        return left
+        return reduce(Parallel, self.sep_by(self.unit, "|"))
 
     def unit(self) -> Process:
         t = self.peek()
-        if t.kind == "int" and t.text == "0" and not self.peek2().text == ";":
-            self.next()
+        if t.kind == "int" and t.text == "0" and self.peek2().text != ";":
+            self.pos += 1
             return Null()
-        if self.at("kw", "HOLE"):
-            self.next()
+        if self.accept("kw", "HOLE"):
             return Hole()
-        if self.at("kw", "def"):
-            self.next()
-            d = self.defs()
-            self.expect("kw", "in")
-            return LocalDef(d, self.process())
-        if self.at("kw", "let"):
-            self.next()
-            xs = [self.name()]
-            while self.at("punct", ","):
-                self.next()
-                xs.append(self.name())
+        if self.accept("kw", "def"):
+            return self.def_in(LocalDef, self.process)
+        if self.accept("kw", "let"):
+            xs = self.sep_by(self.name)
             self.expect("punct", "=")
             e = self.expr()
             self.expect("kw", "in")
-            return Let(tuple(xs), e, self.process())
-        if self.at("kw", "return"):
-            self.next()
-            vals: tuple[Expression, ...] = ()
-            if not self.at("kw", "to"):
-                vals = self.exprs()
+            return Let(xs, e, self.process())
+        if self.accept("kw", "return"):
+            vals = () if self.at("kw", "to") else self.sep_by(self.expr)
             self.expect("kw", "to")
             return Return(vals, self.name())
-        if self.at("kw", "if"):
-            self.next()
+        if self.accept("kw", "if"):
             self.expect("punct", "[")
             a = self.atom_expr()
             self.expect("punct", "=")
@@ -263,165 +232,114 @@ class _Parser:
             self.expect("kw", "else")
             return Conditional(a, b, then, self.unit())
         if self.at("punct", "("):
-            self.next()
-            p = self.process()
-            self.expect("punct", ")")
-            return p
+            return self.parenthesized(self.process)
         if t.kind in ("ident", "name"):
-            nxt = self.peek2()
-            if nxt.text == "<":
+            nxt = self.peek2().text
+            if nxt == "<":
                 ch = self.name()
-                self.next()
-                args = self.exprs() if not self.at("punct", ">") else ()
-                self.expect("punct", ">")
-                return Message(ch, args)
-            if nxt.text == "(":
+                self.pos += 1
+                return Message(ch, self.listed(self.expr, ">"))
+            if nxt == "(":
                 call = self.call_expr()
-                if self.at("punct", ";"):
-                    self.next()
-                    return Sequence(call, self.process())
-                return Sequence(call, Null())
+                return Sequence(call, self.process() if self.accept("punct", ";") else Null())
+        if t.kind in ("ident", "name", "int", "str") or (t.kind == "kw" and t.text in ("fst", "snd")):
             # bare atom expression sequence: "a; P" / "a ++ b; P"
-            e = self.atom_expr()
-            self.expect("punct", ";")
-            return Sequence(e, self.process())
-        if t.kind in ("int", "str") or self.at("kw", "fst") or self.at("kw", "snd"):
             e = self.atom_expr()
             self.expect("punct", ";")
             return Sequence(e, self.process())
         raise self.fail("expected a process", ("0", "def", "let", "return", "if", "message", "call"))
 
+    def def_in(self, make, body):
+        d = self.defs()
+        self.expect("kw", "in")
+        return make(d, body())
+
     # -- definitions
 
     def defs(self) -> Definition:
-        d: Definition = self.rule()
-        while self.at("kw", "and"):
-            self.next()
-            d = Conj(d, self.rule())
-        return d
+        return reduce(Conj, self.sep_by(self.rule, "and", "kw"))
 
     def rule(self) -> Definition:
-        if self.at("kw", "T"):
-            self.next()
+        if self.accept("kw", "T"):
             return Top()
-        j = self.join()
+        j = reduce(PatJoin, self.sep_by(self.pattern, "|"))
         self.expect("punct", "|>")
-        body = self.process()
-        r = Rule(j, body)
-        self._check_rule(r)
-        return r
-
-    def _check_rule(self, r: Rule) -> None:
-        atoms = pattern_atoms(r.pattern)
+        r = Rule(j, self.process())
+        atoms = pattern_atoms(j)
         chans = [a.channel for a in atoms]
+        binders = [b for a in atoms for b in a.binders]
         if len(chans) != len(set(chans)):
-            t = self.toks[self.pos - 1]
-            raise ParseError(t.line, t.col, "channel repeated in join pattern")
-        binders: list[Name] = []
-        for a in atoms:
-            binders.extend(a.binders)
-        if len(binders) != len(set(binders)):
-            t = self.toks[self.pos - 1]
-            raise ParseError(t.line, t.col, "binder repeated in join pattern")
-        if set(binders) & set(chans):
-            t = self.toks[self.pos - 1]
-            raise ParseError(t.line, t.col, "name both defined and received in one pattern")
-
-    def join(self):
-        left = self.pattern()
-        while self.at("punct", "|"):
-            self.next()
-            left = PatJoin(left, self.pattern())
-        return left
+            problem = "channel repeated in join pattern"
+        elif len(binders) != len(set(binders)):
+            problem = "binder repeated in join pattern"
+        elif set(binders) & set(chans):
+            problem = "name both defined and received in one pattern"
+        else:
+            return r
+        t = self.toks[self.pos - 1]
+        raise ParseError(t.line, t.col, problem)
 
     def pattern(self):
         ch = self.name()
-        if self.at("punct", "<"):
-            self.next()
-            binders = self.idlist(">")
-            self.expect("punct", ">")
-            return MsgPat(ch, binders)
-        if self.at("punct", "("):
-            self.next()
-            binders = self.idlist(")")
-            self.expect("punct", ")")
-            return CallPat(ch, binders)
-        raise self.fail("expected '<' or '(' in join pattern", ("<", "("))
+        t = self.peek()
+        if t.kind != "punct" or t.text not in _PATTERNS:
+            raise self.fail("expected '<' or '(' in join pattern", ("<", "("))
+        self.pos += 1
+        closer, make = _PATTERNS[t.text]
+        return make(ch, self.listed(self.name, closer))
 
     # -- expressions
-
-    def exprs(self) -> tuple[Expression, ...]:
-        out = [self.expr()]
-        while self.at("punct", ","):
-            self.next()
-            out.append(self.expr())
-        return tuple(out)
 
     def expr(self) -> Expression:
         t = self.peek()
         if t.kind in ("ident", "name") and self.peek2().text == "(":
             return self.call_expr()
-        if self.at("kw", "def"):
-            self.next()
-            d = self.defs()
-            self.expect("kw", "in")
-            return ExprDef(d, self.expr())
+        if self.accept("kw", "def"):
+            return self.def_in(ExprDef, self.expr)
         return self.atom_expr()
 
     def call_expr(self) -> SyncCall:
         ch = self.name()
         self.expect("punct", "(")
-        args = self.exprs() if not self.at("punct", ")") else ()
-        self.expect("punct", ")")
-        return SyncCall(ch, args)
+        return SyncCall(ch, self.listed(self.expr, ")"))
 
     def atom_expr(self) -> Expression:
         left = self.atom_term()
-        if self.at("punct", "++"):
-            self.next()
+        if self.accept("punct", "++"):
             return Concat(left, self.atom_expr())
         return left
 
     def atom_term(self) -> Expression:
         t = self.peek()
-        if t.kind == "int":
-            self.next()
+        if t.kind == "int" or t.kind == "str":
+            self.pos += 1
             return Lit(t.value)  # type: ignore[arg-type]
-        if t.kind == "str":
-            self.next()
-            return Lit(t.value)  # type: ignore[arg-type]
-        if self.at("kw", "fst") or self.at("kw", "snd"):
-            i = 1 if t.text == "fst" else 2
-            self.next()
-            self.expect("punct", "(")
-            e = self.atom_expr()
-            self.expect("punct", ")")
-            return Proj(e, i)
-        if self.at("punct", "("):
-            self.next()
-            e = self.atom_expr()
-            self.expect("punct", ")")
-            return e
         if t.kind in ("ident", "name"):
             return NameRef(self.name())
+        if t.kind == "kw" and t.text in ("fst", "snd"):
+            self.pos += 1
+            return Proj(self.parenthesized(self.atom_expr), 1 if t.text == "fst" else 2)
+        if self.at("punct", "("):
+            return self.parenthesized(self.atom_expr)
         raise self.fail("expected an atom", ("identifier", "literal"))
+
+
+def _whole(text: str, read, what: str):
+    """``read`` of a fresh parser over ``text``, which must use all of it."""
+    p = _Parser(_lex(text))
+    out = read(p)
+    if p.peek().kind != "eof":
+        raise p.fail(f"trailing input after {what}")
+    return out
 
 
 def parse(text: str) -> Process:
     """Parse a program; raises :class:`ParseError` with line/column info."""
-    p = _Parser(_lex(text))
-    proc = p.process()
-    if not p.at("eof"):
-        raise p.fail("trailing input after program")
-    return proc
+    return _whole(text, _Parser.process, "program")
 
 
 def parse_definition(text: str) -> Definition:
-    p = _Parser(_lex(text))
-    d = p.defs()
-    if not p.at("eof"):
-        raise p.fail("trailing input after definition")
-    return d
+    return _whole(text, _Parser.defs, "definition")
 
 
 def atom_source(a: Atom, error: type[Exception]) -> str:
@@ -432,8 +350,7 @@ def atom_source(a: Atom, error: type[Exception]) -> str:
     e = embed_atom(a)
     text = pretty(e)
     try:
-        p = _Parser(_lex(text))
-        same = p.atom_expr() == e and p.at("eof")
+        same = _whole(text, _Parser.atom_expr, "atom") == e
     except ParseError:
         same = False
     if not same:

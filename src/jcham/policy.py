@@ -330,8 +330,11 @@ def non_infection_test(
     """Compare the environment before and after hosting ``p``, through the
     eyes of each test process, on observable traces bounded by ``depth``;
     the outcome is ``budget_exhausted`` when a trace set grows past its
-    budget.  Raises ``ValueError`` when ``tests`` is empty: nothing would
-    be compared, and ``satisfied_to_depth`` would hold vacuously."""
+    budget, or when ``p``'s run does not quiesce within
+    ``quiescence_budget`` steps and no test tells the two runs apart (a
+    ``violated`` found at that horizon stands, with its note).  Raises
+    ``ValueError`` when ``tests`` is empty: nothing would be compared, and
+    ``satisfied_to_depth`` would hold vacuously."""
     try:
         return _non_infection(ctx, p, tests, depth, quiescence_budget)
     except BudgetExhausted as e:
@@ -374,6 +377,9 @@ def _non_infection(
             only_a = tuple(sorted(ta - tb, key=str))[:4]
             only_b = tuple(sorted(tb - ta, key=str))[:4]
             return NonInfectionVerdict("violated", depth, (t, only_a, only_b), notes)
+    if not quiet:
+        # the same traces at a cut-off horizon show nothing about the full run
+        raise BudgetExhausted("quiescence_budget", quiescence_budget)
     return NonInfectionVerdict("satisfied_to_depth", depth, None, notes)
 
 

@@ -112,7 +112,7 @@ def _parse_atom(text: str) -> Atom:
     if ":" in text:
         left, right = text.split(":", 1)
         return Pair(_parse_atom(left), _parse_atom(right))
-    if text.isdigit():
+    if text.isdecimal():
         return int(text)
     return Name(text)
 

@@ -172,6 +172,21 @@ def test_tripped_budgets_are_not_verdicts(monkeypatch):
         enforcement_sound(guarded2())
 
 
+def test_a_tripped_quiescence_budget_is_not_a_verdict(monkeypatch):
+    # slow needs 9 steps to reach sw1: cut at 3, the two runs still look alike
+    slow = parse(
+        "def slow<n> |> if [n = nil] then sw1(evil) else slow<snd(n)> "
+        "in slow<a ++ b ++ c ++ d ++ e ++ f ++ g ++ h ++ nil>"
+    )
+    ctx = refined_context(1)
+    cut = non_infection_test(ctx, slow, [READ_TEST], depth=4, quiescence_budget=3)
+    assert cut.outcome == "budget_exhausted" and cut.notes == ["budget quiescence_budget=3 exhausted"]
+    assert non_infection_test(ctx, slow, [READ_TEST], depth=4).outcome == "violated"
+    monkeypatch.setattr(policy, "settle", lambda soup, budget: (soup, False))
+    with pytest.raises(BudgetExhausted):
+        enforcement_sound(guarded2())
+
+
 def test_violation_persists_at_greater_depth():
     ctx = refined_context(2)
     probe = parse("sw1(evil); probe_done<>")

@@ -159,6 +159,31 @@ def test_cli_parse_error_exit(tmp_path):
     assert "1:5" in err
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("out<²>", "1:5: unexpected character '²'"),
+        ("def x<> |> 0 in # trailing", "1:27: expected a process, got end of input"),
+    ],
+)
+def test_cli_parse_errors_are_one_line(tmp_path, capsys, text, where):
+    bad = tmp_path / "bad.jc"
+    bad.write_text(text)
+    with pytest.raises(SystemExit) as exit_:
+        main(["parse", str(bad)])
+    assert exit_.value.code == 64
+    assert capsys.readouterr().err == f"{bad}:{where}\n"
+
+
+def test_cli_context_atom_with_a_non_decimal_digit_is_refused(tmp_path, capsys):
+    proc = tmp_path / "P.jc"
+    proc.write_text("out<a>")
+    with pytest.raises(SystemExit) as exit_:
+        main(["detect", "--context", "filesystem(files=a=²)", "--process", str(proc)])
+    assert exit_.value.code == 65
+    assert capsys.readouterr().err == "'²' cannot be written as an atom\n"
+
+
 def test_cli_parse_prints_expression_definitions(tmp_path, capsys):
     src = tmp_path / "e.jc"
     src.write_text("let x = def k() |> return 1 to k in k() in out<x>")
@@ -451,6 +476,18 @@ def test_cli_policy_noninfect(tmp_path):
     )
     assert code == 1
     assert "violated" in out
+
+
+def test_cli_policy_noninfect_without_quiescence_has_no_answer(tmp_path, capsys):
+    # loop never quiesces, and the read test cannot tell it from nothing
+    loop = tmp_path / "loop.jc"
+    loop.write_text("def loop<> |> loop<> in loop<>")
+    code = main(["policy", "noninfect", "--context", "refined(n=1)", "--process", str(loop), "--tests", _PROBE,
+                 "--depth", "4"])
+    assert code == 2
+    assert capsys.readouterr().out == (
+        "outcome: budget_exhausted(depth=4)\nnote: budget quiescence_budget=600 exhausted\n"
+    )
 
 
 def test_cli_policy_noninfect_prints_distinguishing_traces(tmp_path):

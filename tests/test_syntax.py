@@ -63,14 +63,42 @@ def test_parse_error_position():
     assert "in" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        ("out<1²>", 1, 6, "unexpected character '²'"),
+        ("out<½>", 1, 5, "unexpected character '½'"),
+        ("0 | x~", 1, 5, "expected digits after '~'"),
+        ('0 |\n  out<"abc>', 2, 7, "unterminated string literal"),
+        ("def x<> |> 0 in # trailing", 1, 27, "expected a process, got end of input"),
+        ("0 # note\n|", 2, 2, "expected a process, got end of input"),
+    ],
+)
+def test_lexer_error_positions(text, line, column, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column, str(exc.value)) == (line, column, f"{line}:{column}: {message}")
+
+
+def test_lexer_reads_digits_names_and_indices():
+    assert parse("out<٣, x², _y~12>") == Message(
+        Name("out"), (Lit(3), NameRef(Name("x²")), NameRef(Name("_y", 12)))
+    )
+
+
 def test_parse_rejects_repeated_channel():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^1:20: channel repeated in join pattern$"):
         parse("def a<x> | a<y> |> 0 in 0")
 
 
 def test_parse_rejects_repeated_binder():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^1:20: binder repeated in join pattern$"):
         parse("def a<x> | b<x> |> 0 in 0")
+
+
+def test_parse_rejects_a_name_both_defined_and_received():
+    with pytest.raises(ParseError, match="^2:1: name both defined and received in one pattern$"):
+        parse("def a<b> | b<x> |>\n0 in 0")
 
 
 def test_parse_literals_and_conditional():
