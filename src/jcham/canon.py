@@ -42,7 +42,10 @@ partition is discrete, which is stable, so no round is spent confirming it.
 Each ``ActiveRule`` is flattened into its skeleton (and the indexed-name
 slots in it) only once and keeps it.  Refinement colours are integer ranks:
 a name's new colour is the rank of its (old colour, sorted signature) among
-those of all names.
+those of all names.  A round computes that rank only where it can change:
+it describes the items that hold a name of a class of two or more, signs
+only those names, and splits each such class on its own (Paige & Tarjan
+1987 refine only the classes that can split).
 
 A search meets few rules tuples and, over each, messages it met in earlier
 states.  ``engine.search`` (and ``run`` and ``replay``, for one trace)
@@ -225,7 +228,8 @@ def _base_proj(toks: Skeleton) -> str:
 
 
 def _render(toks: Skeleton, colors: Dict[Name, str]) -> str:
-    return "".join(t if isinstance(t, str) else colors.get(t, f"?{t.base}") for t in toks)
+    # a mark is never empty, so ``or`` builds the fallback only on a miss
+    return "".join(t if isinstance(t, str) else colors.get(t) or f"?{t.base}" for t in toks)
 
 
 def _slots(toks: Skeleton) -> Slots:
@@ -403,13 +407,21 @@ def _serialize_soup(skeletons: List[Tuple[str, Skeleton]], colors: Dict[Name, st
 #
 # names are numbered by their position in ``fresh`` and colours are integer
 # ranks.  Each slotted item is reduced to its shape (its base projection)
-# and the numbers of the names in its slots, in order.  A round describes
-# every item by its shape and the colours of its slots, and gives each name
-# the rank of its (old colour, sorted signature) among all names, where the
-# signature lists the items it occurs in and at which slot.  The old colour
-# leads the key, so each round refines the last and the fixpoint is reached
-# when the number of classes stops growing, or at once when every class is
-# a single name: a discrete partition is stable, so no round confirms it.
+# and the numbers of the names in its slots, in order.  A round gives each
+# name the rank of its (old colour, sorted signature) among all names, where
+# the signature lists the items it occurs in, each described by its shape
+# and the colours of its slots, and at which slot.  So each round refines
+# the last; the fixpoint is reached when no class splits, or at once when
+# every class is a single name (a discrete start is returned as it is; any
+# other comes back ranked 0..k-1, split or not).
+#
+# A round works class by class, in colour order.  A class of one name stays
+# one class, so only the names of larger classes are signed, through an
+# occurrence index built once per call, and only the items that hold them
+# are described, by their rank among those items alone: that keeps the
+# order of their ranks among all items, so signatures compare as before.  A
+# larger class splits by its sorted distinct signatures, and renumbering the
+# classes in order gives each name the rank of its (old colour, signature).
 
 SlotItem = Tuple[str, Tuple[int, ...]]
 
@@ -421,18 +433,39 @@ def _ranks(keys: list) -> List[int]:
 
 
 def _refine_fixpoint(slotted: List[SlotItem], colors: List[int]) -> List[int]:
-    classes = len(set(colors))
-    while classes < len(colors):
-        described = _ranks([(shape, tuple(colors[i] for i in ids)) for shape, ids in slotted])
-        sigs: List[List[Tuple[int, int]]] = [[] for _ in colors]
-        for d, (_, ids) in zip(described, slotted):
-            for slot, i in enumerate(ids):
-                sigs[i].append((d, slot))
-        colors = _ranks([(c, tuple(sorted(sig))) for c, sig in zip(colors, sigs)])
-        refined = max(colors) + 1
-        if refined == classes:
+    if len(set(colors)) == len(colors):
+        return colors
+    colors = _ranks(colors)
+    cells: List[List[int]] = [[] for _ in range(max(colors) + 1)]
+    for i, c in enumerate(colors):
+        cells[c].append(i)
+    # the occurrences, as (item, slot), of the names in doubt: only they can split
+    occurs: Dict[int, List[Tuple[int, int]]] = {i: [] for cell in cells if len(cell) > 1 for i in cell}
+    for k, (_, ids) in enumerate(slotted):
+        for slot, i in enumerate(ids):
+            if i in occurs:
+                occurs[i].append((k, slot))
+    while True:
+        live = {k for cell in cells if len(cell) > 1 for i in cell for k, _ in occurs[i]}
+        if not live:
+            break  # no name in doubt occurs in an item
+        ks = list(live)
+        described = dict(zip(ks, _ranks([(slotted[k][0], tuple([colors[i] for i in slotted[k][1]])) for k in ks])))
+        split: List[List[int]] = []
+        for cell in cells:
+            if len(cell) == 1:
+                split.append(cell)
+                continue
+            groups: Dict[tuple, List[int]] = {}
+            for i in cell:
+                groups.setdefault(tuple(sorted([(described[k], slot) for k, slot in occurs[i]])), []).append(i)
+            split.extend(groups[sig] for sig in sorted(groups))
+        if len(split) == len(cells):
             break
-        classes = refined
+        cells = split
+        for c, cell in enumerate(cells):
+            for i in cell:
+                colors[i] = c
     return colors
 
 

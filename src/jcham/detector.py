@@ -52,7 +52,6 @@ from .syntax import (
     Process,
     SubstitutionError,
     free_names,
-    substitute,
 )
 
 
@@ -317,7 +316,10 @@ def viral_set_member(
                     starts.append(
                         inject_message(s, ch, (Name(f"act{it}"), Name(f"act_done{it}")))
                     )
-        completed: List[Soup] = []
+        # each completed state once, first occurrence first: a repeat (same
+        # rules tuple and message counts) would only seed starts that the
+        # search drops as duplicates after canonicalizing them
+        completed: Dict[tuple, Soup] = {}
         traces: List[Trace] = []
 
         def replicated(edge):
@@ -325,7 +327,8 @@ def viral_set_member(
                 return None
             if not traces:
                 traces.append(edge.trace())
-            completed.append(settle(edge.soup, 400)[0])
+            done = settle(edge.soup, 400)[0]
+            completed.setdefault((done.rules, frozenset(done.messages.items())), done)
             return CUT
 
         try:
@@ -337,7 +340,7 @@ def viral_set_member(
             outcome = "budget_exhausted" if tripped else "not_vulnerable"
             budget_note = [str(tripped)] if tripped else []
             return DetectionVerdict(outcome, None, stats, notes + budget_note + [f"iteration {it + 1} failed"])
-        states = completed
+        states = list(completed.values())
         witness = traces[0]
         notes.append(f"iteration {it + 1} replicated")
     return DetectionVerdict("vulnerable", witness, stats, notes)
@@ -405,7 +408,7 @@ def ground(p: Process, max_instances: int = 1_000_000) -> GroundSystem:
                     raise ExplosionGuard("max_instances", max_instances)
                 binding = tuple(pair for h, g in zip(rule.heads, guard) for pair in zip(h.binders, g.args))
                 try:
-                    body = heat(Soup(), substitute(rule.body, dict(binding)))
+                    body = heat(Soup(), rule.body, dict(binding))
                 except (SubstitutionError, ModelError):
                     continue
                 rules.append(GroundRule(idx, guard, tuple(body), binding))

@@ -6,7 +6,7 @@ parallel compositions split, null processes vanish, conjunctions split,
 empty definitions vanish, and local definitions activate with their defined
 channels renamed to fresh indexed names.  The only irreversible step is the
 reduction of a join pattern: the matched messages are consumed and the rule
-body is instantiated with the transmitted values, then heated.
+body is instantiated with the transmitted values and heated, in one walk.
 
 Conditionals are resolved during heating, once their operands are ground
 atoms.  Rules persist after firing, so a definition behaves like a
@@ -27,6 +27,7 @@ from .syntax import (
     Concat,
     Conditional,
     Expression,
+    FreshNames,
     Hole,
     Lit,
     LocalDef,
@@ -39,12 +40,12 @@ from .syntax import (
     Parallel,
     Process,
     Proj,
-    Rule,
+    Substitution,
     atom_str,
     free_names,
+    instantiate_def,
     pattern_atoms,
     rules_of,
-    substitute,
 )
 
 
@@ -185,16 +186,17 @@ class Redex:
 # atom evaluation
 
 
-def eval_atom(e: Expression) -> Atom:
+def eval_atom(e: Expression, binding: Optional[dict[Name, Atom]] = None) -> Atom:
+    """The atom ``e`` denotes, its names read through ``binding`` when given."""
     match e:
         case NameRef(n):
-            return n
+            return binding.get(n, n) if binding else n
         case Lit(v):
             return v
         case Concat(l, r):
-            return Pair(eval_atom(l), eval_atom(r))
+            return Pair(eval_atom(l, binding), eval_atom(r, binding))
         case Proj(inner, i):
-            v = eval_atom(inner)
+            v = eval_atom(inner, binding)
             if not isinstance(v, Pair):
                 raise ModelError(f"projection from non-pair atom {atom_str(v)}")
             return v.first if i == 1 else v.second
@@ -205,44 +207,64 @@ def eval_atom(e: Expression) -> Atom:
 # heating
 
 
-def heat(soup: Soup, p: Process) -> list[GroundMessage]:
+def heat(soup: Soup, p: Process, binding: Optional[dict[Name, Atom]] = None) -> list[GroundMessage]:
     """Apply the structural rules until only rules and messages remain.
+
+    ``binding`` maps free names of ``p`` to atoms (a fired rule's binders to
+    the values it received): the result is that of heating
+    ``substitute(p, binding)``, errors included, but ``p`` is instantiated
+    in the same walk.  Messages and conditions read their atoms through the
+    binding; a nested ``def`` is substituted and renamed into the soup's
+    fresh names at once (``instantiate_def``); the branch a conditional
+    drops is only substituted, for the ``SubstitutionError`` and the binder
+    names ``substitute`` would give.  An error can leave ``soup`` part
+    heated, so callers heat into a copy they drop on error.
 
     Returns the messages added, in emission order.
     """
     emitted: list[GroundMessage] = []
-    stack = [p]
+    sub = Substitution(p, binding) if binding else None
+    # each entry carries the binding it is read through ({} once
+    # instantiated), or None for a dropped branch that is only substituted
+    stack: list[tuple[Process, Optional[dict]]] = [(p, sub.mapping if sub else {})]
     while stack:
-        t = stack.pop()
+        t, env = stack.pop()
+        if env is None:
+            sub(t)  # type: ignore[misc]
+            continue
         match t:
             case Null():
                 continue
             case Parallel(l, r):
-                stack.append(r)
-                stack.append(l)
+                stack.append((r, env))
+                stack.append((l, env))
             case Message(ch, args):
-                m = GroundMessage(ch, tuple(eval_atom(a) for a in args))
+                if env:
+                    ch = sub.channel(ch)  # type: ignore[union-attr]
+                m = GroundMessage(ch, tuple(eval_atom(a, env) for a in args))
                 soup.messages[m] += 1
                 emitted.append(m)
             case LocalDef(d, body):
-                ren: dict[Name, Atom] = {}
-                for rule in rules_of(d):
-                    for head in pattern_atoms(rule.pattern):
-                        if head.channel not in ren:
-                            soup.fresh_counter += 1
-                            ren[head.channel] = Name(head.channel.base, soup.fresh_counter)
+                names = FreshNames(soup.fresh_counter)
+                rules, body = instantiate_def(d, body, names, sub if env else None)
+                soup.fresh_counter = names.n
                 new_rules = []
-                for rule in rules_of(d):
-                    renamed = substitute(rule, ren)
-                    assert isinstance(renamed, Rule)
-                    heads = tuple(pattern_atoms(renamed.pattern))
+                for rule in rules:
+                    heads = tuple(pattern_atoms(rule.pattern))
                     if any(not isinstance(h, MsgPat) for h in heads):
                         raise ModelError("call pattern survived desugaring")
-                    new_rules.append(ActiveRule(heads, renamed.body))
+                    new_rules.append(ActiveRule(heads, rule.body))
                 soup.rules = soup.rules + tuple(new_rules)
-                stack.append(substitute(body, ren))  # type: ignore[arg-type]
+                stack.append((body, {}))
             case Conditional(a, b, then, orelse):
-                stack.append(then if eval_atom(a) == eval_atom(b) else orelse)
+                if eval_atom(a, env) == eval_atom(b, env):
+                    if env:
+                        stack.append((orelse, None))
+                    stack.append((then, env))
+                else:
+                    if env:
+                        sub(then)  # type: ignore[misc]
+                    stack.append((orelse, env))
             case Hole():
                 raise ModelError("cannot run a context template; plug it first")
             case _:
@@ -268,8 +290,7 @@ def graft(soup: Soup, p: Process) -> Soup:
     """Heat a process into a copy of ``soup``, binding each free name to the
     soup's activated channel of the same base, when there is exactly one -
     the process behaves as if it had been part of the original program's
-    hole.  ``p`` is desugared first, so the substitution sees core terms
-    only (``substitute`` raises ``TypeError`` on sugar)."""
+    hole.  ``p`` is desugared first: ``heat`` takes core terms only."""
     core = desugar(p)
     mapping: dict[Name, Atom] = {}
     for n in free_names(core):
@@ -278,7 +299,7 @@ def graft(soup: Soup, p: Process) -> Soup:
             if len(built) == 1:
                 mapping[n] = built[0]
     out = soup.copy()
-    heat(out, substitute(core, mapping))  # type: ignore[arg-type]
+    heat(out, core, mapping)
     return out
 
 
@@ -357,9 +378,7 @@ def reduce_with_info(soup: Soup, redex: Redex) -> tuple[Soup, list[GroundMessage
         out.messages[m] -= k
         if out.messages[m] == 0:
             del out.messages[m]
-    rule = out.rules[redex.rule_index]
-    body = substitute(rule.body, redex.binding_map())
-    emitted = heat(out, body)  # type: ignore[arg-type]
+    emitted = heat(out, out.rules[redex.rule_index].body, redex.binding_map())
     return out, emitted
 
 

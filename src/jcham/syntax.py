@@ -536,7 +536,58 @@ def substitute(term: Term, mapping: dict[Name, Atom]) -> Term:
     """
     if not mapping:
         return term
-    return _subst(term, dict(mapping), _FreshAbove((term, tuple(mapping.items()))))
+    return Substitution(term, mapping)(term)
+
+
+class Substitution:
+    """``substitute(term, mapping)`` applied piece by piece, for a walker
+    that meets the pieces of ``term`` in the order ``substitute`` visits them
+    (``engine.heat``).  The pieces share one supply of fresh names, minted
+    above every index in ``term`` and ``mapping``, so a renamed binder gets
+    the name the whole substitution would give it."""
+
+    def __init__(self, term: Term, mapping: dict[Name, Atom]):
+        self.mapping = dict(mapping)
+        self.ctr = _FreshAbove((term, tuple(self.mapping.items())))
+
+    def __call__(self, piece: Term) -> Term:
+        return _subst(piece, self.mapping, self.ctr)
+
+    def channel(self, ch: Name) -> Name:
+        return _subst_channel(ch, self.mapping)
+
+
+def instantiate_def(
+    d: Definition, body: Process, names: FreshNames, sub: Optional[Substitution] = None
+) -> tuple[list[Rule], Process]:
+    """The rules and body of ``def d in body`` (met by ``sub`` when given),
+    substituted and then with the defined channels renamed to names minted
+    by ``names``, one per channel in pattern order: what renaming them in
+    ``sub``'s whole result gives.  One substitution does both when neither
+    step renames a binder (a defined channel among the values counts:
+    ``sub`` renames it); else the two steps run apart, so that every binder
+    keeps the name the two give it."""
+    channels = _def_channels(d)
+    fresh = [names.fresh(c.base) for c in channels]
+    inner = _narrow(sub.mapping, set(channels)) if sub is not None else {}
+    if sub is not None and inner:
+        ctr = sub.ctr
+        before = ctr.n
+        if _range_names(inner).isdisjoint(channels):
+            both = {**inner, **dict(zip(channels, fresh))}
+            rules, out = [_subst(r, both, ctr) for r in rules_of(d)], _subst(body, both, ctr)
+            if ctr.n == before:
+                return rules, out  # type: ignore[return-value]
+            ctr.n = before
+        d, body = _subst_scope(d, body, inner, ctr)
+        channels = _def_channels(d)
+    ren: dict[Name, Atom] = dict(zip(channels, fresh))
+    return [substitute(r, ren) for r in rules_of(d)], substitute(body, ren)  # type: ignore[misc]
+
+
+def _def_channels(d: Definition) -> list[Name]:
+    """The channels ``d`` defines, each once, in pattern order."""
+    return list(dict.fromkeys(a.channel for r in rules_of(d) for a in pattern_atoms(r.pattern)))
 
 
 def _range_names(mapping: dict[Name, Atom]) -> set[Name]:
@@ -617,7 +668,7 @@ def _subst(term: Term, mapping: dict[Name, Atom], ctr: FreshNames) -> Term:
 
 def _subst_scope(d: Definition, body: Process, mapping: dict[Name, Atom], ctr: FreshNames):
     """Handle a def scope: dv(d) binds inside rule bodies and the body."""
-    channels = tuple(a.channel for r in rules_of(d) for a in pattern_atoms(r.pattern))
+    channels = tuple(_def_channels(d))
     inner = _narrow(mapping, set(channels))
     ren = _rename_binders(channels, inner, ctr)
     if ren:

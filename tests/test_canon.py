@@ -833,3 +833,24 @@ def test_renamed_names_key_dicts_next_to_fresh_ones():
     assert table[renamed.args[0]] == table[renamed] == "fresh"
     table[renamed] = "renamed"
     assert len(table) == 2
+
+
+# -- class-local refinement against the plain round
+
+
+def test_refinement_agrees_with_the_plain_round():
+    from _canon_referee import plain_refine, random_slotted
+    from jcham.canon import _refine_fixpoint
+
+    rng = random.Random(21)
+    seen = Counter()
+    for _ in range(6000):
+        slotted, colors = random_slotted(rng)
+        got = _refine_fixpoint(slotted, list(colors))
+        assert got == plain_refine(slotted, list(colors)), (slotted, colors)
+        seen["discrete"] += len(set(colors)) == len(colors)
+        seen["no slots"] += any(not ids for _, ids in slotted)
+        seen["repeated"] += any(len(set(ids)) < len(ids) for _, ids in slotted)
+        seen["individualized"] += -1 in colors and len(set(colors)) < len(colors)
+        seen["unsplit"] += len(set(got)) == len(set(colors)) < len(colors) and got != colors
+    assert min(seen.values()) >= 100, seen

@@ -111,6 +111,30 @@ def test_viral_set_explicit_activation():
     assert v.vulnerable
 
 
+def test_viral_set_starts_each_completion_once(monkeypatch):
+    # completions that repeat one another (same rules, same message counts)
+    # seed no starts; the searches, and so the verdict and counters, are
+    # those of all completions, whose repeats the search dropped itself
+    import jcham.detector as detector
+
+    searched = []
+    original = detector.search
+
+    def recorded(starts, *args, **kwargs):
+        searched.append(list(starts))
+        return original(starts, *args, **kwargs)
+
+    monkeypatch.setattr(detector, "search", recorded)
+    v = viral_set_member(refined_context(4), virus("III", targets=[Name(f"sw{i}") for i in range(1, 5)]), iterations=4)
+    assert v.vulnerable
+    # the counts with every completion kept: 16, 8 and 8 starts
+    assert (v.stats.states_explored, v.stats.dedup_hits) == (79, 10)
+    assert [len(starts) for starts in searched] == [1, 4, 4, 4]
+    for starts in searched:
+        keys = [(s.rules, frozenset(s.messages.items())) for s in starts]
+        assert len(set(keys)) == len(keys)
+
+
 def test_viral_set_witness_replays():
     ctx = refined_context(2)
     v = viral_set_member(ctx, virus("III"), iterations=2)

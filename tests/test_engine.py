@@ -25,7 +25,23 @@ from jcham.engine import (
     valued_reaction,
 )
 from jcham.parser import parse
-from jcham.syntax import Name, Null
+from jcham.syntax import (
+    Conditional,
+    LocalDef,
+    Lit,
+    Message,
+    MsgPat,
+    Name,
+    NameRef,
+    Null,
+    Pair,
+    Parallel,
+    Rule,
+    SubstitutionError,
+    free_names,
+    pretty,
+    substitute,
+)
 
 
 def bases(soup):
@@ -291,3 +307,112 @@ def test_graft_leaves_a_name_with_two_activations_free():
     assert len(soup.channels("c")) == 2
     grafted = graft(soup, parse("c<> | e<>"))
     assert [str(m) for m in grafted.message_list()] == ["c<>", "e<>"]
+
+
+# -- heating through a binding against heating the substituted body
+
+
+def _heated(soup, body, binding=None):
+    """What heating ``body`` into a copy of ``soup`` gives: the emitted
+    list, the messages, the name supply and the rules, or the error type."""
+    out = soup.copy()
+    try:
+        emitted = heat(out, body, binding)
+    except (SubstitutionError, ModelError) as e:
+        return type(e)
+    return emitted, out.messages, out.fresh_counter, out.rules
+
+
+def _check_heat(soup, body, binding) -> bool:
+    """``heat`` through ``binding`` agrees with ``heat`` of the substituted
+    body; says whether the case raised."""
+    try:
+        expected = _heated(soup, substitute(body, binding))
+    except SubstitutionError:
+        expected = SubstitutionError
+    got = _heated(soup, body, binding)
+    assert got == expected, (pretty(body), binding)
+    return expected is SubstitutionError
+
+
+def test_heat_through_the_binding_on_every_searched_edge(monkeypatch):
+    import jcham.engine as engine
+    from _gen import fragment_instance
+    from jcham.cli import corpus_path
+    from jcham.scenarios import build_context, build_process, load_scenario, run_scenario
+    from importlib.resources import files
+
+    edges = [0]
+    original = engine.reduce_with_info
+
+    def checked(soup, redex):
+        consumed = soup.copy()
+        consumed.messages.subtract(redex.matched)
+        consumed.messages = +consumed.messages
+        _check_heat(consumed, soup.rules[redex.rule_index].body, redex.binding_map())
+        edges[0] += 1
+        return original(soup, redex)
+
+    monkeypatch.setattr(engine, "reduce_with_info", checked)
+    starts = []
+    for f in sorted(f.name for f in files("jcham").joinpath("corpus").iterdir()):
+        if f.endswith(".scn"):
+            sc = load_scenario(corpus_path(f))
+            run_scenario(sc)  # its own searches, on the scenario's verdict path
+            starts.append(inject(build_context(sc.context_spec).plug(build_process(sc)[0])))
+        elif f.endswith(".jc"):
+            with open(corpus_path(f)) as fh:
+                starts.append(inject(parse(fh.read())))
+    rng = random.Random(21)
+    for _ in range(40):
+        ctx, program, _ = fragment_instance(rng)
+        starts.append(inject(ctx.plug(program)))
+    for s in starts:
+        try:
+            engine.search([s], 400, horizon=8)
+        except BudgetExhausted:
+            pass
+    assert edges[0] > 2000
+
+
+def _random_body(rng: random.Random, depth: int, binders: list):
+    """A core process over channels and binders chosen to collide with the
+    values of ``_random_binding``."""
+    chans = ["out", "px", "k"] + binders
+
+    def atom():
+        return rng.choice([NameRef(Name(rng.choice(["a", "b", "k", "u"] + binders))), Lit(3)])
+
+    kind = rng.randrange(5) if depth else 0
+    if kind == 0:
+        return Message(Name(rng.choice(chans)), tuple(atom() for _ in range(rng.randint(0, 2))))
+    if kind == 1:
+        return Parallel(_random_body(rng, depth - 1, binders), _random_body(rng, depth - 1, binders))
+    if kind == 2:
+        return Conditional(atom(), atom(), _random_body(rng, depth - 1, binders), _random_body(rng, depth - 1, binders))
+    channel = Name(rng.choice(["px", "py", "k"]), rng.choice([None, None, 2]))
+    binder = Name(rng.choice(["u", "w", "px"]), rng.choice([None, None, 1, 6]))
+    rule = Rule(MsgPat(channel, (binder,)), _random_body(rng, depth - 1, binders + [binder.base]))
+    return LocalDef(rule, _random_body(rng, depth - 1, binders))
+
+
+def _random_binding(rng: random.Random, body, fresh_counter: int) -> dict:
+    values = [Name("u"), Name("w"), Name("k"), Name("px"), Name("px", fresh_counter + 1),
+              Name("u", fresh_counter + 1), Name("k", 2), 7, Pair(Name("a"), 1)]
+    keys = sorted(free_names(body), key=str)
+    return {k: rng.choice(values) for k in rng.sample(keys, min(len(keys), rng.randint(1, 3)))}
+
+
+def test_heat_through_the_binding_on_colliding_names():
+    # bindings whose values collide with binders, defined channels and the
+    # soup's next fresh names, and non-names put in channel position
+    rng = random.Random(22)
+    soup = inject(parse("def go<x> |> out<x> in go<a>"))
+    raised = checked = 0
+    while checked < 3000:
+        body = _random_body(rng, 4, [])
+        binding = _random_binding(rng, body, soup.fresh_counter)
+        if binding:
+            raised += _check_heat(soup, body, binding)
+            checked += 1
+    assert 100 < raised < 2900
