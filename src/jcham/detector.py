@@ -108,22 +108,30 @@ class _Qualifier:
         self.r_bases = ctx.resources | ctx.dynamic_resource_bases
         self.export_bases = ctx.exports
         self.known = defined_bases(plugged_core) | ctx.services | self.r_bases
-        # for one verdict: the carriers of each rules tuple met, and the
-        # free names of each rule body outside the rule's binders
+        # for one verdict: the carriers of each rules tuple met, the last
+        # (rules tuple, carriers) pair asked for, and the free names of each
+        # rule body outside the rule's binders
         self._carrier_cache: Dict[Tuple[ActiveRule, ...], set[Name]] = {}
+        self._last_carriers: Tuple[Tuple[ActiveRule, ...], set[Name]] = ((), set())
         self._free: Dict[ActiveRule, FrozenSet[Name]] = {}
 
     def _carriers(self, soup: Soup) -> set[Name]:
-        carriers = self._carrier_cache.get(soup.rules)
-        if carriers is not None:
-            return carriers
+        rules, carriers = self._last_carriers
+        if soup.rules is not rules:
+            carriers = self._carrier_cache.get(soup.rules)
+            if carriers is None:
+                carriers = self._carrier_cache[soup.rules] = self._find_carriers(soup.rules)
+            self._last_carriers = (soup.rules, carriers)
+        return carriers
+
+    def _find_carriers(self, rules: Tuple[ActiveRule, ...]) -> set[Name]:
         assert self.self_base is not None
         viral_names: set[Name] = set()
-        carriers = set()
+        carriers: set[Name] = set()
         changed = True
         while changed:
             changed = False
-            for r in soup.rules:
+            for r in rules:
                 if len(r.heads) != 1:
                     continue
                 ch = r.heads[0].channel
@@ -135,7 +143,6 @@ class _Qualifier:
                         viral_names.add(ch)
                         changed = True
                         break
-        self._carrier_cache[soup.rules] = carriers
         return carriers
 
     def _free_outside_binders(self, r: ActiveRule) -> FrozenSet[Name]:

@@ -11,6 +11,13 @@ body is instantiated with the transmitted values and heated, in one walk.
 Conditionals are resolved during heating, once their operands are ground
 atoms.  Rules persist after firing, so a definition behaves like a
 replicated server.
+
+Join matching (:func:`enabled_redexes`) finds the rules to try through a
+head index: the rules by the (channel, arity) of each of their heads.  A
+reduction only removes the messages it consumes and adds the messages and
+rules it makes, so :func:`search` derives each state's redexes from its
+parent's: the ones whose messages are still present, plus those reading a
+newly present message or an appended rule.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .desugar import desugar
@@ -73,6 +80,8 @@ class GroundMessage:
     args: tuple[Atom, ...] = ()
     # the hash, computed on first use (messages key every soup's Counter)
     hash_cache: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    # the text, computed on first use (it is the sort key of every redex)
+    str_cache: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __hash__(self) -> int:
         h = self.hash_cache
@@ -82,9 +91,11 @@ class GroundMessage:
         return h
 
     def __str__(self) -> str:
-        if not self.args:
-            return f"{self.channel}<>"
-        return f"{self.channel}<{', '.join(atom_str(a) for a in self.args)}>"
+        s = self.str_cache
+        if s is None:
+            s = f"{self.channel}<{', '.join(atom_str(a) for a in self.args)}>"
+            object.__setattr__(self, "str_cache", s)
+        return s
 
 
 @dataclass(frozen=True)
@@ -307,55 +318,77 @@ def graft(soup: Soup, p: Process) -> Soup:
 # matching and reduction
 
 
-def enabled_redexes(soup: Soup, heads: Optional[dict] = None) -> list[Redex]:
+def enabled_redexes(soup: Soup, heads: Optional[dict] = None, since: Optional[tuple] = None) -> list[Redex]:
     """Every (rule, message combination) that can react, one redex per
-    distinct multiset of matched messages, in a stable order.
+    distinct multiset of matched messages, sorted by (rule index, ``str``).
 
-    The messages are grouped by (channel, arity) once per call, and each
-    head reads its group (sorted by ``str`` when first read) instead of
-    scanning the whole soup.  Only the rules whose first head has messages
-    are tried, found through the head index of the rules tuple: the indices
-    of the rules by the (channel, arity) of their first head.  ``heads`` is
-    a memo kept by the caller for one search or run that maps each rules
-    tuple met to its head index; without it the index is built afresh."""
-    groups: dict[tuple[Name, int], list[GroundMessage]] = {}
-    for m in soup.messages:
-        groups.setdefault((m.channel, len(m.args)), []).append(m)
-    rules = soup.rules
+    ``since`` derives the list from that of the state ``soup`` was reduced
+    from: ``(its redexes, its rule count, the messages the step made newly
+    present)``.  The list keeps the parent's redexes whose messages are all
+    still present (matching reads distinct messages, not counts) and adds
+    the combinations that read a newly present message or an appended rule;
+    without ``since`` every message is new and every rule appended.  The
+    rules tried are found through the head index of the rules tuple: the
+    indices of the rules by the (channel, arity) of their first head, and
+    by that of each later head.  ``heads`` is a memo kept by the caller for
+    one search, run or settle that maps each rules tuple met to its head
+    index, extended from the parent's when a step appended rules; without
+    it the index is built afresh."""
+    rules, present = soup.rules, soup.messages
+    parent, known, new = since if since is not None else ((), 0, present)
     heads = {} if heads is None else heads
     index = heads.get(rules)
     if index is None:
-        index = heads[rules] = _head_index(rules)
-    ready: dict[tuple[Name, int], list[GroundMessage]] = {}
-    out: list[Redex] = []
-    for idx in [i for key in groups for i in index.get(key, ())]:
+        index = heads[rules] = _head_index(rules, known, heads.get(rules[:known]) if known else None)
+    out = [r for r in parent if all(m in present for m in r.matched)]
+    kept = len(out)
+    # the rules with a head on a new message, and the appended rules; when
+    # every message is new, a rule can react only through its first head
+    first, later = index
+    keys = {(m.channel, len(m.args)) for m in new}
+    tried = {i for key in keys for i in first.get(key, ())}
+    if len(new) < len(present):
+        tried.update(i for key in keys for i in later.get(key, ()))
+        tried.update(range(known, len(rules)))
+    groups: dict[tuple[Name, int], list[GroundMessage]] = {}
+    if tried:
+        for m in present:
+            groups.setdefault((m.channel, len(m.args)), []).append(m)
+    for idx in tried:
         rule = rules[idx]
-        candidates: list[list[GroundMessage]] = []
-        for head in rule.heads:
-            key = (head.channel, len(head.binders))
-            opts = ready.get(key)
-            if opts is None:
-                opts = ready[key] = sorted(groups.get(key, ()), key=str)
-            if not opts:
-                break
-            candidates.append(opts)
+        lists = [groups.get((h.channel, len(h.binders)), ()) for h in rule.heads]
+        if not all(lists):
+            continue
+        if idx >= known:
+            combos: Iterable = product(*lists)
         else:
-            for combo in product(*candidates):
-                binding: list[tuple[Name, Atom]] = []
-                for head, msg in zip(rule.heads, combo):
-                    binding.extend(zip(head.binders, msg.args))
-                out.append(Redex(idx, rule.label, tuple(combo), tuple(binding)))
-    out.sort(key=lambda r: (r.rule_index, str(r)))
+            # each combination reading a new message, once: at the first head that does
+            olds = [[m for m in l if m not in new] for l in lists]
+            combos = chain.from_iterable(
+                product(*olds[:j], [m for m in l if m in new], *lists[j + 1:]) for j, l in enumerate(lists)
+            )
+        for combo in combos:
+            binding: list[tuple[Name, Atom]] = []
+            for head, msg in zip(rule.heads, combo):
+                binding.extend(zip(head.binders, msg.args))
+            out.append(Redex(idx, rule.label, tuple(combo), tuple(binding)))
+    if len(out) > kept:  # the parent's redexes are sorted already
+        out.sort(key=lambda r: (r.rule_index, str(r)))
     return out
 
 
-def _head_index(rules: tuple[ActiveRule, ...]) -> dict[tuple[Name, int], list[int]]:
-    """The indices of ``rules`` by the (channel, arity) of their first head."""
-    index: dict[tuple[Name, int], list[int]] = {}
-    for i, rule in enumerate(rules):
-        first = rule.heads[0]
-        index.setdefault((first.channel, len(first.binders)), []).append(i)
-    return index
+def _head_index(rules: tuple[ActiveRule, ...], start: int = 0, base: Optional[tuple] = None) -> tuple[dict, dict]:
+    """The indices of ``rules`` by the (channel, arity) of their first head,
+    and by that of each later head.  ``base``, when given, is the index of
+    ``rules[:start]``; it is extended, not changed."""
+    first, later = ({}, {}) if base is None else (dict(base[0]), dict(base[1]))
+    for i in range(0 if base is None else start, len(rules)):
+        where = first
+        for h in rules[i].heads:
+            key = (h.channel, len(h.binders))
+            where[key] = where.get(key, ()) + (i,)
+            where = later
+    return first, later
 
 
 def is_inert(soup: Soup) -> bool:
@@ -450,8 +483,9 @@ def settle(soup: Soup, max_steps: int) -> tuple[Soup, bool]:
     """Fire the first enabled redex until the soup is inert or ``max_steps``
     reductions were made; also says whether it was found inert."""
     cur = soup
+    heads: dict = {}  # enabled_redexes' memo for this settle
     for _ in range(max_steps):
-        rs = enabled_redexes(cur)
+        rs = enabled_redexes(cur, heads)
         if not rs:
             return cur, True
         cur, _ = reduce_with_info(cur, rs[0])
@@ -525,7 +559,14 @@ def search(
     part of each rules tuple and the skeleton of each (message, count) met,
     so a state's form is built from the skeletons of the messages it shares
     with the states met before.  ``enabled_redexes``' memo holds the head
-    index of each rules tuple.  Neither changes a digest or a redex.
+    index of each rules tuple, over all heads.  Neither changes a digest or
+    a redex.
+
+    The queue carries each new state with what its reduction changed: the
+    parent's redex list (shared by its children, freed once the last one is
+    expanded), the parent's rule count and the messages the step made newly
+    present.  ``enabled_redexes`` derives the state's list from them, equal
+    to matching it afresh; start states are matched afresh.
     """
     from .canon import canonicalize
 
@@ -538,16 +579,17 @@ def search(
         key = (canonicalize(s, memo).digest, root_label)
         if key not in tree:
             tree[key] = s
-            queue.append((key, s, 0))
+            queue.append((key, s, 0, None))
     level = -1
     while queue:
-        key, soup, depth = queue.popleft()
+        key, soup, depth, since = queue.popleft()
         if depth != level:
             level = depth
             stats.frontier_peak = max(stats.frontier_peak, len(queue) + 1)
         if depth == horizon:
             continue
-        for r in enabled_redexes(soup, heads):
+        redexes = enabled_redexes(soup, heads, since)
+        for r in redexes:
             s2, emitted = reduce_with_info(soup, r)
             lab = label(key[1], r, s2, emitted) if label is not None else root_label
             digest = canonicalize(s2, memo).digest
@@ -567,7 +609,8 @@ def search(
                 raise BudgetExhausted("max_states", max_states)
             tree[key2] = (key, edge.step)
             stats.states_explored += 1
-            queue.append((key2, s2, depth + 1))
+            fresh = {m for m in emitted if m not in soup.messages}
+            queue.append((key2, s2, depth + 1, (redexes, len(soup.rules), fresh)))
     return None
 
 

@@ -15,6 +15,7 @@ file name plus extension).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional, Union
 
 
@@ -547,7 +548,7 @@ class Substitution:
     the name the whole substitution would give it."""
 
     def __init__(self, term: Term, mapping: dict[Name, Atom]):
-        self.mapping = dict(mapping)
+        self.mapping = _Mapping(mapping)
         self.ctr = _FreshAbove((term, tuple(self.mapping.items())))
 
     def __call__(self, piece: Term) -> Term:
@@ -569,12 +570,12 @@ def instantiate_def(
     keeps the name the two give it."""
     channels = _def_channels(d)
     fresh = [names.fresh(c.base) for c in channels]
-    inner = _narrow(sub.mapping, set(channels)) if sub is not None else {}
+    inner = _narrow(sub.mapping, set(channels)) if sub is not None else _Mapping()
     if sub is not None and inner:
         ctr = sub.ctr
         before = ctr.n
-        if _range_names(inner).isdisjoint(channels):
-            both = {**inner, **dict(zip(channels, fresh))}
+        if inner.names.isdisjoint(channels):
+            both = _Mapping({**inner, **dict(zip(channels, fresh))})
             rules, out = [_subst(r, both, ctr) for r in rules_of(d)], _subst(body, both, ctr)
             if ctr.n == before:
                 return rules, out  # type: ignore[return-value]
@@ -590,15 +591,21 @@ def _def_channels(d: Definition) -> list[Name]:
     return list(dict.fromkeys(a.channel for r in rules_of(d) for a in pattern_atoms(r.pattern)))
 
 
-def _range_names(mapping: dict[Name, Atom]) -> set[Name]:
-    out: set[Name] = set()
-    for v in mapping.values():
-        out.update(_atom_names(v))
-    return out
+class _Mapping(dict):
+    """A substitution's mapping from names to atoms; ``names``, the names
+    occurring in its values, is found once, on first use."""
+
+    @cached_property
+    def names(self) -> set[Name]:
+        return {n for v in self.values() for n in _atom_names(v)}
 
 
-def _narrow(mapping: dict[Name, Atom], bound: set[Name]) -> dict[Name, Atom]:
-    return {k: v for k, v in mapping.items() if k not in bound}
+def _narrow(mapping: _Mapping, bound: set[Name]) -> _Mapping:
+    """``mapping`` without the keys in ``bound``: ``mapping`` itself when it
+    has none of them."""
+    if bound.isdisjoint(mapping):
+        return mapping
+    return _Mapping({k: v for k, v in mapping.items() if k not in bound})
 
 
 def _subst_channel(ch: Name, mapping: dict[Name, Atom]) -> Name:
@@ -610,19 +617,20 @@ def _subst_channel(ch: Name, mapping: dict[Name, Atom]) -> Name:
     return v
 
 
-def _rename_binders(binders: tuple[Name, ...], mapping: dict[Name, Atom], ctr: FreshNames) -> dict[Name, Atom]:
-    """Renaming for binders colliding with the substitution's range, minted
-    in the order of ``binders`` so that the fresh indices do not depend on
-    the hash seed; a binder listed twice is renamed once."""
-    danger = _range_names(mapping)
-    ren: dict[Name, Atom] = {}
+def _rename_binders(binders: tuple[Name, ...], mapping: _Mapping, inner: _Mapping, ctr: FreshNames) -> _Mapping:
+    """Renaming for binders colliding with the range of ``inner``, the
+    narrowing of ``mapping`` to their scope, minted in the order of
+    ``binders`` so that the fresh indices do not depend on the hash seed; a
+    binder listed twice is renamed once.  Narrowing only shrinks the range,
+    so ``inner``'s is read only for a binder in ``mapping``'s."""
+    ren = _Mapping()
     for b in binders:
-        if b in danger and b not in ren:
+        if b in mapping.names and b in inner.names and b not in ren:
             ren[b] = ctr.fresh(b.base)
     return ren
 
 
-def _subst(term: Term, mapping: dict[Name, Atom], ctr: FreshNames) -> Term:
+def _subst(term: Term, mapping: _Mapping, ctr: FreshNames) -> Term:
     match term:
         case Message(ch, args):
             return Message(_subst_channel(ch, mapping), tuple(_subst(a, mapping, ctr) for a in args))
@@ -649,7 +657,7 @@ def _subst(term: Term, mapping: dict[Name, Atom], ctr: FreshNames) -> Term:
             heads = pattern_atoms(j)
             binders = tuple(b for a in heads for b in a.binders)
             inner = _narrow(mapping, set(binders))
-            ren = _rename_binders(binders, inner, ctr)
+            ren = _rename_binders(binders, mapping, inner, ctr)
             if ren:
                 p = _subst(p, ren, ctr)
             j = join_of([
@@ -666,11 +674,11 @@ def _subst(term: Term, mapping: dict[Name, Atom], ctr: FreshNames) -> Term:
     raise TypeError(f"not a core term: {term!r}")
 
 
-def _subst_scope(d: Definition, body: Process, mapping: dict[Name, Atom], ctr: FreshNames):
+def _subst_scope(d: Definition, body: Process, mapping: _Mapping, ctr: FreshNames):
     """Handle a def scope: dv(d) binds inside rule bodies and the body."""
     channels = tuple(_def_channels(d))
     inner = _narrow(mapping, set(channels))
-    ren = _rename_binders(channels, inner, ctr)
+    ren = _rename_binders(channels, mapping, inner, ctr)
     if ren:
         d = _subst(d, ren, ctr)  # renames pattern channels and recursive uses
         body = _subst(body, ren, ctr)

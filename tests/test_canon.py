@@ -809,6 +809,15 @@ def test_hash_cache_stays_out_of_equality_ordering_and_repr():
     a, b = Name("a", 1), Name("a", 1)
     hash(a)
     assert not a < b and not b < a and a <= b and sorted([Name("b"), a]) == [a, Name("b")]
+    # a message keeps its text the same way
+    msg, fresh = _hash_cases()[1]
+    text = str(msg)
+    assert msg.str_cache == text and fresh.str_cache is None
+    assert msg == fresh and repr(msg) == repr(fresh) and "str_cache" not in repr(msg)
+    assert {f.name for f in dataclasses.fields(msg) if f.compare} == {"channel", "args"}
+    assert "str_cache" not in {f.name for f in dataclasses.fields(msg) if f.init}
+    replaced = dataclasses.replace(msg, args=(Name("b"),))
+    assert replaced.str_cache is None and str(replaced) == f"{msg.channel}<b>" != text
 
 
 def test_replace_drops_the_cached_hash():

@@ -7,6 +7,7 @@ from jcham.canon import canonicalize
 from jcham.contexts import refined_context
 from jcham.engine import (
     BudgetExhausted,
+    DetectionStats,
     GroundMessage,
     ModelError,
     Soup,
@@ -22,6 +23,7 @@ from jcham.engine import (
     reduce_with_info,
     replay,
     run,
+    search,
     valued_reaction,
 )
 from jcham.parser import parse
@@ -416,3 +418,121 @@ def test_heat_through_the_binding_on_colliding_names():
             raised += _check_heat(soup, body, binding)
             checked += 1
     assert 100 < raised < 2900
+
+
+# -- redexes derived from the parent's against full matching
+
+
+def _referee(monkeypatch) -> list:
+    """Checks every redex list a search derives from its parent's against
+    a fresh ``enabled_redexes``, and against the list derived without the
+    search's memo; returns the (since, list) pairs checked."""
+    import jcham.engine as engine
+
+    checked = []
+    original = engine.enabled_redexes
+
+    def refereed(soup, heads=None, since=None):
+        got = original(soup, heads, since)
+        if since is not None:
+            assert got == original(soup) == original(soup, None, since), soup.dump()
+            checked.append((since, got))
+        return got
+
+    monkeypatch.setattr(engine, "enabled_redexes", refereed)
+    return checked
+
+
+JOINS = [
+    # joins over old and new messages, messages emitted again
+    "def a<x> | b<y> |> a<y> | b<x> | c<x> and b<u> | c<v> |> a<u> in a<1> | a<2> | b<3>",
+    "def k<x> | t<> |> k<x> | t<> | u<x> and u<y> | k<z> |> k<y> in k<1> | k<2> | t<>",
+    "def p<x, y> | q<w> |> q<x> | p<w, y> and q<z> |> r<z, z> in p<1, 2> | q<2> | q<1>",
+]
+
+
+def test_derived_redexes_agree_with_full_matching_on_seeded_searches(monkeypatch):
+    from importlib.resources import files
+
+    from _gen import fragment_instance, shaped_program
+    from jcham.cli import corpus_path
+    from jcham.detector import viral_set_member
+    from jcham.malware import MalwareSpec, ReplicationMech, TargetRoutine, build_virus
+    from jcham.policy import non_infection_test
+    from jcham.scenarios import build_context, build_process, load_scenario
+
+    checked = _referee(monkeypatch)
+    starts = [inject(parse(src)) for src in JOINS]
+    for f in sorted(f.name for f in files("jcham").joinpath("corpus").iterdir()):
+        if f.endswith(".scn"):
+            sc = load_scenario(corpus_path(f))
+            starts.append(inject(build_context(sc.context_spec).plug(build_process(sc)[0])))
+        elif f.endswith(".jc"):
+            with open(corpus_path(f)) as fh:
+                starts.append(inject(parse(fh.read())))
+    rng = random.Random(22)
+    for _ in range(30):
+        ctx, program, _ = fragment_instance(rng)
+        starts.append(inject(ctx.plug(program)))
+    starts += [inject(parse(shaped_program(random.Random(s), 5, 2, 6, 2))) for s in range(30)]
+    for s in starts:
+        try:
+            search([s], 300, horizon=8)
+        except BudgetExhausted:
+            pass
+    searched = len(checked)
+    virus = build_virus(MalwareSpec("virus", "III", ReplicationMech("overwrite"), TargetRoutine("hardcoded", (Name("sw1"), Name("sw2")))))
+    assert viral_set_member(refined_context(2), virus, iterations=2).outcome == "vulnerable"
+    viral = len(checked) - searched
+    reads = [parse("let x = sr1() in observed<x>"), parse("let x = sr1() in let y = sr2() in observed<x> | observed<y>")]
+    assert non_infection_test(refined_context(2), parse("let y = sr1() in 0"), reads, depth=10).satisfied
+    assert searched > 2900 and viral > 30 and len(checked) - searched - viral > 10
+    # the parent's redexes carried over, and combinations with old messages added
+    assert any(got and since[0] and got[0] in since[0] for since, got in checked)
+    assert any(any(m not in since[2] for m in r.matched) and r not in since[0] for since, got in checked for r in got)
+
+
+def test_derived_redexes_keep_a_message_consumed_and_emitted_again(monkeypatch):
+    checked = _referee(monkeypatch)
+    search([inject(parse("def k<x> | t<> |> k<x> in k<1> | t<> | t<>"))], 10)
+    # k<1> is consumed and emitted again: present before and after, so not new
+    (since, got), (since2, got2) = checked
+    assert since[2] == set() and got == since[0] and len(got) == 1
+    assert got2 == []
+
+
+def test_derived_redexes_drop_the_last_copy_of_a_message(monkeypatch):
+    checked = _referee(monkeypatch)
+    search([inject(parse("def a<> | b<> |> 0 and a<> | c<> |> 0 in a<> | a<> | b<> | c<>"))], 10)
+    # the first reduction leaves one a<>, the second none (both ways reach
+    # one empty soup, expanded once)
+    assert [(len(since[0]), len(got)) for since, got in checked] == [(2, 1), (2, 1), (1, 0)]
+
+
+def test_derived_redexes_read_an_appended_rule_with_no_new_message(monkeypatch):
+    checked = _referee(monkeypatch)
+    soup = inject(parse("def go<> |> (def b<> |> out<> in 0) in go<>"))
+    # b~2 is the name the def in go's body mints
+    soup = inject_message(soup, Name("b", soup.fresh_counter + 1))
+    search([soup], 10)
+    since, got = checked[0]
+    assert since[1] == 1 and since[2] == set()
+    assert [r.label for r in got] == [f"b~{soup.fresh_counter + 1}"]
+
+
+def test_states_at_the_horizon_are_not_matched(monkeypatch):
+    import jcham.engine as engine
+
+    checked = _referee(monkeypatch)
+    calls = [0]
+    refereed = engine.enabled_redexes
+
+    def counted(*args):
+        calls[0] += 1
+        return refereed(*args)
+
+    monkeypatch.setattr(engine, "enabled_redexes", counted)
+    stats = DetectionStats()
+    search([inject(parse("def a<> |> a<> | b<> in a<>"))], 10, horizon=3, stats=stats)
+    # depths 0, 1 and 2 are expanded; the state at depth 3 is kept unmatched
+    assert stats.states_explored == 3 and calls[0] == 3 and len(checked) == 2
