@@ -82,6 +82,9 @@ class DetectionVerdict:
         return self.outcome == "vulnerable"
 
 
+# the steps a replication hit gets to settle into a completed state
+_COMPLETION_STEPS = 400
+
 _CLAUSE_NOTE = (
     "free-channel clause evaluated against every channel defined by the plugged "
     "system; write channels of run-time-created resources qualify as targets"
@@ -279,7 +282,11 @@ def viral_set_member(
     completed in, for the program's abstraction firing and a replication
     event following it.  Activation messages are sent on resource exec
     channels with fresh inert arguments, so they cannot simulate viral
-    activity themselves.  The state budget is shared by all iterations.
+    activity themselves.  The state budget is shared by all iterations.  A
+    replication before the last iteration that still reacts after
+    ``_COMPLETION_STEPS`` settling steps starts nothing and counts as a
+    tripped ``completion_steps`` budget; the last iteration's replications
+    start nothing, so they are not settled.
     """
     if iterations < 2:
         raise ValueError("viable replication is defined for at least 2 iterations")
@@ -301,9 +308,9 @@ def viral_set_member(
 
     stats = DetectionStats()
     notes = [_CLAUSE_NOTE, "activations use fresh inert arguments"]
-    # a budget that trips with some completions found leaves the next
-    # iterations searching from a partial start set: none may then report
-    # not_vulnerable
+    # a budget that trips (the search's, or a completion's that does not
+    # settle) leaves the next iterations searching from a partial start set:
+    # none may then report not_vulnerable
     tripped: Optional[BudgetExhausted] = None
     witness: Optional[Trace] = None
     states = [soup0]
@@ -328,13 +335,20 @@ def viral_set_member(
         # search drops as duplicates after canonicalizing them
         completed: Dict[tuple, Soup] = {}
         traces: List[Trace] = []
+        last = it == iterations - 1
 
         def replicated(edge):
+            nonlocal tripped
             if not edge.label or qual.step_hit(edge.step.redex.matched, edge.step.emitted, edge.soup) is None:
                 return None
             if not traces:
                 traces.append(edge.trace())
-            done = settle(edge.soup, 400)[0]
+            if last:  # the last iteration's completions would start nothing
+                return CUT
+            done, quiet = settle(edge.soup, _COMPLETION_STEPS)
+            if not quiet:  # still reacting: no completed state to start from
+                tripped = BudgetExhausted("completion_steps", _COMPLETION_STEPS)
+                return CUT
             completed.setdefault((done.rules, frozenset(done.messages.items())), done)
             return CUT
 
@@ -343,7 +357,7 @@ def viral_set_member(
                    label=fired, root_label=False, visit=replicated)
         except BudgetExhausted as e:
             tripped = e
-        if not completed:
+        if not (traces if last else completed):
             outcome = "budget_exhausted" if tripped else "not_vulnerable"
             budget_note = [str(tripped)] if tripped else []
             return DetectionVerdict(outcome, None, stats, notes + budget_note + [f"iteration {it + 1} failed"])

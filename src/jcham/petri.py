@@ -26,12 +26,25 @@ the search from testing such candidates against the whole antichain:
 * A pre-image that dominates its source is never built.  ``pre_image(m, t)
   >= m`` exactly when ``m[p] <= pre[p]`` on every place where ``t`` gains
   tokens (``post[p] > pre[p]``).  ``m`` was inserted, so ``m`` or a later
-  minimal element below it covers such a pre-image.
+  minimal element below it covers such a pre-image.  Per place, the
+  preset counts of the moves that gain tokens there are kept sorted, each
+  with the bit set of the moves up to it, so the other moves are read off
+  with one bisection per marked place.
 * A candidate tested before in the same call is dropped: it was inserted,
   and so covers itself, or it was covered already.
-* Each antichain element carries its token sum and its support as a bit
-  mask.  ``b <= c`` is tested only when ``sum(b) <= sum(c)`` and ``b``'s
-  support lies inside ``c``'s, and pruning filters the other way round.
+* The antichain is indexed by place.  Its markings sit in numbered slots,
+  with their token sums, and per place one integer has a bit for each slot
+  whose marking puts a token there.  Only the markings outside the union
+  of the sets of the places a candidate leaves empty can lie below it, and
+  only those in the intersection of the sets of the places it marks can
+  lie above it.  ``leq`` runs on those alone, once their sums and tuples
+  also compare: ``b <= c`` on every place implies ``sum(b) <= sum(c)`` and
+  ``b <= c`` lexicographically.  A set with few bits set is stepped bit by
+  bit, a denser one is read off its binary digits in one pass, so a query
+  costs at most one scan of the slots.  A dropped marking keeps its bits,
+  which the set of held slots masks out.  Between rounds, once dropped
+  slots are half of 64 or more, the held markings are numbered from 0
+  again.
 
 None of them changes which candidates are inserted, or in which order.  The
 verdict, the parent pointers and so the witness, and the insertion count
@@ -41,12 +54,15 @@ that ``max_basis`` bounds are those of the search without them, which
 A text format exchanges nets with the command line, one declaration per
 line: ``place <i> [label]``, ``trans <label> pre <counts> post <counts>``,
 ``init <counts>`` and ``target <counts>``, where ``<counts>`` is
-``place:count`` pairs joined by commas, or ``-`` for no tokens.
+``place:count`` pairs joined by commas, or ``-`` for no tokens.  A place
+is declared once and listed at most once in each ``<counts>``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress, count
 from operator import le, lt
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -88,7 +104,7 @@ def leq(a: Marking, b: Marking) -> bool:
 def fire(m: Marking, t: Transition) -> Optional[Marking]:
     if any(map(lt, m, t.pre)):
         return None
-    return tuple(c - i + o for c, i, o in zip(m, t.pre, t.post))
+    return tuple([c - i + o for c, i, o in zip(m, t.pre, t.post)])
 
 
 def pre_image(m: Marking, t: Transition) -> Marking:
@@ -96,19 +112,91 @@ def pre_image(m: Marking, t: Transition) -> Marking:
     return tuple([c - o + i if c > o else i for c, i, o in zip(m, t.pre, t.post)])
 
 
-def _insert_minimal(basis: Dict[Marking, Tuple[int, int]], cand: Marking, total: int, support: int) -> bool:
-    """Add ``cand``, whose token sum is ``total`` and support mask
-    ``support``, to the antichain unless it is already covered; prune the
-    elements it covers.  ``basis`` maps each element to its own sum and
-    mask, and ``leq`` runs only on pairs that those admit.  Returns True
-    when the basis changed."""
-    for b, (s, k) in basis.items():
-        if s <= total and not k & ~support and leq(b, cand):
-            return False
-    for b in [b for b, (s, k) in basis.items() if total <= s and not support & ~k and leq(cand, b)]:
-        del basis[b]
-    basis[cand] = (total, support)
-    return True
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _members(mask: int) -> Iterable[int]:
+    """The positions of the set bits of ``mask``, lowest first.  A sparse
+    mask is stepped bit by bit; a dense one is read off its binary digits
+    in one pass, since each bitwise step costs a pass over the whole mask."""
+    if mask.bit_count() * 8 < mask.bit_length():
+        out = []
+        while mask:
+            bit = mask & -mask
+            out.append(bit.bit_length() - 1)
+            mask ^= bit
+        return out
+    return compress(count(), bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS))
+
+
+class _Antichain:
+    """Minimal markings in numbered slots, with their token sums, indexed by
+    place: ``on[p]`` has bit ``i`` set when the marking in slot ``i`` puts
+    a token on place ``p``, and ``alive`` has the bits of the slots still
+    held.  A dropped marking keeps its bits in ``on``; every query masks
+    them with ``alive``."""
+
+    def __init__(self, places: int):
+        self.slots: List[Marking] = []
+        self.sums: List[int] = []
+        self.on = [0] * places
+        self.alive = 0
+
+    def insert(self, cand: Marking) -> bool:
+        """Add ``cand`` unless a held marking lies below it, and drop the
+        held markings above it; ``leq`` runs only on those whose support,
+        token sum and tuple order admit the pair.  Returns True when
+        ``cand`` was added, in the next slot."""
+        slots, sums, alive = self.slots, self.sums, self.alive
+        total = sum(cand)
+        empty, above = 0, alive
+        for c, held in zip(cand, self.on):
+            if c:
+                above &= held
+            else:
+                empty |= held
+        # b <= cand on every place only if b's support lies inside cand's,
+        # its sum is at most cand's, and b <= cand as tuples (a
+        # lexicographic test run in C)
+        for i in _members(alive & ~empty):
+            if sums[i] <= total:
+                b = slots[i]
+                if b <= cand and all(map(le, b, cand)):
+                    return False
+        for i in _members(above):
+            if total <= sums[i]:
+                b = slots[i]
+                if cand <= b and all(map(le, cand, b)):
+                    alive ^= 1 << i
+        bit = 1 << len(slots)
+        slots.append(cand)
+        sums.append(total)
+        self.alive = alive | bit
+        on = self.on
+        for p in compress(range(len(on)), cand):
+            on[p] |= bit
+        return True
+
+    def held(self, start: int = 0) -> List[Marking]:
+        """The markings still held in slots ``start`` on, in slot order."""
+        rest, out = self.alive >> start, []
+        while rest:
+            bit = rest & -rest
+            out.append(self.slots[start + bit.bit_length() - 1])
+            rest ^= bit
+        return out
+
+    def renumber(self) -> None:
+        """Number the held markings from 0, in their order, once dropped
+        ones fill half of 64 slots or more."""
+        if len(self.slots) >= 64 and len(self.slots) >= 2 * self.alive.bit_count():
+            self.slots = self.held()
+            self.sums = [sum(m) for m in self.slots]
+            self.on = [0] * len(self.on)
+            for i, m in enumerate(self.slots):
+                for p in compress(range(len(m)), m):
+                    self.on[p] |= 1 << i
+            self.alive = (1 << len(self.slots)) - 1
 
 
 def fire_sequence(m: Marking, net: PetriNet, seq: Iterable[int]) -> Optional[Marking]:
@@ -149,38 +237,55 @@ def coverable(
         return tuple(m[p] for p in places)
 
     moves = [Transition(project(t.pre), project(t.post)) for t in (net.transitions[ti] for ti in live)]
-    # per move, (place, preset count) where it gains tokens: its pre-image of
-    # m dominates m, and is covered, unless m exceeds one of those counts
-    gains = [[(p, i) for p, (i, o) in enumerate(zip(t.pre, t.post)) if o > i] for t in moves]
-    bits = [1 << p for p in range(len(places))]
+    # gainers[p]: the preset counts, sorted, of the moves that gain tokens
+    # on place p, and after k of them the bits of the first k moves.  The
+    # pre-image of m under a move whose preset m does not exceed on any such
+    # place dominates m, and is covered.
+    gainers = []
+    for p in range(len(places)):
+        gain = sorted((t.pre[p], mi) for mi, t in enumerate(moves) if t.post[p] > t.pre[p])
+        masks = [0]
+        for _, mi in gain:
+            masks.append(masks[-1] | 1 << mi)
+        gainers.append(([i for i, _ in gain], masks))
     low = project(init)
-    basis: Dict[Marking, Tuple[int, int]] = {}  # minimal marking -> (token sum, support mask)
+    basis = _Antichain(len(places))
     parent: Dict[Marking, Optional[Tuple[int, Marking]]] = {}  # (move, successor) back to a target
     tested: set[Marking] = set()
     candidates: Iterable[Tuple[Marking, Optional[Tuple[int, Marking]]]] = [(project(t), None) for t in targets]
     while True:
-        inserted: List[Marking] = []
+        start = len(basis.slots)
         for pm, via in candidates:
             if pm in tested:
                 continue
             tested.add(pm)
-            if not _insert_minimal(basis, pm, sum(pm), sum([b for b, c in zip(bits, pm) if c])):
+            if not basis.insert(pm):
                 continue
             parent[pm] = via  # a marking once inserted stays covered, so never returns
             if leq(pm, low):
                 return True, _witness(net, init, targets, parent, pm, live)
             if len(parent) > max_basis:
                 raise BudgetExhausted("max_basis", max_basis)
-            inserted.append(pm)
-        frontier = [m for m in inserted if m in basis]
+        frontier = basis.held(start)  # this round's insertions still minimal
         if not frontier:
             return False, None
-        candidates = (
-            (pre_image(m, t), (mi, m))
-            for m in frontier
-            for mi, (t, gain) in enumerate(zip(moves, gains))
-            if any(m[p] > i for p, i in gain)
-        )
+        basis.renumber()
+        candidates = _pre_images(frontier, moves, gainers)
+
+
+def _pre_images(frontier: List[Marking], moves: List[Transition], gainers: List[Tuple[List[int], List[int]]]):
+    """Each frontier marking's pre-images that do not dominate it, with the
+    move and the marking, in frontier order and then move order."""
+    for m in frontier:
+        due = 0
+        for (counts, masks), c in zip(gainers, m):
+            if c:
+                due |= masks[bisect_left(counts, c)]
+        while due:
+            bit = due & -due
+            mi = bit.bit_length() - 1
+            yield pre_image(m, moves[mi]), (mi, m)
+            due ^= bit
 
 
 def _saturate(net: PetriNet, init: Marking) -> Tuple[List[int], List[int]]:
@@ -234,6 +339,8 @@ def parse_net(text: str) -> Tuple[PetriNet, Marking, Optional[Marking]]:
         out: Dict[int, int] = {}
         for item in s.split(","):
             p, c = item.split(":")
+            if int(p) in out:
+                raise ValueError
             out[int(p)] = int(c)
         return out
 
@@ -243,7 +350,7 @@ def parse_net(text: str) -> Tuple[PetriNet, Marking, Optional[Marking]]:
             continue
         fields = line.split()
         try:
-            if fields[0] == "place" and len(fields) >= 2 and int(fields[1]) >= 0:
+            if fields[0] == "place" and len(fields) >= 2 and int(fields[1]) >= 0 and int(fields[1]) not in places:
                 places[int(fields[1])] = line.split(None, 2)[2] if len(fields) > 2 else ""
             elif fields[0] == "trans" and len(fields) == 6 and fields[2] == "pre" and fields[4] == "post":
                 transitions.append((parse_counts(fields[3]), parse_counts(fields[5]), fields[1]))

@@ -335,10 +335,23 @@ def non_infection_test(
     ``violated`` found at that horizon stands, with its note).  Raises
     ``ValueError`` when ``tests`` is empty: nothing would be compared, and
     ``satisfied_to_depth`` would hold vacuously."""
+    _check_harness(ctx, tests)
     try:
         return _non_infection(ctx, p, tests, depth, quiescence_budget)
     except BudgetExhausted as e:
         return NonInfectionVerdict("budget_exhausted", depth, None, [str(e)])
+
+
+def _check_harness(ctx: Context, tests: Seq[Process]) -> None:
+    """Refuse a context that reacts with nothing plugged in, an empty test
+    list and a test that could infect; none of it depends on the process
+    under test."""
+    if enabled_redexes(inject(ctx.plug(Null()))):
+        raise UnstableContext("the environment reacts without any plugged process")
+    if not tests:
+        raise ValueError("no test process: a non-infection test would compare nothing")
+    for t in tests:
+        check_test_harmless(ctx, t)
 
 
 def _non_infection(
@@ -349,17 +362,10 @@ def _non_infection(
     quiescence_budget: int = 600,
     baselines: Optional[dict] = None,
 ):
-    """``non_infection_test`` with a tripped budget raised, not reported.
-    ``baselines`` keeps each test's trace set without ``p`` across the calls
-    that share it; those sets do not depend on ``p``."""
-    null_soup = inject(ctx.plug(Null()))
-    if enabled_redexes(null_soup):
-        raise UnstableContext("the environment reacts without any plugged process")
-    if not tests:
-        raise ValueError("no test process: a non-infection test would compare nothing")
-    for t in tests:
-        check_test_harmless(ctx, t)
-
+    """``non_infection_test`` once ``_check_harness`` has passed, with a
+    tripped budget raised, not reported.  ``baselines`` keeps each test's
+    trace set without ``p`` across the calls that share it; those sets do
+    not depend on ``p``."""
     evolved, quiet = settle(inject(ctx.plug(p)), quiescence_budget)
     notes = [] if quiet else [f"quiescence budget hit after {quiescence_budget} steps; comparing at that horizon"]
 
@@ -504,23 +510,23 @@ def enforcement_sound(ctx_guarded: Context, depth: int = 6) -> bool:
     untouched one, i.e. the checks cannot be bypassed without the token.
     Raises :class:`BudgetExhausted` when a comparison runs out of budget,
     and ``ValueError`` when there is no probe (no guarded channel and no
-    write-access resource): ``True`` would then hold vacuously."""
+    write-access resource): ``True`` would then hold vacuously.  The
+    context's stability and the tests' harmlessness are checked once,
+    before any probe runs."""
     tests = _reader_tests(ctx_guarded)
-    baselines: dict = {}  # each test's trace set without a probe, for this call
-
-    def sound_against(probe: Process) -> bool:
-        return _non_infection(ctx_guarded, probe, tests, depth, baselines=baselines).satisfied
-
     guard = ctx_guarded.guard
     if guard is not None and guard.distributor_base in ctx_guarded.services and guard.guarded:
         # a published distributor defeats the point: an acquiring probe gets
         # the token and writes
         dist, g = (atom_source(Name(c), ContextError) for c in (guard.distributor_base, guard.guarded[0]))
-        return sound_against(parse(f"let t = {dist}() in {g}(t, probe_val); probe_done<>"))
-    probes = _probe_battery(ctx_guarded)
-    if not probes:
-        raise ValueError("no probe: the context has no guarded channel and no write-access resource")
-    return all(sound_against(probe) for probe in probes)
+        probes = [parse(f"let t = {dist}() in {g}(t, probe_val); probe_done<>")]
+    else:
+        probes = _probe_battery(ctx_guarded)
+        if not probes:
+            raise ValueError("no probe: the context has no guarded channel and no write-access resource")
+    _check_harness(ctx_guarded, tests)
+    baselines: dict = {}  # each test's trace set without a probe, for this call
+    return all(_non_infection(ctx_guarded, probe, tests, depth, baselines=baselines).satisfied for probe in probes)
 
 
 def token_leak_free(ctx_guarded: Context, depth: int = 6, max_states: int = 4000) -> bool:

@@ -98,7 +98,7 @@ def karp_miller(net: PetriNet, init: Marking, cap: int = 100_000) -> Set[Marking
 km_covers = covers_any  # an OMEGA place covers any count
 
 
-def _insert_minimal(basis: List[Marking], cand: Marking) -> bool:
+def plain_insert_minimal(basis: List[Marking], cand: Marking) -> bool:
     """Add ``cand`` to the antichain unless it is already covered; prune
     elements it covers.  Returns True when the basis changed."""
     if any(leq(b, cand) for b in basis):
@@ -129,7 +129,7 @@ def plain_coverable(
     while True:
         inserted: List[Marking] = []
         for pm, via in candidates:
-            if not _insert_minimal(basis, pm):
+            if not plain_insert_minimal(basis, pm):
                 continue
             parent[pm] = via
             if leq(pm, low):

@@ -135,6 +135,37 @@ def test_viral_set_starts_each_completion_once(monkeypatch):
         assert len(set(keys)) == len(keys)
 
 
+def test_viral_set_completion_that_keeps_reacting_trips_its_budget():
+    # the virus starts a ticking loop once it has replicated: no hit settles
+    # into a completed state, so none may seed the next iteration
+    text = pretty(virus("III"))
+    ticking = text.replace(
+        "in loc_rep(sys_ref(), loc_targ()))", "in loc_rep(sys_ref(), loc_targ()) | (def tick<> |> tick<> in tick<>))"
+    )
+    assert ticking != text
+    v = viral_set_member(refined_context(2), parse(ticking), iterations=2)
+    assert v.outcome == "budget_exhausted"
+    assert v.notes[-2:] == ["budget completion_steps=400 exhausted", "iteration 1 failed"]
+
+
+def test_viral_set_last_iteration_is_not_settled():
+    # the virus ticks only when an activation runs it: the hits of the
+    # iteration that follows one keep reacting.  A last iteration's hits
+    # start nothing, so they count; an earlier one's would be start states
+    text = pretty(virus("III"))
+    ticking = text.replace(
+        "in loc_rep(sys_ref(), loc_targ()))",
+        "in loc_rep(sys_ref(), loc_targ()) | (if [x = a0] then 0 else (def tick<> |> tick<> in tick<>)))",
+    )
+    assert ticking != text
+    v = viral_set_member(refined_context(2), parse(ticking), iterations=2)
+    assert v.outcome == "vulnerable"
+    assert v.notes[-2:] == ["iteration 1 replicated", "iteration 2 replicated"]
+    v = viral_set_member(refined_context(2), parse(ticking), iterations=3)
+    assert v.outcome == "budget_exhausted"
+    assert v.notes[-3:] == ["iteration 1 replicated", "budget completion_steps=400 exhausted", "iteration 2 failed"]
+
+
 def test_viral_set_witness_replays():
     ctx = refined_context(2)
     v = viral_set_member(ctx, virus("III"), iterations=2)

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -17,7 +21,15 @@ from jcham.petri import (
     pre_image,
 )
 
-from _petri_referee import OMEGA, format_net, forward_enumerate, karp_miller, km_covers, plain_coverable
+from _petri_referee import (
+    OMEGA,
+    format_net,
+    forward_enumerate,
+    karp_miller,
+    km_covers,
+    plain_coverable,
+    plain_insert_minimal,
+)
 
 
 def net_of(places, transitions):
@@ -224,6 +236,29 @@ def test_cover_witness_indexes_the_files_transitions(tmp_path, capsys):
     assert capsys.readouterr().out == "coverable: True\nwitness: go\n"
 
 
+def test_a_gaining_move_with_a_huge_preset_count_is_indexed_by_its_moves(tmp_path):
+    # the gain index keeps an entry per gaining move, not per token count:
+    # the child process is capped at 256 MB, which a table with an entry
+    # per count up to 10**12 would exceed
+    net = tmp_path / "n.net"
+    net.write_text("place 0\ntrans t pre 0:1000000000000 post 0:1000000000001\ninit 0:1\ntarget 0:1000000000005\n")
+    src = os.path.dirname(os.path.dirname(petri.__file__))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "jcham.cli", "petri", "cover", "--net", str(net)],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src), preexec_fn=cap,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "coverable: False\n", "")
+    # five pre-images, each one token lower, until t's preset is reached
+    init, target = (1,), (10**12 + 5,)
+    moves = net_of(1, [({0: 10**12}, {0: 10**12 + 1})])
+    assert _outcome(coverable, moves, init, [target], 5) == _outcome(plain_coverable, moves, init, [target], 5) == ("max_basis", 5)
+    assert coverable(moves, init, target, max_basis=6) == (False, None)
+
+
 def _outcome(search, net, init, targets, max_basis):
     try:
         return search(net, init, *targets, max_basis=max_basis)
@@ -253,17 +288,77 @@ def test_skips_keep_verdict_witness_and_budget_of_the_plain_search():
     assert sum(o == (False, None) for o in outcomes) >= 500
 
 
-def _record(monkeypatch, name):
-    """The arguments and result of each call to ``jcham.petri.<name>``
-    that ``coverable`` makes."""
+def test_wide_nets_and_long_pumps_keep_the_outcome_of_the_plain_search():
+    rng = random.Random(1416)
+    outcomes = []
+    for _ in range(60):
+        places = rng.randint(14, 16)
+
+        def tokens(least, most):
+            return [(rng.randrange(places), 1) for _ in range(rng.randint(least, most))]
+
+        net = net_of(places, [(tokens(1, 2), tokens(1, 3)) for _ in range(rng.randint(places - 2, places + 2))])
+        init = net.marking([(p, 1) for p in range(places) if rng.random() < 0.4])
+        targets = [net.marking(tokens(3, 3)) for _ in range(rng.randint(1, 2))]
+        max_basis = rng.choice((40, 200_000))
+        got = _outcome(coverable, net, init, targets, max_basis)
+        assert got == _outcome(plain_coverable, net, init, targets, max_basis)
+        outcomes.append(got)
+    assert sum(o[0] == "max_basis" for o in outcomes) >= 5
+    assert sum(o[0] is True and len(o[1]) >= 2 for o in outcomes) >= 10
+    assert sum(o == (False, None) for o in outcomes) >= 10
+    # one place, one marking a round: the slots are renumbered many times
+    doubling, stuck = net_of(1, [({0: 1}, {0: 2})]), net_of(1, [({0: 2}, {0: 3})])
+    for net, tokens, max_basis, want in (
+        (doubling, 3000, 200_000, (True, [0] * 2999)),
+        (stuck, 2500, 200_000, (False, None)),  # it needs two tokens to start
+        (stuck, 2500, 1000, ("max_basis", 1000)),
+    ):
+        init, target = net.marking({0: 1}), net.marking({0: tokens})
+        got = _outcome(coverable, net, init, [target], max_basis)
+        assert got == _outcome(plain_coverable, net, init, [target], max_basis) == want
+
+
+def test_place_index_keeps_the_answers_of_a_plain_antichain():
+    # each stream mostly steps down from a held marking, which drops it, so
+    # dropped slots pile up and are renumbered again and again
+    rng = random.Random(1996)
+    renumbered = 0
+    for _ in range(10):
+        places = rng.randint(2, 16)
+        chain, plain = petri._Antichain(places), []
+        for _ in range(2000):
+            if plain and rng.random() < 0.9:
+                cand = list(rng.choice(plain))
+                p = rng.choice([p for p, c in enumerate(cand) if c])
+                cand[p] -= rng.randint(1, min(3, cand[p]))
+            else:
+                cand = [rng.randint(0, 50) if rng.random() < 0.6 else 0 for _ in range(places)]
+            if not any(cand):
+                continue
+            cand = tuple(cand)
+            assert chain.insert(cand) == plain_insert_minimal(plain, cand)
+            assert chain.held() == plain
+            if rng.random() < 0.3:
+                slots = len(chain.slots)
+                chain.renumber()
+                renumbered += len(chain.slots) < slots
+                assert chain.held() == plain
+    assert renumbered >= 20
+
+
+def _record(monkeypatch, owner, name):
+    """The arguments and result of each call to ``owner.<name>`` (a
+    function of ``jcham.petri`` or a method of one of its classes) that
+    ``coverable`` makes."""
     calls = []
-    real = getattr(petri, name)
+    real = getattr(owner, name)
 
     def spy(*args):
         calls.append((args, real(*args)))
         return calls[-1][1]
 
-    monkeypatch.setattr(petri, name, spy)
+    monkeypatch.setattr(owner, name, spy)
     return calls
 
 
@@ -271,18 +366,27 @@ def test_pre_images_that_dominate_their_source_are_not_built(monkeypatch):
     # the pump p0 -> p0 + p1 gains on p1 only, so from a marking without
     # tokens on p1 its pre-image is the marking itself
     net = net_of(2, [({0: 1}, {0: 1, 1: 1})])
-    built = _record(monkeypatch, "pre_image")
+    built = _record(monkeypatch, petri, "pre_image")
     assert coverable(net, net.marking({0: 1}), net.marking({0: 2, 1: 1})) == (False, None)
     assert [args[0] for args, _ in built] == [(2, 1)]  # not (2, 0), whose pre-image is (2, 0)
     assert plain_coverable(net, net.marking({0: 1}), net.marking({0: 2, 1: 1})) == (False, None)
+
+
+def test_a_gaining_move_is_skipped_where_the_marking_equals_its_preset(monkeypatch):
+    # p0 + p1 -> p0 + 2 p1 gains on p1, where its preset has one token: from
+    # a marking with one token there its pre-image is the marking itself
+    net = net_of(2, [({0: 1, 1: 1}, {0: 1, 1: 2})])
+    built = _record(monkeypatch, petri, "pre_image")
+    assert coverable(net, net.marking({0: 1, 1: 1}), net.marking({0: 2, 1: 2})) == (False, None)
+    assert [(args[0], m) for args, m in built] == [((2, 2), (2, 1))]  # nothing is built from (2, 1)
 
 
 def test_a_repeated_candidate_is_not_tested_again(monkeypatch):
     # two copies of p0 -> p1 give the same pre-image of the p1 target
     net = net_of(3, [({0: 1}, {1: 1}), ({0: 1}, {1: 1}), ({2: 1}, {0: 1})])
     init, target = net.marking({2: 1}), net.marking({1: 1})
-    built = _record(monkeypatch, "pre_image")
-    tested = _record(monkeypatch, "_insert_minimal")
+    built = _record(monkeypatch, petri, "pre_image")
+    tested = _record(monkeypatch, petri._Antichain, "insert")  # args: the antichain, the candidate
     assert coverable(net, init, target) == (True, [2, 0]) == plain_coverable(net, init, target)
     assert [m for _, m in built] == [(1, 0, 0), (1, 0, 0), (0, 0, 1)]
     assert [args[1] for args, _ in tested] == [(0, 1, 0), (1, 0, 0), (0, 0, 1)]
@@ -368,3 +472,20 @@ def test_text_format_round_trip():
     ok1, _ = coverable(net, init, target)
     ok2, _ = coverable(net2, init2, target2)
     assert ok1 == ok2 == True
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["init 0:1,0:2", "target 1:1,1:0", "target 1:0,1:1", "trans u pre 0:1,0:1 post 1:1", "place 1 again"],
+)
+def test_a_place_listed_twice_makes_its_line_unreadable(tmp_path, capsys, line):
+    # a mapping would keep one of the counts and PetriNet.marking would add
+    # them up, so the two readings of the line would disagree
+    text = f"place 0 a\nplace 1 b\ntrans t pre 0:1 post 1:1\ninit 0:1\ntarget 1:3\n{line}\n"
+    with pytest.raises(ValueError, match=f"^line 6: cannot read '{line}'$"):
+        parse_net(text)
+    net = tmp_path / "n.net"
+    net.write_text(text)
+    assert main(["petri", "cover", "--net", str(net)]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"{net}: line 6: cannot read '{line}'\n"

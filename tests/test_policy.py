@@ -328,3 +328,34 @@ def test_enforcement_sound_computes_each_baseline_once(monkeypatch):
     # every probe is compared with every test, against one baseline per test
     assert len(tests) == 2 and len(probes) == 4 and len(traced) == len(tests) * (1 + len(probes))
     assert sorted(d for d in traced if d in baselines) == sorted(baselines)
+
+
+def test_enforcement_sound_injects_the_empty_context_once(monkeypatch):
+    counted = tokenize_context(refined_context(2), TokenGuard(mode="counted", count=2, guarded=("sw1", "sw2")))
+    tests, probes = policy._reader_tests(counted), policy._probe_battery(counted)
+    injected = []
+
+    def recording(p):
+        injected.append(p)
+        return inject(p)
+
+    monkeypatch.setattr(policy, "inject", recording)
+    assert enforcement_sound(counted)
+    # the empty context once, each probe once, each test's baseline once
+    assert len(tests) == 2 and len(probes) == 4 and len(injected) == 1 + len(probes) + len(tests)
+    assert injected.count(counted.plug(Null())) == 1
+
+
+@pytest.mark.parametrize("distribute", [False, True])
+def test_enforcement_sound_refuses_an_unstable_guarded_context_before_any_probe(monkeypatch, distribute):
+    from dataclasses import replace
+
+    g = add_token_distributor(guarded2()) if distribute else guarded2()
+    # a rule and a message that react without any plugged process
+    ticking = Rule(MsgPat(Name("tick"), ()), Message(Name("tick"), ()))
+    unstable = replace(g, template=LocalDef(conj_of([ticking]), par(Message(Name("tick"), ()), g.template)))
+    settled = []
+    monkeypatch.setattr(policy, "settle", lambda soup, budget: settled.append(soup) or (soup, True))
+    with pytest.raises(UnstableContext):
+        enforcement_sound(unstable)
+    assert settled == []
