@@ -39,26 +39,38 @@ one, so its classes are those a refinement from bases alone reaches; only
 the order of the colours differs.  Refinement stops as soon as the
 partition is discrete, which is stable, so no round is spent confirming it.
 
+Only the doubtful items enter the joint refinement and the component order:
+the rules with a loose name (listed once per rules part) and the messages
+with a loose name or one outside the rules.  An item whose names are all
+fixed splits no class and joins no component.  The rules' colouring is
+stable over the rules, so the joint refinement is seeded: its first round
+signs only the classes of the names those messages carry, and each later
+round only the classes with a member in an item that holds a name whose
+class split in the round before.
+
 Each ``ActiveRule`` is flattened into its skeleton (and the indexed-name
 slots in it) only once and keeps it.  Refinement colours are integer ranks:
 a name's new colour is the rank of its (old colour, sorted signature) among
 those of all names.  A round computes that rank only where it can change:
-it describes the items that hold a name of a class of two or more, signs
+it describes the items that hold a name of a class that can split, signs
 only those names, and splits each such class on its own (Paige & Tarjan
 1987 refine only the classes that can split).
 
 A search meets few rules tuples and, over each, messages it met in earlier
 states.  ``engine.search`` (and ``run`` and ``replay``, for one trace)
 therefore hands ``canonicalize`` a memo that lives for that one call.  It
-holds two kinds of entries: the rules part, keyed by the rules tuple, and
-the skeleton of a message, keyed by the message and its count.  On the
-rules-only route a new state then costs a lookup per message met before,
-one sort and one sha256; the joint route still refines the whole soup.
-The form itself is not stored.  Keyed by the soup, it hashed the whole
-rules tuple and every message count per state and paid on no benchmark
-workload: computed afresh from the memo, the 3,032 forms of a ``corpus``
-pass (2,002 when stored) take no longer, with 68,000 fewer ``ActiveRule``
-hashes.
+holds three kinds of entries: the rules part, keyed by the rules tuple; the
+skeleton of a message, keyed by the message and its count; and one table of
+component results, keyed by a component's structure, which the rules parts
+of the memo share.  On the rules-only route a new state then costs a lookup
+per message met before, one sort and one sha256; the joint route refines
+the doubtful items and individualizes each component structure once per
+search (McKay & Piperno, *Practical graph isomorphism II*, 2014, for
+individualization per component).  The form itself is not stored.  Keyed by
+the soup, it hashed the whole rules tuple and every message count per
+state and paid on no benchmark workload: computed afresh from the memo,
+the 3,032 forms of a ``corpus`` pass (2,002 when stored) take no longer,
+with 68,000 fewer ``ActiveRule`` hashes.
 """
 
 from __future__ import annotations
@@ -102,13 +114,15 @@ class CanonicalForm:
 
 def canonicalize(soup: Soup, memo: Optional[dict] = None) -> CanonicalForm:
     """The soup's canonical form.  ``memo`` is kept by the caller for one
-    search or trace: it holds the rules part of each rules tuple met and
-    the skeleton of each (message, count) met, and it changes nothing but
-    the time a form takes; without it every part is built afresh."""
+    search or trace: it holds the rules part of each rules tuple met, the
+    skeleton of each (message, count) met and the table of component
+    results, and it changes nothing but the time a form takes; without it
+    every part is built afresh."""
     memo = {} if memo is None else memo
     part = memo.get(soup.rules)
     if part is None:
         part = memo[soup.rules] = _rules_part(soup.rules)
+        part.table = memo.setdefault(_COMPONENTS, {})
     items = soup.messages.items()
     rendered = part.rendered
     new = {mk: _memo_flat(mk, memo) for mk in items if mk not in rendered}
@@ -124,6 +138,10 @@ def canonicalize(soup: Soup, memo: Optional[dict] = None) -> CanonicalForm:
     return CanonicalForm(hashlib.sha256(best_s.encode()).hexdigest(), best_s)
 
 
+# the memo key of the component table
+_COMPONENTS = "components"
+
+
 @dataclass
 class _RulesPart:
     """What a state's canonical form needs of its rules alone.  The
@@ -133,9 +151,15 @@ class _RulesPart:
     names: List[Name]  # the rules' indexed names, sorted
     number: Dict[Name, int]  # each name's position in ``names``
     flats: List[_Flat]  # every rule
-    slotted: List[SlotItem]  # the rules with slots, numbered by ``number``
     colors: List[int]  # the stable colouring of ``names`` over the rules alone
     loose: frozenset  # the names that share their colour with another
+    # the rules with a loose name, numbered by ``number``, and their
+    # skeletons: the only rules that refinement and component order can
+    # read something from
+    doubtful: List[SlotItem]
+    doubtful_flats: List[_Flat]
+    # component results: the memo's table, shared by its rules parts
+    table: dict = field(default_factory=dict, repr=False)
     # each (message, count) whose names the rules fix, rendered under ``marks``
     rendered: Dict[Tuple[GroundMessage, int], str] = field(default_factory=dict)
 
@@ -143,8 +167,8 @@ class _RulesPart:
     def marks(self) -> Dict[Name, str]:
         """Each name as ``base%position`` in the rules-only order."""
         # with no loose name this is colour order
-        skeletons = [("rule", f.toks) for f in self.flats if f.slots]
-        order = _component_order(self.slotted, skeletons, self.names, self.colors)
+        doubtful = self.doubtful
+        order = _component_order(doubtful, self.doubtful_flats, len(doubtful), self.names, self.colors, self.table)
         return {self.names[i]: f"{self.names[i].base}%{p}" for p, i in enumerate(order)}
 
     @cached_property
@@ -161,29 +185,38 @@ def _rules_part(rules: Tuple[ActiveRule, ...]) -> _RulesPart:
     flats = [_rule_flat(r) for r in rules]
     names = _sorted_names(n for f in flats for n in f.slots)
     number = {n: i for i, n in enumerate(names)}
-    slotted = [(f.shape, tuple(number[n] for n in f.slots)) for f in flats if f.slots]
+    slotted_flats = [f for f in flats if f.slots]
+    slotted = [(f.shape, tuple([number[n] for n in f.slots])) for f in slotted_flats]
     colors = _refine_fixpoint(slotted, _ranks([n.base for n in names]))
     size = Counter(colors)
-    loose = frozenset(n for n, c in zip(names, colors) if size[c] > 1)
-    return _RulesPart(names, number, flats, slotted, colors, loose)
+    loose = {i for i, c in enumerate(colors) if size[c] > 1}
+    doubtful = [k for k, (_, ids) in enumerate(slotted) if not loose.isdisjoint(ids)]
+    return _RulesPart(
+        names, number, flats, colors, frozenset(names[i] for i in loose),
+        [slotted[k] for k in doubtful], [slotted_flats[k] for k in doubtful],
+    )
 
 
 def _joint_serialization(part: _RulesPart, msgs: List[_Flat], outside: List[Name]) -> str:
     """The soup refined over all its items, from the rules' colours for the
     rules' names and from the base for ``outside``, the names only messages
-    carry."""
+    carry.  The rules' colouring is stable over the rules, so refinement
+    reads only the doubtful items (the rules with a loose name and the
+    messages with a loose or outside name), and its first round signs only
+    the classes of the names those messages carry."""
     fresh = part.names + outside
     number = dict(part.number)
     number.update((n, i) for i, n in enumerate(outside, len(part.names)))
-    slotted = part.slotted + [(f.shape, tuple(number[n] for n in f.slots)) for f in msgs if f.slots]
+    doubtful = [f for f in msgs if not part.fixes(f)]
+    carried = [tuple(number[n] for n in f.slots) for f in doubtful]
+    slotted = part.doubtful + [(f.shape, ids) for f, ids in zip(doubtful, carried)]
     start = [(0, c) for c in part.colors] + [(1, n.base) for n in outside]
-    colors = _refine_fixpoint(slotted, _ranks(start))
+    colors = _refine_fixpoint(slotted, _ranks(start), {i for ids in carried for i in ids})
     if len(set(colors)) == len(colors):
         order = sorted(range(len(fresh)), key=colors.__getitem__)
     else:
-        slotted_skeletons = [("rule", f.toks) for f in part.flats if f.slots]
-        slotted_skeletons += [("msg", f.toks) for f in msgs if f.slots]
-        order = _component_order(slotted, slotted_skeletons, fresh, colors)
+        flats = part.doubtful_flats + doubtful
+        order = _component_order(slotted, flats, len(part.doubtful), fresh, colors, part.table)
     skeletons = [("rule", f.toks) for f in part.flats] + [("msg", f.toks) for f in msgs]
     return _serialize_soup(skeletons, {fresh[i]: f"{fresh[i].base}%{p}" for p, i in enumerate(order)})
 
@@ -422,6 +455,14 @@ def _serialize_soup(skeletons: List[Tuple[str, Skeleton]], colors: Dict[Name, st
 # order of their ranks among all items, so signatures compare as before.  A
 # larger class splits by its sorted distinct signatures, and renumbering the
 # classes in order gives each name the rank of its (old colour, signature).
+#
+# A class is signed only when it can split (Paige & Tarjan 1987).  Its
+# members' signatures were equal in the round before, or it would have
+# split; they can differ now only if an item one of them occurs in holds a
+# name whose class just split.  So a round signs only the classes with a
+# member in such an item.  The first round signs every larger class, or,
+# given ``seeds``, only those with a member among them: the caller vouches
+# that the start colouring is stable over the items that hold no seed.
 
 SlotItem = Tuple[str, Tuple[int, ...]]
 
@@ -432,7 +473,7 @@ def _ranks(keys: list) -> List[int]:
     return [rank[k] for k in keys]
 
 
-def _refine_fixpoint(slotted: List[SlotItem], colors: List[int]) -> List[int]:
+def _refine_fixpoint(slotted: List[SlotItem], colors: List[int], seeds: Optional[Iterable[int]] = None) -> List[int]:
     if len(set(colors)) == len(colors):
         return colors
     colors = _ranks(colors)
@@ -445,27 +486,33 @@ def _refine_fixpoint(slotted: List[SlotItem], colors: List[int]) -> List[int]:
         for slot, i in enumerate(ids):
             if i in occurs:
                 occurs[i].append((k, slot))
+    # the classes this round signs
+    signed = {colors[i] for i in (occurs if seeds is None else seeds) if len(cells[colors[i]]) > 1}
     while True:
-        live = {k for cell in cells if len(cell) > 1 for i in cell for k, _ in occurs[i]}
-        if not live:
-            break  # no name in doubt occurs in an item
-        ks = list(live)
+        ks = list({k for c in signed for i in cells[c] for k, _ in occurs[i]})
+        if not ks:
+            break  # no name of a class that can split occurs in an item
         described = dict(zip(ks, _ranks([(slotted[k][0], tuple([colors[i] for i in slotted[k][1]])) for k in ks])))
         split: List[List[int]] = []
-        for cell in cells:
-            if len(cell) == 1:
+        moved: List[int] = []  # the names whose class split
+        for c, cell in enumerate(cells):
+            if c not in signed:
                 split.append(cell)
                 continue
             groups: Dict[tuple, List[int]] = {}
             for i in cell:
                 groups.setdefault(tuple(sorted([(described[k], slot) for k, slot in occurs[i]])), []).append(i)
+            if len(groups) > 1:
+                moved.extend(cell)
             split.extend(groups[sig] for sig in sorted(groups))
-        if len(split) == len(cells):
+        if not moved:
             break
         cells = split
         for c, cell in enumerate(cells):
             for i in cell:
                 colors[i] = c
+        touched = {colors[j] for i in moved for k, _ in occurs[i] for j in slotted[k][1]}
+        signed = {c for c in touched if len(cells[c]) > 1}
     return colors
 
 
@@ -473,27 +520,28 @@ def _discrete_orders(slotted: List[SlotItem], colors: List[int]) -> List[List[in
     """Orders of the names consistent with the refined partition, made
     discrete by individualization; branches stay within a fixed budget."""
     out: List[List[int]] = []
-    budget = [_BRANCH_BUDGET]
-
-    def rec(cols: List[int]) -> None:
-        groups: Dict[int, List[int]] = {}
-        for i, c in enumerate(cols):
-            groups.setdefault(c, []).append(i)
-        ordered = [groups[c] for c in sorted(groups)]
-        first_ambiguous = next((g for g in ordered if len(g) > 1), None)
-        if first_ambiguous is None:
-            out.append([g[0] for g in ordered])
-            return
-        candidates = first_ambiguous if budget[0] >= len(first_ambiguous) else first_ambiguous[:1]
-        budget[0] = max(budget[0] // max(len(candidates), 1), 1)
-        for pick in candidates:
-            # -1 is below every rank: the picked name becomes a class of its own
-            cols2 = list(cols)
-            cols2[pick] = -1
-            rec(_refine_fixpoint(slotted, cols2))
-
-    rec(colors)
+    _individualize(slotted, colors, [_BRANCH_BUDGET], out)
     return out
+
+
+def _individualize(slotted: List[SlotItem], cols: List[int], budget: List[int], out: List[List[int]]) -> None:
+    # a module function, not a closure: a recursive closure is a reference
+    # cycle that keeps each search's orders until the cyclic collector runs
+    groups: Dict[int, List[int]] = {}
+    for i, c in enumerate(cols):
+        groups.setdefault(c, []).append(i)
+    ordered = [groups[c] for c in sorted(groups)]
+    first_ambiguous = next((g for g in ordered if len(g) > 1), None)
+    if first_ambiguous is None:
+        out.append([g[0] for g in ordered])
+        return
+    candidates = first_ambiguous if budget[0] >= len(first_ambiguous) else first_ambiguous[:1]
+    budget[0] = max(budget[0] // max(len(candidates), 1), 1)
+    for pick in candidates:
+        # -1 is below every rank: the picked name becomes a class of its own
+        cols2 = list(cols)
+        cols2[pick] = -1
+        _individualize(slotted, _refine_fixpoint(slotted, cols2), budget, out)
 
 
 # ---------------------------------------------------------------------------
@@ -514,13 +562,28 @@ def _discrete_orders(slotted: List[SlotItem], colors: List[int]) -> List[List[in
 # rendering is the least over the orders explored, so congruent soups can
 # get different digests, but the digest still serializes the whole soup and
 # never joins two distinct ones.
+#
+# A component's result depends only on its structure: its items written
+# over local vertex numbers (its names in order, then the fixed names in its
+# items), the colours of those vertices and how many are its own.
+# Interchangeable clusters repeat one structure within a soup and across the
+# states of a search, so the memo's component table keeps each structure's
+# least rendering and the order that gave it, as local vertex numbers.
+
+
+class _Component(NamedTuple):
+    rendering: str
+    order: Tuple[int, ...]  # the component's names, as local vertex numbers
 
 
 def _component_order(
-    slotted: List[SlotItem], skeletons: List[Tuple[str, Skeleton]], fresh: List[Name], colors: List[int]
+    slotted: List[SlotItem], flats: List[_Flat], rules: int, fresh: List[Name], colors: List[int], table: dict
 ) -> List[int]:
     """All names in serialization order: the fixed names by colour, then each
-    component's names, components sorted by their least rendering."""
+    component's names, components sorted by their least rendering.
+    ``flats`` gives each slotted item's skeleton, the first ``rules`` of
+    them rules and the others messages; ``table`` keeps the result of each
+    component structure met."""
     size = Counter(colors)
     loose = [size[c] > 1 for c in colors]
     parent = list(range(len(colors)))
@@ -550,15 +613,25 @@ def _component_order(
         vertices = names + sorted({i for k in ks for i in slotted[k][1]}.difference(names))
         local = {g: v for v, g in enumerate(vertices)}
         sub = [(slotted[k][0], tuple(local[i] for i in slotted[k][1])) for k in ks]
-        own = [skeletons[k] for k in ks]
-        marks = {fresh[g]: f"#{colors[g]}" for g in vertices[len(names) :]}
+        # each item's literals with their positions, with the slots, give back its skeleton
+        shown = sorted(
+            (k < rules, shape, ids, tuple([(j, t) for j, t in enumerate(flats[k].toks) if t.__class__ is str]))
+            for k, (shape, ids) in zip(ks, sub)
+        )
+        key = (tuple(shown), tuple(colors[g] for g in vertices), len(names))
+        found = table.get(key)
+        if found is None:
+            own = [("rule" if k < rules else "msg", flats[k].toks) for k in ks]
+            marks = {fresh[g]: f"#{colors[g]}" for g in vertices[len(names) :]}
 
-        def rendering(order: List[int]) -> Tuple[str, List[int]]:
-            mine = [vertices[v] for v in order if v < len(names)]
-            marks.update((fresh[g], f"{fresh[g].base}%{p}") for p, g in enumerate(mine))
-            return _serialize_soup(own, marks), mine
+            def rendering(order: List[int]) -> _Component:
+                mine = tuple(v for v in order if v < len(names))
+                marks.update((fresh[vertices[v]], f"{fresh[vertices[v]].base}%{p}") for p, v in enumerate(mine))
+                return _Component(_serialize_soup(own, marks), mine)
 
-        return min(map(rendering, _discrete_orders(sub, [colors[g] for g in vertices])), key=lambda r: r[0])
+            orders = _discrete_orders(sub, [colors[g] for g in vertices])
+            found = table[key] = min(map(rendering, orders), key=lambda r: r.rendering)
+        return found.rendering, [vertices[v] for v in found.order]
 
     fixed = sorted((i for i in range(len(colors)) if not loose[i]), key=colors.__getitem__)
     components = sorted((least(members[r], items[r]) for r in members), key=lambda c: c[0])

@@ -249,7 +249,7 @@ def explore(
         )
 
     def hit(edge):
-        return qual.step_hit(edge.step.redex.matched, edge.step.emitted, edge.soup)
+        return qual.step_hit(edge.redex.matched, edge.emitted, edge.soup)
 
     try:
         found = search([soup0], max_states, max_steps_per_branch, stats=stats, visit=hit)
@@ -339,7 +339,7 @@ def viral_set_member(
 
         def replicated(edge):
             nonlocal tripped
-            if not edge.label or qual.step_hit(edge.step.redex.matched, edge.step.emitted, edge.soup) is None:
+            if not edge.label or qual.step_hit(edge.redex.matched, edge.emitted, edge.soup) is None:
                 return None
             if not traces:
                 traces.append(edge.trace())

@@ -66,12 +66,16 @@ class StaleRedex(Exception):
 
 class BudgetExhausted(Exception):
     """A bounded analysis stopped with work left, so it has no answer;
-    ``budget`` names the limit that tripped."""
+    ``budget`` names the limit that tripped.  A trip in :func:`search` also
+    gives ``depth``, the level it was expanding, and ``frontier``, the
+    number of states still queued; elsewhere both are None."""
 
-    def __init__(self, budget: str, limit: int):
+    def __init__(self, budget: str, limit: int, depth: Optional[int] = None, frontier: Optional[int] = None):
         super().__init__(f"budget {budget}={limit} exhausted")
         self.budget = budget
         self.limit = limit
+        self.depth = depth
+        self.frontier = frontier
 
 
 @dataclass(frozen=True)
@@ -510,13 +514,35 @@ CUT = object()
 @dataclass
 class Edge:
     """One reduction out of a searched state, shown to the visitor before
-    the state it reaches is deduplicated."""
+    the state it reaches is canonicalized.  ``step``, which holds the
+    digest, is built on first read: by ``search`` for every edge it keeps,
+    by :meth:`trace` or by the visitor for the others."""
 
     soup: Soup
-    step: TraceStep
+    redex: Redex
+    emitted: list[GroundMessage]
     label: Hashable
     parent: tuple
     tree: dict = field(repr=False)
+    form: Callable = field(repr=False)  # the search's canonicalize, with its memo
+    # the soup's canonical digest and the step, computed on first read
+    digest_cache: Optional[str] = field(default=None, init=False, repr=False)
+    step_cache: Optional[TraceStep] = field(default=None, init=False, repr=False)
+
+    @property
+    def digest(self) -> str:
+        """The canonical digest of the soup reached."""
+        d = self.digest_cache
+        if d is None:
+            d = self.digest_cache = self.form(self.soup).digest
+        return d
+
+    @property
+    def step(self) -> TraceStep:
+        s = self.step_cache
+        if s is None:
+            s = self.step_cache = TraceStep(self.redex.label, self.redex, self.emitted, self.digest[:16])
+        return s
 
     def trace(self) -> Trace:
         """The reductions from the search's start soup to this edge, replayable."""
@@ -544,23 +570,26 @@ def search(
     A state's key is its canonical digest joined with a caller label:
     ``root_label`` at the starts, ``label(parent_label, redex, soup,
     emitted)`` along each edge.  Every edge goes to ``visit`` before its
-    state is deduplicated; ``visit`` answers None to go on, :data:`CUT` to
+    state is canonicalized; ``visit`` answers None to go on, :data:`CUT` to
     drop the edge, or anything else to end the search, and ``search`` then
     returns ``(edge, answer)``.  It returns None once the space is
-    exhausted.
+    exhausted.  An edge's digest is computed when its ``step`` is first
+    read, so a dropped edge whose step no one reads is never canonicalized.
 
     ``horizon`` is part of the question: states that deep are kept but not
     expanded.  ``max_depth`` and ``max_states`` are budgets: a new state
     deeper than ``max_depth``, or a new state when ``stats`` already counts
     ``max_states`` (start soups are not counted), raises
-    :class:`BudgetExhausted` naming that budget.
+    :class:`BudgetExhausted` naming that budget, with the depth being
+    expanded and the number of states still queued.
 
     Two memos live for this call only.  ``canonicalize``'s holds the rules
-    part of each rules tuple and the skeleton of each (message, count) met,
-    so a state's form is built from the skeletons of the messages it shares
-    with the states met before.  ``enabled_redexes``' memo holds the head
-    index of each rules tuple, over all heads.  Neither changes a digest or
-    a redex.
+    part of each rules tuple, the skeleton of each (message, count) and the
+    result of each component structure met, so a state's form is built from
+    what it shares with the states met before; it is emptied when the
+    search ends, so an edge read afterwards builds its form afresh.
+    ``enabled_redexes``' memo holds the head index of each rules tuple, over
+    all heads.  Neither changes a digest or a redex.
 
     The queue carries each new state with what its reduction changed: the
     parent's redex list (shared by its children, freed once the last one is
@@ -575,42 +604,48 @@ def search(
     memo: dict = {}  # canonicalize's memo for this search
     heads: dict = {}  # enabled_redexes' memo for this search
     queue: deque = deque()
-    for s in starts:
-        key = (canonicalize(s, memo).digest, root_label)
-        if key not in tree:
-            tree[key] = s
-            queue.append((key, s, 0, None))
-    level = -1
-    while queue:
-        key, soup, depth, since = queue.popleft()
-        if depth != level:
-            level = depth
-            stats.frontier_peak = max(stats.frontier_peak, len(queue) + 1)
-        if depth == horizon:
-            continue
-        redexes = enabled_redexes(soup, heads, since)
-        for r in redexes:
-            s2, emitted = reduce_with_info(soup, r)
-            lab = label(key[1], r, s2, emitted) if label is not None else root_label
-            digest = canonicalize(s2, memo).digest
-            edge = Edge(s2, TraceStep(r.label, r, emitted, digest[:16]), lab, key, tree)
-            answer = visit(edge) if visit is not None else None
-            if answer is CUT:
+
+    def form(soup: Soup):
+        return canonicalize(soup, memo)
+
+    try:
+        for s in starts:
+            key = (form(s).digest, root_label)
+            if key not in tree:
+                tree[key] = s
+                queue.append((key, s, 0, None))
+        level = -1
+        while queue:
+            key, soup, depth, since = queue.popleft()
+            if depth != level:
+                level = depth
+                stats.frontier_peak = max(stats.frontier_peak, len(queue) + 1)
+            if depth == horizon:
                 continue
-            if answer is not None:
-                return edge, answer
-            key2 = (digest, lab)
-            if key2 in tree:
-                stats.dedup_hits += 1
-                continue
-            if max_depth is not None and depth + 1 > max_depth:
-                raise BudgetExhausted("max_depth", max_depth)
-            if stats.states_explored >= max_states:
-                raise BudgetExhausted("max_states", max_states)
-            tree[key2] = (key, edge.step)
-            stats.states_explored += 1
-            fresh = {m for m in emitted if m not in soup.messages}
-            queue.append((key2, s2, depth + 1, (redexes, len(soup.rules), fresh)))
+            redexes = enabled_redexes(soup, heads, since)
+            for r in redexes:
+                s2, emitted = reduce_with_info(soup, r)
+                lab = label(key[1], r, s2, emitted) if label is not None else root_label
+                edge = Edge(s2, r, emitted, lab, key, tree, form)
+                answer = visit(edge) if visit is not None else None
+                if answer is CUT:
+                    continue
+                if answer is not None:
+                    return edge, answer
+                key2 = (edge.digest, lab)
+                if key2 in tree:
+                    stats.dedup_hits += 1
+                    continue
+                if max_depth is not None and depth + 1 > max_depth:
+                    raise BudgetExhausted("max_depth", max_depth, depth, len(queue))
+                if stats.states_explored >= max_states:
+                    raise BudgetExhausted("max_states", max_states, depth, len(queue))
+                tree[key2] = (key, edge.step)
+                stats.states_explored += 1
+                fresh = {m for m in emitted if m not in soup.messages}
+                queue.append((key2, s2, depth + 1, (redexes, len(soup.rules), fresh)))
+    finally:
+        memo.clear()
     return None
 
 

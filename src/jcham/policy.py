@@ -539,7 +539,7 @@ def token_leak_free(ctx_guarded: Context, depth: int = 6, max_states: int = 4000
     published = ctx_guarded.services | ctx_guarded.resources
 
     def leak(edge):
-        for m in edge.step.emitted:
+        for m in edge.emitted:
             if m.channel.base in published and any(isinstance(a, Name) and a.base == tok_base for a in m.args):
                 return m
         return None

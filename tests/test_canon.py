@@ -498,16 +498,27 @@ def test_memo_closes_a_diamond_with_one_rules_part(monkeypatch):
 
 
 def test_memo_holds_rules_parts_and_skeletons_only():
-    from jcham.canon import _Flat, _RulesPart
+    from jcham.canon import _COMPONENTS, _Component, _Flat, _RulesPart
 
     x, y = GroundMessage(Name("x", 1)), GroundMessage(Name("y", 2))
     memo: dict = {}
     first = canonicalize(Soup((), Counter({x: 1, y: 1})), memo)
     second = canonicalize(Soup((), Counter({y: 1, x: 1})), memo)
-    # one rules part for the shared (empty) rules tuple and one skeleton per
-    # (message, count); no form is stored, for either order
-    assert Counter(type(v).__name__ for v in memo.values()) == {_RulesPart.__name__: 1, _Flat.__name__: 2}
-    assert first == second == canonicalize(Soup((), Counter({x: 1, y: 1})), memo) and len(memo) == 3
+    # one rules part for the shared (empty) rules tuple, one skeleton per
+    # (message, count) and the component table, empty here: x~1 and y~2 are
+    # told apart by their bases.  No form is stored, for either order
+    assert Counter(type(v).__name__ for v in memo.values()) == {_RulesPart.__name__: 1, _Flat.__name__: 2, "dict": 1}
+    assert memo[_COMPONENTS] == {}
+    assert first == second == canonicalize(Soup((), Counter({x: 1, y: 1})), memo) and len(memo) == 4
+    # interchangeable clusters add component results to the table, which
+    # every rules part of the memo shares, and nothing else
+    hub = _hub_soup([_CLUSTER] * 3)
+    canonicalize(hub, memo)
+    canonicalize(_marked_hub_soups()[0], memo)
+    assert Counter(type(v).__name__ for v in memo.values() if not isinstance(v, _Flat)) == {_RulesPart.__name__: 2, "dict": 1}
+    table = memo[_COMPONENTS]
+    assert table and all(isinstance(v, _Component) for v in table.values())
+    assert all(part.table is table for part in memo.values() if isinstance(part, _RulesPart))
 
 
 # -- the per-search memo against the plain calls: skeletons, renderings and
@@ -863,3 +874,105 @@ def test_refinement_agrees_with_the_plain_round():
         seen["individualized"] += -1 in colors and len(set(colors)) < len(colors)
         seen["unsplit"] += len(set(got)) == len(set(colors)) < len(colors) and got != colors
     assert min(seen.values()) >= 100, seen
+
+
+# -- seeded refinement: the joint route signs only what a message can split
+
+
+def test_seeded_refinement_agrees_with_the_plain_round(monkeypatch):
+    from _canon_referee import plain_refine, random_slotted
+    from jcham.contexts import refined_context
+    from jcham.detector import viral_set_member
+    import jcham.canon as canon
+
+    # every joint call of the viral runs: its seeded refinement over the
+    # doubtful items equals the plain round over every item of the soup
+    refine, joint_serialization = canon._refine_fixpoint, canon._joint_serialization
+    seeded, joint = [], []
+
+    def spied_refine(slotted, colors, seeds=None):
+        out = refine(slotted, colors, seeds)
+        if seeds is not None:
+            seeded.append(list(out))
+        return out
+
+    def spied_joint(part, msgs, outside):
+        joint.append((part, msgs, outside))
+        return joint_serialization(part, msgs, outside)
+
+    monkeypatch.setattr(canon, "_refine_fixpoint", spied_refine)
+    monkeypatch.setattr(canon, "_joint_serialization", spied_joint)
+    for k in (2, 3, 4):
+        assert viral_set_member(refined_context(k), _class_iii_virus(k), iterations=k).outcome == "vulnerable"
+    assert len(seeded) == len(joint) > 30
+    split = 0
+    for out, (part, msgs, outside) in zip(seeded, joint):
+        number = dict(part.number)
+        number.update((n, i) for i, n in enumerate(outside, len(part.names)))
+        every = [(f.shape, tuple(number[n] for n in f.slots)) for f in part.flats + msgs if f.slots]
+        start = canon._ranks([(0, c) for c in part.colors] + [(1, n.base) for n in outside])
+        assert out == plain_refine(every, start)
+        split += len(set(out)) > len(set(start))
+    assert split > 20, split
+
+    # random systems made stable over some items, then extended by items
+    # whose names are the seeds
+    rng = random.Random(24)
+    seen = Counter()
+    for _ in range(4000):
+        slotted, colors = random_slotted(rng)
+        cut = rng.randint(0, len(slotted))
+        stable = plain_refine(slotted[:cut], colors)
+        seeds = {i for _, ids in slotted[cut:] for i in ids}
+        got = refine(slotted, list(stable), seeds)
+        assert got == plain_refine(slotted, list(stable)), (slotted, cut, colors)
+        seen["split by the extra items"] += len(set(got)) > len(set(stable))
+        seen["unsplit"] += len(set(got)) == len(set(stable)) < len(stable)
+        seen["a lone seed splits less"] += len(set(got)) > len(set(refine(slotted, list(stable), seeds and {min(seeds)})))
+    assert min(seen.values()) >= 100, seen
+
+
+# -- component results: one per structure, kept in the memo's table
+
+
+def _cluster_soups() -> list:
+    hub, tap = _CLUSTER, _PERTURBED[1]
+    groups = [[hub] * 3, [hub, tap, hub, tap], [_CLUSTER_SPELLED_OTHERWISE, hub, hub], [hub, hub, _PERTURBED[0]]]
+    soups = [_hub_soup(g) for g in groups]
+    soups += [_with_messages(s, GroundMessage(Name("mark"), (n,))) for s in soups[:2] for n in _global_indexed_names(s)[:4]]
+    return soups + _marked_hub_soups()
+
+
+def test_component_table_gives_the_fresh_form(monkeypatch):
+    import jcham.canon as canon
+
+    orders = [0]
+    discrete_orders = canon._discrete_orders
+    monkeypatch.setattr(canon, "_discrete_orders", lambda *a: orders.__setitem__(0, orders[0] + 1) or discrete_orders(*a))
+    rng = random.Random(25)
+    clusters = [congruent_copy(s, rng) for s in _cluster_soups() for _ in range(3)]
+    viral = _viral_states(3) + _viral_states(4)
+    for states in (clusters, viral):
+        rng.shuffle(states)
+        memo: dict = {}
+        orders[0] = 0
+        forms = [canonicalize(s, memo).serialization for s in states + states[::-1]]
+        shared = orders[0]
+        orders[0] = 0
+        assert forms == [canonicalize(s).serialization for s in states + states[::-1]]
+        # the shared table individualizes each structure once, fresh memos once a call
+        assert 0 < len(memo[canon._COMPONENTS]) == shared < orders[0]
+
+
+def test_one_individualization_per_component_structure(monkeypatch):
+    import jcham.canon as canon
+
+    structures = []
+    discrete_orders = canon._discrete_orders
+    monkeypatch.setattr(canon, "_discrete_orders", lambda *a: structures.append(a) or discrete_orders(*a))
+    canonicalize(_hub_soup([_CLUSTER] * 3))
+    assert len(structures) == 1
+    # clusters off hub and off tap are two structures, two of each
+    structures.clear()
+    canonicalize(_hub_soup([_CLUSTER, _PERTURBED[1]] * 2))
+    assert len(structures) == 2

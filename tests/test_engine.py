@@ -6,6 +6,7 @@ import pytest
 from jcham.canon import canonicalize
 from jcham.contexts import refined_context
 from jcham.engine import (
+    CUT,
     BudgetExhausted,
     DetectionStats,
     GroundMessage,
@@ -239,6 +240,24 @@ def test_barb_reports_a_tripped_budget():
         barb(s, Name("goal"), depth=4, max_states=10)
     assert tripped.value.budget == "max_states"
     assert barb(s, Name("goal"), depth=4)
+
+
+def test_a_tripped_search_budget_gives_its_depth_and_frontier():
+    # one chain: each state has one successor
+    chain = inject(parse("def a<> |> a<> | b<> in a<>"))
+    with pytest.raises(BudgetExhausted) as tripped:
+        search([chain], 100, max_depth=3)
+    e = tripped.value
+    assert (e.budget, e.limit, e.depth, e.frontier, str(e)) == ("max_depth", 3, 3, 0, "budget max_depth=3 exhausted")
+    # two counters grow apart, so level d holds d + 1 states: the third new
+    # state of level 2 trips, with the other two states of level 1 queued
+    grid = inject(parse("def a<> |> a<> | c<> and b<> |> b<> | d<> in a<> | b<>"))
+    with pytest.raises(BudgetExhausted) as tripped:
+        search([grid], 5)
+    e = tripped.value
+    assert (e.budget, e.limit, e.depth, e.frontier, str(e)) == ("max_states", 5, 2, 2, "budget max_states=5 exhausted")
+    # a budget outside the search has neither
+    assert BudgetExhausted("completion_steps", 400).depth is BudgetExhausted("max_basis", 1).frontier is None
 
 
 def test_barb_empty_soup():
@@ -536,3 +555,84 @@ def test_states_at_the_horizon_are_not_matched(monkeypatch):
     search([inject(parse("def a<> |> a<> | b<> in a<>"))], 10, horizon=3, stats=stats)
     # depths 0, 1 and 2 are expanded; the state at depth 3 is kept unmatched
     assert stats.states_explored == 3 and calls[0] == 3 and len(checked) == 2
+
+
+# -- lazy digests: an edge is canonicalized only when its step is read
+
+
+def _spied_edges(monkeypatch) -> tuple:
+    """Record every soup canonicalized, and every edge the detector's
+    searches show their visitor, with its answer."""
+    import jcham.canon as canon
+    import jcham.detector as detector
+
+    formed, shown = [], []
+    original, search_ = canon.canonicalize, detector.search
+    monkeypatch.setattr(canon, "canonicalize", lambda soup, memo=None: formed.append(soup) or original(soup, memo))
+
+    def spied(*args, visit=None, **kw):
+        def shown_to(edge):
+            answer = visit(edge) if visit is not None else None
+            shown.append((edge, answer))
+            return answer
+
+        return search_(*args, visit=shown_to, **kw)
+
+    monkeypatch.setattr(detector, "search", spied)
+    return formed, shown
+
+
+def _check_lazy(formed: list, shown: list) -> int:
+    """A cut edge was canonicalized only if its digest was read; a kept
+    edge's step carries its soup's digest.  Returns the cut edges never
+    canonicalized."""
+    ids = {id(s) for s in formed}  # ``formed`` keeps every soup alive
+    cut = [e for e, answer in shown if answer is CUT]
+    assert all((id(e.soup) in ids) == (e.digest_cache is not None) for e in cut)
+    unread = sum(e.digest_cache is None for e in cut)
+    for e, answer in shown:
+        if answer is None:
+            assert id(e.soup) in ids and e.step.digest == canonicalize(e.soup).digest[:16]
+    return unread
+
+
+def test_an_edge_is_canonicalized_only_when_its_step_is_read(monkeypatch):
+    from _gen import fragment_instance, shaped_program
+    from jcham.detector import explore, viral_set_member
+    from jcham.malware import MalwareSpec, ReplicationMech, TargetRoutine, build_virus
+
+    formed, shown = _spied_edges(monkeypatch)
+    rng = random.Random(26)
+
+    def visitor(edge):
+        # drop some edges unread, read the step of some before dropping
+        # them, and end a few searches
+        roll = rng.random()
+        answer = CUT if roll < 0.25 else "stop" if roll > 0.997 else None
+        if roll < 0.08:
+            edge.step
+        shown.append((edge, answer))
+        return answer
+
+    starts = [inject(ctx.plug(program)) for ctx, program, _ in (fragment_instance(rng) for _ in range(30))]
+    starts += [inject(parse(shaped_program(random.Random(s), 5, 2, 6, 2))) for s in range(30)]
+    ended = 0
+    for start in starts:
+        try:
+            found = search([start], 300, horizon=8, visit=visitor)
+        except BudgetExhausted:
+            continue
+        if found is not None:
+            ended += 1
+            assert replay(found[0].trace()).messages == found[0].soup.messages
+    assert ended > 3 and len(shown) > 1000
+    assert _check_lazy(formed, shown) > 150
+    formed.clear(), shown.clear()
+    for n in (2, 3):
+        targets = tuple(Name(f"sw{i}") for i in range(1, n + 1))
+        virus = build_virus(MalwareSpec("virus", "III", ReplicationMech("overwrite"), TargetRoutine("hardcoded", targets)))
+        for verdict in (viral_set_member(refined_context(n), virus, iterations=n), explore(refined_context(n), virus)):
+            assert verdict.outcome == "vulnerable"
+            assert replay(verdict.witness).messages
+    # each viral iteration reads the step of its first replication only
+    assert _check_lazy(formed, shown) > 5
