@@ -56,21 +56,10 @@ it describes the items that hold a name of a class that can split, signs
 only those names, and splits each such class on its own (Paige & Tarjan
 1987 refine only the classes that can split).
 
-A search meets few rules tuples and, over each, messages it met in earlier
-states.  ``engine.search`` (and ``run`` and ``replay``, for one trace)
-therefore hands ``canonicalize`` a memo that lives for that one call.  It
-holds three kinds of entries: the rules part, keyed by the rules tuple; the
-skeleton of a message, keyed by the message and its count; and one table of
-component results, keyed by a component's structure, which the rules parts
-of the memo share.  On the rules-only route a new state then costs a lookup
-per message met before, one sort and one sha256; the joint route refines
-the doubtful items and individualizes each component structure once per
-search (McKay & Piperno, *Practical graph isomorphism II*, 2014, for
-individualization per component).  The form itself is not stored.  Keyed by
-the soup, it hashed the whole rules tuple and every message count per
-state and paid on no benchmark workload: computed afresh from the memo,
-the 3,032 forms of a ``corpus`` pass (2,002 when stored) take no longer,
-with 68,000 fewer ``ActiveRule`` hashes.
+A soup's rules value (``engine.Rules``) carries its rules part, and hands
+on to the values extended from it one memo of the message skeletons and
+component results met, so a new state costs only what it does not share
+with the states of its lineage met before.  The form itself is not stored.
 """
 
 from __future__ import annotations
@@ -112,16 +101,12 @@ class CanonicalForm:
     serialization: str
 
 
-def canonicalize(soup: Soup, memo: Optional[dict] = None) -> CanonicalForm:
-    """The soup's canonical form.  ``memo`` is kept by the caller for one
-    search or trace: it holds the rules part of each rules tuple met, the
-    skeleton of each (message, count) met and the table of component
-    results, and it changes nothing but the time a form takes; without it
-    every part is built afresh."""
-    memo = {} if memo is None else memo
-    part = memo.get(soup.rules)
+def canonicalize(soup: Soup) -> CanonicalForm:
+    """The soup's canonical form."""
+    rules = soup.rules
+    memo, part = rules.canon_memo, rules.canon_part
     if part is None:
-        part = memo[soup.rules] = _rules_part(soup.rules)
+        part = rules.canon_part = _rules_part(rules)
         part.table = memo.setdefault(_COMPONENTS, {})
     items = soup.messages.items()
     rendered = part.rendered
@@ -138,7 +123,7 @@ def canonicalize(soup: Soup, memo: Optional[dict] = None) -> CanonicalForm:
     return CanonicalForm(hashlib.sha256(best_s.encode()).hexdigest(), best_s)
 
 
-# the memo key of the component table
+# the key of the component table in a rules value's memo
 _COMPONENTS = "components"
 
 
@@ -158,7 +143,8 @@ class _RulesPart:
     # read something from
     doubtful: List[SlotItem]
     doubtful_flats: List[_Flat]
-    # component results: the memo's table, shared by its rules parts
+    # component results: the table of the rules value's memo, shared by
+    # the rules parts of one lineage
     table: dict = field(default_factory=dict, repr=False)
     # each (message, count) whose names the rules fix, rendered under ``marks``
     rendered: Dict[Tuple[GroundMessage, int], str] = field(default_factory=dict)
@@ -246,8 +232,8 @@ def _sorted_names(names: Iterable[Name]) -> List[Name]:
 # carry only fixed names); only the items of a component are rendered
 # per candidate order of that component.  A rule's skeleton is built once
 # and kept on the ActiveRule (rules persist across states); a message's
-# skeleton carries its multiplicity, and a search's memo keeps one per
-# (message, count) met.
+# skeleton carries its multiplicity, and the rules value's memo keeps one
+# per (message, count) met.
 # Composite structure (parallel parts, nested rules) is ordered by the
 # base-name projection of the part skeletons, which does not depend on the
 # coloring; ties keep their syntactic order.
@@ -567,7 +553,7 @@ def _individualize(slotted: List[SlotItem], cols: List[int], budget: List[int], 
 # over local vertex numbers (its names in order, then the fixed names in its
 # items), the colours of those vertices and how many are its own.
 # Interchangeable clusters repeat one structure within a soup and across the
-# states of a search, so the memo's component table keeps each structure's
+# states of a lineage, so the memo's component table keeps each structure's
 # least rendering and the order that gave it, as local vertex numbers.
 
 

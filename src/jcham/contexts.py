@@ -123,34 +123,35 @@ def count_holes(p: Process) -> int:
 def plug(template: Process, filler: Process) -> Process:
     """Replace the hole; deliberately *not* capture-avoiding, since the
     point of a context is to bind the plugged process's free names."""
-
-    filled = []
-
-    def go(t: Process) -> Process:
-        match t:
-            case Hole():
-                filled.append(t)
-                return filler
-            case LocalDef(d, body):
-                rules = [Rule(r.pattern, go(r.body)) for r in rules_of(d)]
-                return LocalDef(conj_of(rules), go(body))
-            case Parallel(l, r):
-                return Parallel(go(l), go(r))
-            case Sequence(e, rest):
-                return Sequence(e, go(rest))
-            case Let(xs, e, body):
-                return Let(xs, e, go(body))
-            case Conditional(a, b, th, el):
-                return Conditional(a, b, go(th), go(el))
-            case _:
-                return t
-
     if count_holes(template) != 1:
         raise ContextError("template must contain exactly one hole")
-    plugged = go(template)
+    filled: list[Hole] = []
+    plugged = _plug(template, filler, filled)
     if not filled:
         raise ContextError("the hole sits inside an expression, where nothing can be plugged")
     return plugged
+
+
+def _plug(t: Process, filler: Process, filled: list) -> Process:
+    # a module function, not a closure: a recursive closure is a reference
+    # cycle that only the cyclic collector frees
+    match t:
+        case Hole():
+            filled.append(t)
+            return filler
+        case LocalDef(d, body):
+            rules = [Rule(r.pattern, _plug(r.body, filler, filled)) for r in rules_of(d)]
+            return LocalDef(conj_of(rules), _plug(body, filler, filled))
+        case Parallel(l, r):
+            return Parallel(_plug(l, filler, filled), _plug(r, filler, filled))
+        case Sequence(e, rest):
+            return Sequence(e, _plug(rest, filler, filled))
+        case Let(xs, e, body):
+            return Let(xs, e, _plug(body, filler, filled))
+        case Conditional(a, b, th, el):
+            return Conditional(a, b, _plug(th, filler, filled), _plug(el, filler, filled))
+        case _:
+            return t
 
 
 def _validate(ctx: Context) -> Context:

@@ -33,6 +33,7 @@ from .engine import (
     GroundMessage,
     ModelError,
     Redex,
+    Rules,
     Soup,
     Trace,
     TraceStep,
@@ -111,20 +112,15 @@ class _Qualifier:
         self.r_bases = ctx.resources | ctx.dynamic_resource_bases
         self.export_bases = ctx.exports
         self.known = defined_bases(plugged_core) | ctx.services | self.r_bases
-        # for one verdict: the carriers of each rules tuple met, the last
-        # (rules tuple, carriers) pair asked for, and the free names of each
-        # rule body outside the rule's binders
-        self._carrier_cache: Dict[Tuple[ActiveRule, ...], set[Name]] = {}
-        self._last_carriers: Tuple[Tuple[ActiveRule, ...], set[Name]] = ((), set())
+        # for one verdict: the carriers of each rules value met, and the free
+        # names of each rule body outside the rule's binders
+        self._carrier_cache: Dict[Rules, set[Name]] = {}
         self._free: Dict[ActiveRule, FrozenSet[Name]] = {}
 
     def _carriers(self, soup: Soup) -> set[Name]:
-        rules, carriers = self._last_carriers
-        if soup.rules is not rules:
-            carriers = self._carrier_cache.get(soup.rules)
-            if carriers is None:
-                carriers = self._carrier_cache[soup.rules] = self._find_carriers(soup.rules)
-            self._last_carriers = (soup.rules, carriers)
+        carriers = self._carrier_cache.get(soup.rules)
+        if carriers is None:
+            carriers = self._carrier_cache[soup.rules] = self._find_carriers(soup.rules)
         return carriers
 
     def _find_carriers(self, rules: Tuple[ActiveRule, ...]) -> set[Name]:
@@ -509,10 +505,9 @@ def _replay(gs: GroundSystem, transition_seq: List[int]) -> Trace:
     """Fire the witness transitions in the machine to get a replayable trace."""
     soup = gs.soup.copy()
     steps: List[TraceStep] = []
-    memo: dict = {}  # canonicalize's memo for this trace
     for ti in transition_seq:
         gr = gs.rules[ti]
         redex = Redex(gr.rule_index, soup.rules[gr.rule_index].label, gr.guard, gr.binding)
         soup, emitted = reduce_with_info(soup, redex)
-        steps.append(TraceStep(redex.label, redex, emitted, canonicalize(soup, memo).digest[:16]))
+        steps.append(TraceStep(redex.label, redex, emitted, canonicalize(soup).digest[:16]))
     return Trace(initial=gs.soup.copy(), seed=0, steps=steps)

@@ -12,12 +12,13 @@ Conditionals are resolved during heating, once their operands are ground
 atoms.  Rules persist after firing, so a definition behaves like a
 replicated server.
 
-Join matching (:func:`enabled_redexes`) finds the rules to try through a
-head index: the rules by the (channel, arity) of each of their heads.  A
-reduction only removes the messages it consumes and adds the messages and
-rules it makes, so :func:`search` derives each state's redexes from its
-parent's: the ones whose messages are still present, plus those reading a
-newly present message or an appended rule.
+Join matching (:func:`enabled_redexes`) finds the rules to try through the
+head index that the soup's :class:`Rules` value carries: the rules by the
+(channel, arity) of each of their heads.  A reduction only removes the
+messages it consumes and adds the messages and rules it makes, so
+:func:`search` derives each state's redexes from its parent's: the ones
+whose messages are still present, plus those reading a newly present
+message or an appended rule.
 """
 
 from __future__ import annotations
@@ -130,14 +131,56 @@ class ActiveRule:
         return any(h.channel.base == base for h in self.heads)
 
 
+class Rules(tuple):
+    """A soup's activated rules, with what is derived from them alone: its
+    hash, computed once; ``heads``, the head index of :func:`enabled_redexes`,
+    built at the first match or extended from the parent's when ``heat``
+    appends rules with ``+``; ``canon_part``, ``canon``'s rules part, built
+    on first use; and ``canon_memo``, ``canon``'s message skeletons and
+    component results, one dict that ``+`` hands on to every value extended
+    from this one.  ``+`` keeps the values it made by the rules appended, so
+    two paths that append equal rules to one value share the value they
+    reach, and its caches.  None of them changes a redex or a digest."""
+
+    heads: Optional[tuple[dict, dict]] = None
+    canon_part: Optional[object] = None
+    hash_cache: Optional[int] = None
+
+    def __init__(self, rules: Iterable[ActiveRule] = ()):
+        self.canon_memo = {}
+        self.extended = {}
+
+    def __hash__(self) -> int:
+        h = self.hash_cache
+        if h is None:
+            h = self.hash_cache = tuple.__hash__(self)
+        return h
+
+    def __add__(self, more: tuple) -> "Rules":
+        if not more:
+            return self
+        out = self.extended.get(more)
+        if out is None:
+            out = self.extended[more] = Rules(chain(self, more))
+            out.canon_memo = self.canon_memo
+            if self.heads is not None:
+                out.heads = _head_index(out, len(self), self.heads)
+        return out
+
+
 @dataclass
 class Soup:
-    """One machine configuration: active rules, pending messages, name supply."""
+    """One machine configuration: active rules, pending messages, name supply.
+    A plain tuple of rules is wrapped in a fresh :class:`Rules`."""
 
-    rules: tuple[ActiveRule, ...] = ()
+    rules: Rules = ()  # type: ignore[assignment]
     messages: "Counter[GroundMessage]" = field(default_factory=Counter)
     pending: list[Process] = field(default_factory=list)  # unused; perfbench/oracles.py passes it positionally
     fresh_counter: int = 0
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.rules, Rules):
+            self.rules = Rules(self.rules)
 
     def copy(self) -> "Soup":
         return Soup(self.rules, Counter(self.messages), [], self.fresh_counter)
@@ -322,7 +365,7 @@ def graft(soup: Soup, p: Process) -> Soup:
 # matching and reduction
 
 
-def enabled_redexes(soup: Soup, heads: Optional[dict] = None, since: Optional[tuple] = None) -> list[Redex]:
+def enabled_redexes(soup: Soup, since: Optional[tuple] = None) -> list[Redex]:
     """Every (rule, message combination) that can react, one redex per
     distinct multiset of matched messages, sorted by (rule index, ``str``).
 
@@ -332,18 +375,14 @@ def enabled_redexes(soup: Soup, heads: Optional[dict] = None, since: Optional[tu
     still present (matching reads distinct messages, not counts) and adds
     the combinations that read a newly present message or an appended rule;
     without ``since`` every message is new and every rule appended.  The
-    rules tried are found through the head index of the rules tuple: the
+    rules tried are found through the head index of the rules value: the
     indices of the rules by the (channel, arity) of their first head, and
-    by that of each later head.  ``heads`` is a memo kept by the caller for
-    one search, run or settle that maps each rules tuple met to its head
-    index, extended from the parent's when a step appended rules; without
-    it the index is built afresh."""
+    by that of each later head."""
     rules, present = soup.rules, soup.messages
     parent, known, new = since if since is not None else ((), 0, present)
-    heads = {} if heads is None else heads
-    index = heads.get(rules)
+    index = rules.heads
     if index is None:
-        index = heads[rules] = _head_index(rules, known, heads.get(rules[:known]) if known else None)
+        index = rules.heads = _head_index(rules)
     out = [r for r in parent if all(m in present for m in r.matched)]
     kept = len(out)
     # the rules with a head on a new message, and the appended rules; when
@@ -453,10 +492,9 @@ def replay(trace: Trace) -> Soup:
     from .canon import canonicalize
 
     current = trace.initial.copy()
-    memo: dict = {}  # canonicalize's memo for this trace
     for step in trace.steps:
         current, _ = reduce_with_info(current, step.redex)
-        got = canonicalize(current, memo).digest[: len(step.digest)]
+        got = canonicalize(current).digest[: len(step.digest)]
         if got != step.digest:
             raise StaleRedex(f"replay diverged: {got} != {step.digest}")
     return current
@@ -470,15 +508,13 @@ def run(soup: Soup, seed: int, max_steps: int) -> Trace:
     rng = random.Random(seed)
     current = soup.copy()
     trace = Trace(initial=soup.copy(), seed=seed)
-    memo: dict = {}  # canonicalize's memo for this run
-    heads: dict = {}  # enabled_redexes' memo for this run
     for _ in range(max_steps):
-        redexes = enabled_redexes(current, heads)
+        redexes = enabled_redexes(current)
         if not redexes:
             break
         choice = rng.choice(redexes)
         current, emitted = reduce_with_info(current, choice)
-        trace.steps.append(TraceStep(choice.label, choice, emitted, canonicalize(current, memo).digest[:16]))
+        trace.steps.append(TraceStep(choice.label, choice, emitted, canonicalize(current).digest[:16]))
     trace.final = current
     return trace
 
@@ -487,9 +523,8 @@ def settle(soup: Soup, max_steps: int) -> tuple[Soup, bool]:
     """Fire the first enabled redex until the soup is inert or ``max_steps``
     reductions were made; also says whether it was found inert."""
     cur = soup
-    heads: dict = {}  # enabled_redexes' memo for this settle
     for _ in range(max_steps):
-        rs = enabled_redexes(cur, heads)
+        rs = enabled_redexes(cur)
         if not rs:
             return cur, True
         cur, _ = reduce_with_info(cur, rs[0])
@@ -524,7 +559,6 @@ class Edge:
     label: Hashable
     parent: tuple
     tree: dict = field(repr=False)
-    form: Callable = field(repr=False)  # the search's canonicalize, with its memo
     # the soup's canonical digest and the step, computed on first read
     digest_cache: Optional[str] = field(default=None, init=False, repr=False)
     step_cache: Optional[TraceStep] = field(default=None, init=False, repr=False)
@@ -534,7 +568,9 @@ class Edge:
         """The canonical digest of the soup reached."""
         d = self.digest_cache
         if d is None:
-            d = self.digest_cache = self.form(self.soup).digest
+            from .canon import canonicalize
+
+            d = self.digest_cache = canonicalize(self.soup).digest
         return d
 
     @property
@@ -545,14 +581,17 @@ class Edge:
         return s
 
     def trace(self) -> Trace:
-        """The reductions from the search's start soup to this edge, replayable."""
+        """The reductions from the search's start soup to this edge,
+        replayable.  The trace starts from a fresh rules value, so it keeps
+        none of the search's caches alive."""
         steps = [self.step]
         entry = self.tree[self.parent]
         while not isinstance(entry, Soup):
             key, step = entry
             steps.append(step)
             entry = self.tree[key]
-        return Trace(initial=entry.copy(), seed=0, steps=steps[::-1])
+        start = Soup(Rules(entry.rules), Counter(entry.messages), [], entry.fresh_counter)
+        return Trace(initial=start, seed=0, steps=steps[::-1])
 
 
 def search(
@@ -583,14 +622,6 @@ def search(
     :class:`BudgetExhausted` naming that budget, with the depth being
     expanded and the number of states still queued.
 
-    Two memos live for this call only.  ``canonicalize``'s holds the rules
-    part of each rules tuple, the skeleton of each (message, count) and the
-    result of each component structure met, so a state's form is built from
-    what it shares with the states met before; it is emptied when the
-    search ends, so an edge read afterwards builds its form afresh.
-    ``enabled_redexes``' memo holds the head index of each rules tuple, over
-    all heads.  Neither changes a digest or a redex.
-
     The queue carries each new state with what its reduction changed: the
     parent's redex list (shared by its children, freed once the last one is
     expanded), the parent's rule count and the messages the step made newly
@@ -601,51 +632,42 @@ def search(
 
     stats = stats if stats is not None else DetectionStats()
     tree: dict = {}  # key -> its start soup, or (parent key, step)
-    memo: dict = {}  # canonicalize's memo for this search
-    heads: dict = {}  # enabled_redexes' memo for this search
     queue: deque = deque()
-
-    def form(soup: Soup):
-        return canonicalize(soup, memo)
-
-    try:
-        for s in starts:
-            key = (form(s).digest, root_label)
-            if key not in tree:
-                tree[key] = s
-                queue.append((key, s, 0, None))
-        level = -1
-        while queue:
-            key, soup, depth, since = queue.popleft()
-            if depth != level:
-                level = depth
-                stats.frontier_peak = max(stats.frontier_peak, len(queue) + 1)
-            if depth == horizon:
+    for s in starts:
+        key = (canonicalize(s).digest, root_label)
+        if key not in tree:
+            tree[key] = s
+            queue.append((key, s, 0, None))
+    level = -1
+    while queue:
+        key, soup, depth, since = queue.popleft()
+        if depth != level:
+            level = depth
+            stats.frontier_peak = max(stats.frontier_peak, len(queue) + 1)
+        if depth == horizon:
+            continue
+        redexes = enabled_redexes(soup, since)
+        for r in redexes:
+            s2, emitted = reduce_with_info(soup, r)
+            lab = label(key[1], r, s2, emitted) if label is not None else root_label
+            edge = Edge(s2, r, emitted, lab, key, tree)
+            answer = visit(edge) if visit is not None else None
+            if answer is CUT:
                 continue
-            redexes = enabled_redexes(soup, heads, since)
-            for r in redexes:
-                s2, emitted = reduce_with_info(soup, r)
-                lab = label(key[1], r, s2, emitted) if label is not None else root_label
-                edge = Edge(s2, r, emitted, lab, key, tree, form)
-                answer = visit(edge) if visit is not None else None
-                if answer is CUT:
-                    continue
-                if answer is not None:
-                    return edge, answer
-                key2 = (edge.digest, lab)
-                if key2 in tree:
-                    stats.dedup_hits += 1
-                    continue
-                if max_depth is not None and depth + 1 > max_depth:
-                    raise BudgetExhausted("max_depth", max_depth, depth, len(queue))
-                if stats.states_explored >= max_states:
-                    raise BudgetExhausted("max_states", max_states, depth, len(queue))
-                tree[key2] = (key, edge.step)
-                stats.states_explored += 1
-                fresh = {m for m in emitted if m not in soup.messages}
-                queue.append((key2, s2, depth + 1, (redexes, len(soup.rules), fresh)))
-    finally:
-        memo.clear()
+            if answer is not None:
+                return edge, answer
+            key2 = (edge.digest, lab)
+            if key2 in tree:
+                stats.dedup_hits += 1
+                continue
+            if max_depth is not None and depth + 1 > max_depth:
+                raise BudgetExhausted("max_depth", max_depth, depth, len(queue))
+            if stats.states_explored >= max_states:
+                raise BudgetExhausted("max_states", max_states, depth, len(queue))
+            tree[key2] = (key, edge.step)
+            stats.states_explored += 1
+            fresh = {m for m in emitted if m not in soup.messages}
+            queue.append((key2, s2, depth + 1, (redexes, len(soup.rules), fresh)))
     return None
 
 

@@ -25,9 +25,11 @@ from .contexts import Context, ContextError, TokenGuard, _validate, defined_base
 from .engine import (
     BudgetExhausted,
     GroundMessage,
+    ModelError,
     Redex,
     Soup,
     enabled_redexes,
+    eval_atom,
     inject,
     search,
     settle,
@@ -54,6 +56,7 @@ from .syntax import (
     conj_of,
     cons_list,
     free_names,
+    is_atom_expr,
     join_of,
     pattern_atoms,
     rules_of,
@@ -107,31 +110,20 @@ def _top_rules(ctx: Context) -> List[Rule]:
 def _initial_contents(ctx: Context) -> Dict[str, List[Atom]]:
     """Initial content atoms per internal state channel base."""
     out: Dict[str, List[Atom]] = {}
-
-    def walk(p: Process):
-        match p:
+    # a stack, not a recursive closure (a reference cycle on every call)
+    stack = [ctx.template]
+    while stack:
+        match stack.pop():
             case Message(ch, args):
-                from .engine import ModelError, eval_atom
-                from .syntax import is_atom_expr
-
                 if len(args) >= 1 and is_atom_expr(args[0]):
                     try:
                         out.setdefault(ch.base, []).append(eval_atom(args[0]))
                     except ModelError:
                         pass
             case Parallel(l, r):
-                walk(l)
-                walk(r)
-            case LocalDef(_, body):
-                walk(body)
-            case Let(_, _, body):
-                walk(body)
-            case Sequence(_, rest):
-                walk(rest)
-            case _:
-                pass
-
-    walk(ctx.template)
+                stack += (r, l)
+            case LocalDef(_, body) | Let(_, _, body) | Sequence(_, body):
+                stack.append(body)
     return out
 
 

@@ -10,10 +10,17 @@ colour list, integer for integer.
 ``random_slotted`` draws a slotted system with a start colouring: discrete
 or not, with individualized ``-1`` colours and gaps in the colour values,
 items with no slots and names repeated within one item.
+
+``rebuilt`` is the referee for the caches a rules value carries: the soup
+over rules rebuilt as fresh ``ActiveRule``s, in a plain tuple, so it gets a
+fresh rules value with no head index, no rules part and an empty memo.
 """
 
 import random
+from collections import Counter
 from typing import List, Tuple
+
+from jcham.engine import ActiveRule, Soup
 
 SlotItem = Tuple[str, Tuple[int, ...]]
 
@@ -51,3 +58,7 @@ def random_slotted(rng: random.Random) -> Tuple[List[SlotItem], List[int]]:
         ids = tuple(rng.randrange(n) for _ in range(rng.choice([0, 1, 1, 2, 2, 3, 4])))
         slotted.append((rng.choice("abc"), ids))
     return slotted, colors
+
+
+def rebuilt(soup: Soup) -> Soup:
+    return Soup(tuple(ActiveRule(r.heads, r.body) for r in soup.rules), Counter(soup.messages), [], soup.fresh_counter)

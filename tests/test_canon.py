@@ -3,8 +3,9 @@ import random
 from collections import Counter
 from itertools import permutations
 
+from _canon_referee import rebuilt
 from jcham.canon import _message_flat, _render, _rule_flat, canonicalize, congruent
-from jcham.engine import ActiveRule, GroundMessage, Soup, enabled_redexes, inject, reduce
+from jcham.engine import ActiveRule, GroundMessage, Rules, Soup, enabled_redexes, inject, reduce
 from jcham.parser import parse
 from jcham.syntax import Name
 
@@ -174,13 +175,10 @@ def test_rule_skeleton_cache_shared_across_soups():
     assert all(a is b for p, q in ((s1, s2), (s2, s3)) for a, b in zip(p.rules, q.rules))
     assert len({frozenset(s.messages.items()) for s in soups}) == 3
 
-    def uncached(s: Soup) -> Soup:
-        return Soup(tuple(ActiveRule(r.heads, r.body) for r in s.rules), Counter(s.messages), [], s.fresh_counter)
-
     digests = [canonicalize(s).digest for s in soups]
     assert all(r.canon_skeleton is not None for r in s3.rules)
-    assert all(r.canon_skeleton is None for r in uncached(s3).rules)
-    assert digests == [canonicalize(uncached(s)).digest for s in soups]
+    assert all(r.canon_skeleton is None for r in rebuilt(s3).rules)
+    assert digests == [canonicalize(rebuilt(s)).digest for s in soups]
     assert digests == [canonicalize(s).digest for s in reversed(soups)][::-1]
     assert len(set(digests)) == 3
 
@@ -404,24 +402,23 @@ def test_viral_component_searches_stay_within_budget(monkeypatch):
     assert tripped
 
 
-# -- the per-search memo: rules parts and message skeletons, never a form
+# -- the caches of a rules value: its rules part, and one memo of message
+# skeletons and component results per lineage, never a form
 
 
-def _checked_memo(monkeypatch) -> list:
-    """Make each memoized ``canonicalize`` call also compute the form afresh
-    and compare the two; the returned list counts the calls that hit."""
+def _checked_forms(monkeypatch) -> list:
+    """Make each ``canonicalize`` call also compute the form of the soup
+    rebuilt from fresh rules, and compare the two; the returned list counts
+    the calls whose rules value already carried its rules part."""
     import jcham.canon as canon
 
     original = canon.canonicalize
     hits = [0]
 
-    def checked(soup, forms=None):
-        if forms is None:
-            return original(soup)
-        known = len(forms)
-        form = original(soup, forms)
-        hits[0] += len(forms) == known
-        assert form == original(soup), soup.dump()
+    def checked(soup):
+        hits[0] += soup.rules.canon_part is not None
+        form = original(soup)
+        assert form == original(rebuilt(soup)), soup.dump()
         return form
 
     monkeypatch.setattr(canon, "canonicalize", checked)
@@ -434,7 +431,7 @@ def test_memo_gives_the_uncached_form_on_every_edge(monkeypatch):
     from jcham.detector import viral_set_member
     from jcham.engine import BudgetExhausted, search
 
-    hits = _checked_memo(monkeypatch)
+    hits = _checked_forms(monkeypatch)
     assert search([inject(refined_context(2).plug(_class_iii_virus(2)))], 500) is None
     assert viral_set_member(refined_context(3), _class_iii_virus(3), iterations=3).outcome == "vulnerable"
     rng = random.Random(12)
@@ -463,7 +460,7 @@ def test_memo_is_exact_where_the_branch_budget_trips(monkeypatch):
     discrete_orders = canon._discrete_orders
     monkeypatch.setattr(canon, "_discrete_orders", counted)
     monkeypatch.setattr(canon, "_BRANCH_BUDGET", 1)
-    hits = _checked_memo(monkeypatch)
+    hits = _checked_forms(monkeypatch)
     # the digraph's names stay interchangeable under refinement, and the
     # reactions on u and w commute
     diamond = inject(parse("def u<> |> 0 and w<> |> 0 in u<> | w<>"))
@@ -488,41 +485,47 @@ def test_memo_closes_a_diamond_with_one_rules_part(monkeypatch):
     assert len(built) == 1
 
     original = canon.canonicalize
-    monkeypatch.setattr(canon, "canonicalize", lambda s, memo=None: original(s))
+    monkeypatch.setattr(canon, "canonicalize", lambda s: original(rebuilt(s)))
     unmemoized, plain_edges = DetectionStats(), []
     search([soup], 10, stats=unmemoized, visit=plain_edges.append)
     assert (memoized.states_explored, memoized.dedup_hits) == (unmemoized.states_explored, unmemoized.dedup_hits) == (3, 1)
     assert [e.step.digest for e in edges] == [e.step.digest for e in plain_edges]
-    # without the memo the start soup and every edge build the rules part
+    # over rebuilt rules the start soup and every edge build the rules part
     assert len(built) == 1 + 1 + len(edges)
 
 
 def test_memo_holds_rules_parts_and_skeletons_only():
     from jcham.canon import _COMPONENTS, _Component, _Flat, _RulesPart
+    from jcham.syntax import Null
 
     x, y = GroundMessage(Name("x", 1)), GroundMessage(Name("y", 2))
-    memo: dict = {}
-    first = canonicalize(Soup((), Counter({x: 1, y: 1})), memo)
-    second = canonicalize(Soup((), Counter({y: 1, x: 1})), memo)
-    # one rules part for the shared (empty) rules tuple, one skeleton per
-    # (message, count) and the component table, empty here: x~1 and y~2 are
-    # told apart by their bases.  No form is stored, for either order
-    assert Counter(type(v).__name__ for v in memo.values()) == {_RulesPart.__name__: 1, _Flat.__name__: 2, "dict": 1}
+    soup = Soup((), Counter({x: 1, y: 1}))
+    first = canonicalize(soup)
+    rules, memo = soup.rules, soup.rules.canon_memo
+    second = canonicalize(Soup(rules, Counter({y: 1, x: 1})))
+    # the rules value carries its rules part; its memo holds one skeleton
+    # per (message, count) and the component table, empty here: x~1 and y~2
+    # are told apart by their bases.  No form is stored, for either order
+    assert isinstance(rules.canon_part, _RulesPart)
+    assert Counter(type(v).__name__ for v in memo.values()) == {_Flat.__name__: 2, "dict": 1}
     assert memo[_COMPONENTS] == {}
-    assert first == second == canonicalize(Soup((), Counter({x: 1, y: 1})), memo) and len(memo) == 4
+    assert first == second == canonicalize(Soup(rules, Counter({x: 1, y: 1}))) and len(memo) == 3
     # interchangeable clusters add component results to the table, which
-    # every rules part of the memo shares, and nothing else
+    # every rules value extended from the same one shares, and nothing else
     hub = _hub_soup([_CLUSTER] * 3)
-    canonicalize(hub, memo)
-    canonicalize(_marked_hub_soups()[0], memo)
-    assert Counter(type(v).__name__ for v in memo.values() if not isinstance(v, _Flat)) == {_RulesPart.__name__: 2, "dict": 1}
+    longer = Soup(hub.rules + (ActiveRule(hub.rules[0].heads, Null()),), hub.messages, [], hub.fresh_counter)
+    canonicalize(hub)
+    canonicalize(longer)
+    memo = hub.rules.canon_memo
+    assert longer.rules.canon_memo is memo and longer.rules.canon_part is not hub.rules.canon_part
+    assert Counter(type(v).__name__ for v in memo.values() if not isinstance(v, _Flat)) == {"dict": 1}
     table = memo[_COMPONENTS]
     assert table and all(isinstance(v, _Component) for v in table.values())
-    assert all(part.table is table for part in memo.values() if isinstance(part, _RulesPart))
+    assert hub.rules.canon_part.table is longer.rules.canon_part.table is table
 
 
-# -- the per-search memo against the plain calls: skeletons, renderings and
-# head indices kept across the states of one search change nothing
+# -- the caches of rules values against soups rebuilt from fresh rules:
+# skeletons, renderings and head indices kept across a lineage change nothing
 
 
 def _walk(start: Soup, rng: random.Random, steps: int) -> list:
@@ -550,21 +553,29 @@ def _memo_referee_states() -> list:
 
 
 def test_memoized_matching_and_forms_agree_with_the_plain_calls():
-    from jcham.canon import _Flat
+    from jcham.engine import _head_index
 
     states = _memo_referee_states()
-    forms, heads = {}, {}
+    values = list({id(s.rules): s.rules for s in states}.values())
+    # a value that ``+`` extended carries its parent's head index extended,
+    # which is the index built afresh; many values share their lineage's memo
+    assert sum(r.heads is not None for r in values) > 30
+    assert all(r.heads is None or r.heads == _head_index(r) for r in values)
+    lineages = Counter(id(r.canon_memo) for r in values)
+    assert sum(k for k in lineages.values() if k > 1) > 20
     for s in states + states[::-1]:
-        assert enabled_redexes(s, heads) == enabled_redexes(s), s.dump()
-        assert canonicalize(s, forms).serialization == canonicalize(s).serialization, s.dump()
-    # one memo served many rules tuples, and messages met over several of them
-    assert len(heads) == len({s.rules for s in states}) > 30
-    assert {k for k, v in forms.items() if isinstance(v, _Flat)} == {mk for s in states for mk in s.messages.items()}
-    tuples_of: dict = {}
+        fresh = rebuilt(s)
+        assert type(fresh.rules) is Rules and fresh.rules == s.rules and fresh.rules is not s.rules
+        assert fresh.rules.heads is None and fresh.rules.canon_part is None and not fresh.rules.canon_memo
+        assert enabled_redexes(s) == enabled_redexes(fresh), s.dump()
+        assert canonicalize(s).serialization == canonicalize(fresh).serialization, s.dump()
+        assert s.rules.heads == fresh.rules.heads
+    # messages met over several rules values of one lineage
+    values_of: dict = {}
     for s in states:
         for mk in s.messages.items():
-            tuples_of.setdefault(mk, set()).add(s.rules)
-    assert max(map(len, tuples_of.values())) > 1
+            values_of.setdefault((id(s.rules.canon_memo), mk), set()).add(id(s.rules))
+    assert max(map(len, values_of.values())) > 1
 
 
 def test_one_message_over_changing_rules_tuples():
@@ -574,25 +585,29 @@ def test_one_message_over_changing_rules_tuples():
 
     a1 = Name("a", 1)
     tell, ping = GroundMessage(Name("tell"), (a1,)), GroundMessage(a1)
-    one = inject(parse("def a<> |> 0 in 0")).rules
-    twins = inject(parse("def a<> |> 0 in (def a<> |> 0 in 0)")).rules
-    pair = inject(parse("def a<> |> 0 in (def a<> |> out<> in 0)")).rules
-    swapped = inject(parse("def a<> |> out<> in (def a<> |> 0 in 0)")).rules
-    tuples = (one, twins, pair, swapped)
+    sources = (
+        "def a<> |> 0 in 0",
+        "def a<> |> 0 in (def a<> |> 0 in 0)",
+        "def a<> |> 0 in (def a<> |> out<> in 0)",
+        "def a<> |> out<> in (def a<> |> 0 in 0)",
+    )
+    # one lineage: every rules value extended from the same empty one
+    root = Rules()
+    tuples = tuple(root + inject(parse(src)).rules for src in sources)
     assert {rules[0].heads[0].channel for rules in tuples} == {a1}
+    assert all(rules.canon_memo is root.canon_memo for rules in tuples)
     soups = [
         Soup(rules, Counter(counts), [], 3)
-        for rules in tuples + ((),)
+        for rules in tuples + (root,)
         for counts in ({tell: 1}, {tell: 1, ping: 1}, {ping: 2, tell: 1})
     ]
-    forms, heads = {}, {}
     for s in soups + soups[::-1]:
-        assert canonicalize(s, forms).serialization == canonicalize(s).serialization, s.dump()
-        assert enabled_redexes(s, heads) == enabled_redexes(s), s.dump()
-    assert sum(isinstance(v, canon._Flat) for v in forms.values()) == 3
+        assert canonicalize(s).serialization == canonicalize(rebuilt(s)).serialization, s.dump()
+        assert enabled_redexes(s) == enabled_redexes(rebuilt(s)), s.dump()
+    assert sum(isinstance(v, canon._Flat) for v in root.canon_memo.values()) == 3
     # tell<a~1> is rendered under the rules-only order of each tuple that
     # fixes a~1, as a different position in ``pair`` and ``swapped``
-    rendered = [forms[rules].rendered.get((tell, 1)) for rules in tuples]
+    rendered = [rules.canon_part.rendered.get((tell, 1)) for rules in tuples]
     assert rendered[1] is None and len(set(rendered[2:])) == 2
 
 
@@ -603,17 +618,17 @@ def test_rules_only_order_is_built_when_a_state_first_needs_it(monkeypatch):
     component_order = canon._component_order
     monkeypatch.setattr(canon, "_component_order", lambda *a: orders.append(a) or component_order(*a))
     # every go<k> carries a loose name: only the joint route runs
-    hub = _hub_soup([_CLUSTER] * 3)
+    marked = _marked_hub_soups()
+    hub = Soup(marked[0].rules, _hub_soup([_CLUSTER] * 3).messages, [], marked[0].fresh_counter)
     canonicalize(hub)
     assert len(orders) == 1
-    forms: dict = {}
-    canonicalize(hub, forms)
-    assert "marks" not in vars(forms[hub.rules]) and "rendering" not in vars(forms[hub.rules])
+    part = hub.rules.canon_part
+    assert "marks" not in vars(part) and "rendering" not in vars(part)
     # a state on the rules' fixed names alone builds the order, once
     orders.clear()
-    for s in _marked_hub_soups():
-        canonicalize(s, forms)
-    assert len(orders) == 1 and "rendering" in vars(forms[hub.rules])
+    for s in marked:
+        canonicalize(s)
+    assert len(orders) == 1 and "rendering" in vars(part)
 
 
 # -- rules first: the rules part of each rules tuple, then the messages
@@ -687,11 +702,10 @@ def test_messages_split_rules_that_refine_to_no_discrete_colouring(monkeypatch):
         for s in soups:
             joint.clear()
             split.clear()
-            # the rules part comes from the memo, so only the joint route splits
-            digest = canonicalize(s, {s.rules: part}).digest
+            digest = canonicalize(s).digest
             routes.append(bool(joint))
             splits.append(bool(split))
-            assert digest == canonicalize(s).digest
+            assert digest == canonicalize(rebuilt(s)).digest
             assert all(canonicalize(congruent_copy(s, rng)).digest == digest for _ in range(3)), s.dump()
         # the go<k> messages carry loose names, so every soup is refined jointly
         assert routes == [_needs_joint(s) for s in soups] and all(routes)
@@ -765,11 +779,11 @@ def test_shared_memo_gives_the_unshared_digest_across_one_rules_tuple():
     soups += [hub, _with_messages(hub, GroundMessage(Name("mark"), (k1,)))]
     soups += [_with_messages(hub, GroundMessage(Name("tell"), (Name("p", 90 + i),))) for i in range(2)]
     rng.shuffle(soups)
-    forms: dict = {}
     for s in soups + soups[::-1]:
-        assert canonicalize(s, forms).digest == canonicalize(s).digest, s.dump()
-    parts = [v for v in forms.values() if isinstance(v, _RulesPart)]
-    assert len(parts) == len({s.rules for s in soups}) < len(soups)
+        assert canonicalize(s).digest == canonicalize(rebuilt(s)).digest, s.dump()
+    parts = {id(s.rules.canon_part) for s in soups}
+    assert len(parts) == len({id(s.rules) for s in soups}) < len(soups)
+    assert all(isinstance(s.rules.canon_part, _RulesPart) for s in soups)
 
 
 def test_rules_part_is_built_once_per_rules_tuple_in_a_search(monkeypatch):
@@ -784,14 +798,15 @@ def test_rules_part_is_built_once_per_rules_tuple_in_a_search(monkeypatch):
         built.append(rules)
         return rules_part(rules)
 
-    def counted(soup, forms=None):
+    def counted(soup):
         calls[0] += 1
-        return canonicalize_(soup, forms)
+        return canonicalize_(soup)
 
     monkeypatch.setattr(canon, "_rules_part", counted_part)
     monkeypatch.setattr(canon, "canonicalize", counted)
     stats = DetectionStats()
     assert search([inject(refined_context(2).plug(_class_iii_virus(2)))], 500, stats=stats) is None
+    # two paths that append equal rules to one value reach one value
     assert len(built) == len(set(built)) and 1 < len(built) < stats.states_explored < calls[0]
 
 
@@ -932,7 +947,7 @@ def test_seeded_refinement_agrees_with_the_plain_round(monkeypatch):
     assert min(seen.values()) >= 100, seen
 
 
-# -- component results: one per structure, kept in the memo's table
+# -- component results: one per structure, kept in the lineage memo's table
 
 
 def _cluster_soups() -> list:
@@ -954,14 +969,16 @@ def test_component_table_gives_the_fresh_form(monkeypatch):
     viral = _viral_states(3) + _viral_states(4)
     for states in (clusters, viral):
         rng.shuffle(states)
-        memo: dict = {}
+        # the states, rebuilt into one lineage: rules values extended from one
+        root = Rules()
+        states = [Soup(root + rebuilt(s).rules, s.messages, [], s.fresh_counter) for s in states]
         orders[0] = 0
-        forms = [canonicalize(s, memo).serialization for s in states + states[::-1]]
+        forms = [canonicalize(s).serialization for s in states + states[::-1]]
         shared = orders[0]
         orders[0] = 0
-        assert forms == [canonicalize(s).serialization for s in states + states[::-1]]
-        # the shared table individualizes each structure once, fresh memos once a call
-        assert 0 < len(memo[canon._COMPONENTS]) == shared < orders[0]
+        assert forms == [canonicalize(rebuilt(s)).serialization for s in states + states[::-1]]
+        # the shared table individualizes each structure once, fresh lineages once a call
+        assert 0 < len(root.canon_memo[canon._COMPONENTS]) == shared < orders[0]
 
 
 def test_one_individualization_per_component_structure(monkeypatch):

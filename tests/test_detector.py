@@ -401,3 +401,52 @@ def test_equal_rules_tuples_share_one_carrier_entry(monkeypatch):
     longer = Soup(soup.rules + (ActiveRule(soup.rules[0].heads, Null()),))
     assert qual._carriers(longer) == carriers and len(qual._carrier_cache) == 2
     assert len(walked) == walks + 1
+
+
+def test_a_witness_trace_keeps_no_search_cache(monkeypatch):
+    import jcham.detector as detector
+
+    searched = []
+    search = detector.search
+
+    def recorded(starts, *args, **kw):
+        searched.extend(s.rules for s in starts)
+        return search(starts, *args, **kw)
+
+    monkeypatch.setattr(detector, "search", recorded)
+    for n in (2, 3):
+        program = virus("III", targets=[Name(f"sw{i}") for i in range(1, n + 1)])
+        for check in (explore, lambda ctx, p: viral_set_member(ctx, p, iterations=n)):
+            searched.clear()
+            verdict = check(refined_context(n), program)
+            assert verdict.vulnerable and verdict.witness.steps
+            start = verdict.witness.initial.rules
+            # an equal rules value of its own, which no search matched or canonicalized
+            assert any(start == r for r in searched) and all(start is not r for r in searched)
+            assert start.heads is None and start.canon_part is None and not start.canon_memo
+            # every recorded digest is reproduced
+            replay(verdict.witness)
+
+
+def test_viral_and_classify_calls_leave_no_reference_cycle():
+    # with the cyclic collector off, a call's garbage is freed by reference
+    # counting alone: a recursive closure or a rules value reachable from its
+    # own caches would be left for the collector
+    import gc
+
+    from jcham.policy import classify_context
+
+    def viral(n):
+        program = virus("III", targets=[Name(f"sw{i}") for i in range(1, n + 1)])
+        return lambda: viral_set_member(refined_context(n), program, iterations=n)
+
+    calls = [lambda: classify_context(refined_context(2)), viral(2), viral(3)]
+    for call in calls:
+        call()  # the first call fills module-level caches
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from _canon_referee import rebuilt
 from jcham.canon import canonicalize
 from jcham.contexts import refined_context
 from jcham.engine import (
@@ -194,15 +195,16 @@ def test_run_and_replay_keep_one_memo_per_trace(monkeypatch):
     rules_part = canon._rules_part
     monkeypatch.setattr(canon, "_rules_part", counted_part)
     trace = run(soup, seed=7, max_steps=200)
-    # the token goes back and forth between two soups over one rules tuple
+    # the token goes back and forth between two soups over one rules value
     assert len(trace.steps) == 200 and parts[0] == 1
+    # the replay starts from the trace's start soup, over that same value
     replay(trace)
-    assert parts[0] == 2
+    assert parts[0] == 1
     original = canon.canonicalize
-    monkeypatch.setattr(canon, "canonicalize", lambda s, memo=None: original(s))
+    monkeypatch.setattr(canon, "canonicalize", lambda s: original(rebuilt(s)))
     assert run(soup, seed=7, max_steps=200).format() == trace.format()
-    # without the memo every step builds its rules part again
-    assert parts[0] == 2 + 200
+    # over rebuilt rules every step builds its rules part again
+    assert parts[0] == 1 + 200
 
 
 def test_run_inert_empty_trace():
@@ -444,17 +446,18 @@ def test_heat_through_the_binding_on_colliding_names():
 
 def _referee(monkeypatch) -> list:
     """Checks every redex list a search derives from its parent's against
-    a fresh ``enabled_redexes``, and against the list derived without the
-    search's memo; returns the (since, list) pairs checked."""
+    a fresh ``enabled_redexes`` and against the list derived for the soup
+    rebuilt from fresh rules, which builds its head index afresh; returns
+    the (since, list) pairs checked."""
     import jcham.engine as engine
 
     checked = []
     original = engine.enabled_redexes
 
-    def refereed(soup, heads=None, since=None):
-        got = original(soup, heads, since)
+    def refereed(soup, since=None):
+        got = original(soup, since)
         if since is not None:
-            assert got == original(soup) == original(soup, None, since), soup.dump()
+            assert got == original(rebuilt(soup)) == original(rebuilt(soup), since), soup.dump()
             checked.append((since, got))
         return got
 
@@ -568,7 +571,7 @@ def _spied_edges(monkeypatch) -> tuple:
 
     formed, shown = [], []
     original, search_ = canon.canonicalize, detector.search
-    monkeypatch.setattr(canon, "canonicalize", lambda soup, memo=None: formed.append(soup) or original(soup, memo))
+    monkeypatch.setattr(canon, "canonicalize", lambda soup: formed.append(soup) or original(soup))
 
     def spied(*args, visit=None, **kw):
         def shown_to(edge):
