@@ -34,7 +34,7 @@ from .syntax import (
     Sequence,
     conj_of,
     cons_list,
-    def_dv,
+    def_channels,
     pretty,
     rules_of,
     subterms,
@@ -112,7 +112,7 @@ class Context:
 def defined_bases(p: Process) -> frozenset[str]:
     """Bases of every channel some definition inside ``p`` defines."""
     return frozenset(
-        n.base for t in subterms(p) if isinstance(t, (LocalDef, ExprDef)) for n in def_dv(t.defs)
+        n.base for t in subterms(p) if isinstance(t, (LocalDef, ExprDef)) for n in def_channels(t.defs)
     )
 
 

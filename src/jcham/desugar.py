@@ -50,7 +50,7 @@ from .syntax import (
     Term,
     _max_index,
     conj_of,
-    def_dv,
+    def_channels,
     is_atom_expr,
     join_of,
     pattern_atoms,
@@ -123,7 +123,7 @@ def _proc(p: Process, renv: _Renv, gen: FreshNames) -> Process:
         case Message(ch, args):
             return _eval_args(list(args), [], renv, gen, lambda atoms: Message(ch, tuple(atoms)))
         case LocalDef(d, body):
-            scoped = renv.shadow(def_dv(d))
+            scoped = renv.shadow(set(def_channels(d)))
             return LocalDef(_defs(d, scoped, gen), _proc(body, scoped, gen))
         case Parallel(l, r):
             return Parallel(_proc(l, renv, gen), _proc(r, renv, gen))
@@ -166,7 +166,7 @@ def _eval_args(
         cont = _eval_args(rest, done + [NameRef(res)], renv, gen, finish)
         return LocalDef(Rule(MsgPat(k, (res,)), cont), _emit_call(e, k, renv, gen))
     if isinstance(e, ExprDef):
-        scoped = renv.shadow(def_dv(e.defs))
+        scoped = renv.shadow(set(def_channels(e.defs)))
         return LocalDef(_defs(e.defs, scoped, gen), _eval_args([e.body] + rest, done, scoped, gen, finish))
     raise TypeError(f"not an expression: {e!r}")
 
@@ -192,7 +192,7 @@ def _bind(xs: tuple[Name, ...], e: Expression, body: Process, renv: _Renv, gen: 
         k = gen.fresh("k")
         return LocalDef(Rule(MsgPat(k, xs), body), _emit_call(e, k, renv, gen))
     if isinstance(e, ExprDef):
-        scoped = renv.shadow(def_dv(e.defs))
+        scoped = renv.shadow(set(def_channels(e.defs)))
         return LocalDef(_defs(e.defs, scoped, gen), _bind(xs, e.body, body, scoped, gen))
     raise TypeError(f"not an expression: {e!r}")
 

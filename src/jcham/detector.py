@@ -239,7 +239,7 @@ def explore(
     if hit0 is not None:
         return DetectionVerdict(
             "vulnerable",
-            Trace(initial=soup0.copy(), seed=0, steps=[]),
+            Trace(initial=soup0.copy()),
             stats,
             notes + [f"initial configuration already emits {hit0}"],
         )
@@ -509,5 +509,5 @@ def _replay(gs: GroundSystem, transition_seq: List[int]) -> Trace:
         gr = gs.rules[ti]
         redex = Redex(gr.rule_index, soup.rules[gr.rule_index].label, gr.guard, gr.binding)
         soup, emitted = reduce_with_info(soup, redex)
-        steps.append(TraceStep(redex.label, redex, emitted, canonicalize(soup).digest[:16]))
-    return Trace(initial=gs.soup.copy(), seed=0, steps=steps)
+        steps.append(TraceStep(redex, emitted, canonicalize(soup).digest[:16]))
+    return Trace(initial=gs.soup.copy(), steps=steps)

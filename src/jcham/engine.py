@@ -50,10 +50,11 @@ from .syntax import (
     Proj,
     Substitution,
     atom_str,
+    def_channels,
     free_names,
-    instantiate_def,
     pattern_atoms,
     rules_of,
+    substitute,
 )
 
 
@@ -272,11 +273,12 @@ def heat(soup: Soup, p: Process, binding: Optional[dict[Name, Atom]] = None) -> 
     the values it received): the result is that of heating
     ``substitute(p, binding)``, errors included, but ``p`` is instantiated
     in the same walk.  Messages and conditions read their atoms through the
-    binding; a nested ``def`` is substituted and renamed into the soup's
-    fresh names at once (``instantiate_def``); the branch a conditional
-    drops is only substituted, for the ``SubstitutionError`` and the binder
-    names ``substitute`` would give.  An error can leave ``soup`` part
-    heated, so callers heat into a copy they drop on error.
+    binding; a nested ``def`` is substituted whole, collision renames
+    included, and then its defined channels are renamed to the soup's fresh
+    names, as for an unbound ``def``; the branch a conditional drops is only
+    substituted, for the ``SubstitutionError`` and the binder names
+    ``substitute`` would give.  An error can leave ``soup`` part heated, so
+    callers heat into a copy they drop on error.
 
     Returns the messages added, in emission order.
     """
@@ -302,18 +304,21 @@ def heat(soup: Soup, p: Process, binding: Optional[dict[Name, Atom]] = None) -> 
                 m = GroundMessage(ch, tuple(eval_atom(a, env) for a in args))
                 soup.messages[m] += 1
                 emitted.append(m)
-            case LocalDef(d, body):
+            case LocalDef():
+                if env:
+                    t = sub(t)  # type: ignore[misc]
                 names = FreshNames(soup.fresh_counter)
-                rules, body = instantiate_def(d, body, names, sub if env else None)
+                ren: dict[Name, Atom] = {c: names.fresh(c.base) for c in def_channels(t.defs)}
                 soup.fresh_counter = names.n
                 new_rules = []
-                for rule in rules:
+                for rule in rules_of(t.defs):
+                    rule = substitute(rule, ren)
                     heads = tuple(pattern_atoms(rule.pattern))
                     if any(not isinstance(h, MsgPat) for h in heads):
                         raise ModelError("call pattern survived desugaring")
                     new_rules.append(ActiveRule(heads, rule.body))
                 soup.rules = soup.rules + tuple(new_rules)
-                stack.append((body, {}))
+                stack.append((substitute(t.body, ren), {}))
             case Conditional(a, b, then, orelse):
                 if eval_atom(a, env) == eval_atom(b, env):
                     if env:
@@ -464,16 +469,18 @@ def reduce_with_info(soup: Soup, redex: Redex) -> tuple[Soup, list[GroundMessage
 
 @dataclass
 class TraceStep:
-    label: str
     redex: Redex
     emitted: list[GroundMessage]
     digest: str
+
+    @property
+    def label(self) -> str:
+        return self.redex.label
 
 
 @dataclass
 class Trace:
     initial: Soup
-    seed: int
     steps: list[TraceStep] = field(default_factory=list)
     final: Optional[Soup] = None
 
@@ -507,14 +514,14 @@ def run(soup: Soup, seed: int, max_steps: int) -> Trace:
 
     rng = random.Random(seed)
     current = soup.copy()
-    trace = Trace(initial=soup.copy(), seed=seed)
+    trace = Trace(initial=soup.copy())
     for _ in range(max_steps):
         redexes = enabled_redexes(current)
         if not redexes:
             break
         choice = rng.choice(redexes)
         current, emitted = reduce_with_info(current, choice)
-        trace.steps.append(TraceStep(choice.label, choice, emitted, canonicalize(current).digest[:16]))
+        trace.steps.append(TraceStep(choice, emitted, canonicalize(current).digest[:16]))
     trace.final = current
     return trace
 
@@ -577,7 +584,7 @@ class Edge:
     def step(self) -> TraceStep:
         s = self.step_cache
         if s is None:
-            s = self.step_cache = TraceStep(self.redex.label, self.redex, self.emitted, self.digest[:16])
+            s = self.step_cache = TraceStep(self.redex, self.emitted, self.digest[:16])
         return s
 
     def trace(self) -> Trace:
@@ -591,7 +598,7 @@ class Edge:
             steps.append(step)
             entry = self.tree[key]
         start = Soup(Rules(entry.rules), Counter(entry.messages), [], entry.fresh_counter)
-        return Trace(initial=start, seed=0, steps=steps[::-1])
+        return Trace(initial=start, steps=steps[::-1])
 
 
 def search(

@@ -21,13 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence as Seq, Tuple, Union
 
-from .contexts import Context, ContextError, TokenGuard, _validate, defined_bases
+from .contexts import Context, ContextError, TokenGuard, _validate, defined_bases, plug
 from .engine import (
     BudgetExhausted,
     GroundMessage,
     ModelError,
     Redex,
     Soup,
+    atom_contains,
     enabled_redexes,
     eval_atom,
     inject,
@@ -38,18 +39,15 @@ from .parser import atom_source, parse, parse_definition
 from .syntax import (
     Atom,
     CallPat,
-    Conditional,
     Let,
     LocalDef,
     Message,
     MsgPat,
     Name,
-    NameRef,
     Null,
     Pair,
     Parallel,
     Process,
-    Proj,
     Rule,
     Sequence,
     SyncCall,
@@ -57,7 +55,6 @@ from .syntax import (
     cons_list,
     free_names,
     is_atom_expr,
-    join_of,
     pattern_atoms,
     rules_of,
     subterms,
@@ -404,51 +401,46 @@ def tokenize_context(ctx: Context, guard: TokenGuard) -> Context:
     if not isinstance(ctx.template, LocalDef):
         raise UnknownChannel("environment has no definitions to guard")
 
-    tok = Name(guard.token_base)
-    tk = Name("tk")
+    tok = atom_source(Name(guard.token_base), ContextError)
     counted = guard.mode == "counted"
-    cnt = Name("uses_left")
 
     def guard_rule(rule: Rule) -> Rule:
         heads = pattern_atoms(rule.pattern)
         target = next((h for h in heads if h.channel.base in guard.guarded), None)
         if target is None:
             return rule
-        new_heads: List = [type(h)(h.channel, (tk,) + h.binders) if h is target else h for h in heads]
-        restore_parts: List[Process] = [
-            Message(h.channel, tuple(NameRef(b) for b in h.binders)) for h in heads if h is not target
+        # the rule as text, with a hole where its body goes
+        pattern = [
+            _head_source(h.channel, ((Name("tk"),) if h is target else ()) + h.binders, isinstance(h, CallPat))
+            for h in heads
         ]
-        restore: Process = Null()
-        for part in restore_parts:
-            restore = part if isinstance(restore, Null) else Parallel(restore, part)
+        restore = [_head_source(h.channel, h.binders) for h in heads if h is not target]
+        run = [] if isinstance(rule.body, Null) else ["HOLE"]
         if counted:
-            new_heads.append(MsgPat(cnt, (Name("uc"),)))
-            granted: Process = Conditional(
-                NameRef(Name("uc")),
-                NameRef(Name("nil")),
-                _with(restore, Message(cnt, (NameRef(Name("uc")),))),
-                _with(rule.body, Message(cnt, (Proj(NameRef(Name("uc")), 2),))),
-            )
-            denied: Process = _with(restore, Message(cnt, (NameRef(Name("uc")),)))
-        else:
-            granted = rule.body
-            denied = restore
-        return Rule(join_of(new_heads), Conditional(NameRef(tk), NameRef(tok), granted, denied))
+            pattern.append("uses_left<uc>")
+            restore.append("uses_left<uc>")
+            run.append("uses_left<snd(uc)>")
+        denied, granted = " | ".join(restore) or "0", " | ".join(run) or "0"
+        if counted:  # no use left: the token is denied too
+            granted = f"if [uc = nil] then ({denied}) else ({granted})"
+        written = parse_definition(f"{' | '.join(pattern)} |> if [tk = {tok}] then ({granted}) else ({denied})")
+        return written if isinstance(rule.body, Null) else Rule(written.pattern, plug(written.body, rule.body))
 
     rules = [guard_rule(r) for r in _top_rules(ctx)]
-    rules.append(parse_definition(f"{atom_source(tok, ContextError)}<> |> 0"))
+    rules.append(parse_definition(f"{tok}<> |> 0"))
     body = ctx.template.body
     if counted:
         uses = atom_source(cons_list([Name("use")] * guard.count), ContextError)
-        body = Parallel(parse(f"uses_left<{uses}>"), body)
-    privileged = ctx.privileged | {guard.token_base} | ({cnt.base} if counted else set())
+        body = plug(parse(f"uses_left<{uses}> | HOLE"), body)
+    privileged = ctx.privileged | {guard.token_base} | ({"uses_left"} if counted else set())
     return _validate(replace(ctx, template=LocalDef(conj_of(rules), body), privileged=privileged, guard=guard))
 
 
-def _with(p: Process, q: Process) -> Process:
-    if isinstance(p, Null):
-        return q
-    return Parallel(p, q)
+def _head_source(channel: Name, names: Seq[Name], call: bool = False) -> str:
+    """``channel<names>`` in concrete syntax, or ``channel(names)`` for a
+    call pattern."""
+    ch, args = atom_source(channel, ContextError), ", ".join(atom_source(n, ContextError) for n in names)
+    return f"{ch}({args})" if call else f"{ch}<{args}>"
 
 
 def add_token_distributor(ctx: Context, channel: str = "get_token") -> Context:
@@ -522,17 +514,18 @@ def enforcement_sound(ctx_guarded: Context, depth: int = 6) -> bool:
 
 
 def token_leak_free(ctx_guarded: Context, depth: int = 6, max_states: int = 4000) -> bool:
-    """No reachable state shows the token on a published channel when a
-    tokenless probe runs inside.  Raises :class:`BudgetExhausted` when
-    ``max_states`` trips before ``depth`` is covered."""
+    """No reachable state shows the token on a published channel, alone or
+    inside a pair, when a tokenless probe runs inside.  Raises
+    :class:`BudgetExhausted` when ``max_states`` trips before ``depth`` is
+    covered."""
     if ctx_guarded.guard is None:
         return True
-    tok_base = ctx_guarded.guard.token_base
+    tok = Name(ctx_guarded.guard.token_base)
     published = ctx_guarded.services | ctx_guarded.resources
 
     def leak(edge):
         for m in edge.emitted:
-            if m.channel.base in published and any(isinstance(a, Name) and a.base == tok_base for a in m.args):
+            if m.channel.base in published and any(atom_contains(tok, a) for a in m.args):
                 return m
         return None
 

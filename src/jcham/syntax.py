@@ -389,11 +389,9 @@ def pattern_rv(j: JoinPattern) -> set[Name]:
     return out
 
 
-def def_dv(d: Definition) -> set[Name]:
-    out: set[Name] = set()
-    for r in rules_of(d):
-        out.update(pattern_dv(r.pattern))
-    return out
+def def_channels(d: Definition) -> list[Name]:
+    """The channels ``d`` defines, each once, in pattern order."""
+    return list(dict.fromkeys(a.channel for r in rules_of(d) for a in pattern_atoms(r.pattern)))
 
 
 def name_sets(term: Term) -> NameSets:
@@ -424,7 +422,7 @@ def _fv(term: Term, ns: NameSets) -> set[Name]:
         case Message(ch, args) | SyncCall(ch, args):
             return {ch} | _fv_exprs(args, ns)
         case LocalDef(d, p) | ExprDef(d, p):
-            dv = def_dv(d)
+            dv = set(def_channels(d))
             ns.dv.update(dv)
             return (_fv(d, ns) | _fv(p, ns)) - dv
         case Parallel(l, r):
@@ -558,39 +556,6 @@ class Substitution:
         return _subst_channel(ch, self.mapping)
 
 
-def instantiate_def(
-    d: Definition, body: Process, names: FreshNames, sub: Optional[Substitution] = None
-) -> tuple[list[Rule], Process]:
-    """The rules and body of ``def d in body`` (met by ``sub`` when given),
-    substituted and then with the defined channels renamed to names minted
-    by ``names``, one per channel in pattern order: what renaming them in
-    ``sub``'s whole result gives.  One substitution does both when neither
-    step renames a binder (a defined channel among the values counts:
-    ``sub`` renames it); else the two steps run apart, so that every binder
-    keeps the name the two give it."""
-    channels = _def_channels(d)
-    fresh = [names.fresh(c.base) for c in channels]
-    inner = _narrow(sub.mapping, set(channels)) if sub is not None else _Mapping()
-    if sub is not None and inner:
-        ctr = sub.ctr
-        before = ctr.n
-        if inner.names.isdisjoint(channels):
-            both = _Mapping({**inner, **dict(zip(channels, fresh))})
-            rules, out = [_subst(r, both, ctr) for r in rules_of(d)], _subst(body, both, ctr)
-            if ctr.n == before:
-                return rules, out  # type: ignore[return-value]
-            ctr.n = before
-        d, body = _subst_scope(d, body, inner, ctr)
-        channels = _def_channels(d)
-    ren: dict[Name, Atom] = dict(zip(channels, fresh))
-    return [substitute(r, ren) for r in rules_of(d)], substitute(body, ren)  # type: ignore[misc]
-
-
-def _def_channels(d: Definition) -> list[Name]:
-    """The channels ``d`` defines, each once, in pattern order."""
-    return list(dict.fromkeys(a.channel for r in rules_of(d) for a in pattern_atoms(r.pattern)))
-
-
 class _Mapping(dict):
     """A substitution's mapping from names to atoms; ``names``, the names
     occurring in its values, is found once, on first use."""
@@ -676,7 +641,7 @@ def _subst(term: Term, mapping: _Mapping, ctr: FreshNames) -> Term:
 
 def _subst_scope(d: Definition, body: Process, mapping: _Mapping, ctr: FreshNames):
     """Handle a def scope: dv(d) binds inside rule bodies and the body."""
-    channels = tuple(_def_channels(d))
+    channels = tuple(def_channels(d))
     inner = _narrow(mapping, set(channels))
     ren = _rename_binders(channels, mapping, inner, ctr)
     if ren:

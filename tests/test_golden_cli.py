@@ -40,6 +40,8 @@ COMMANDS = (
     + [["policy", "enforce", "--context", spec]
        for spec in ("tokenized(n=2; mode=spatial; guard=sw1,sw2)",
                     "tokenized(n=2; mode=counted; count=2; guard=sw1,sw2)")]
+    + [["policy", "tokenize", "--context", "refined(n=2)", "--guard", "sw1,sw2", *opts]
+       for opts in ((), ("--mode", "counted:2"), ("--distribute",))]
 )
 
 

@@ -3,7 +3,16 @@ from functools import partial
 import pytest
 
 import jcham.policy as policy
-from jcham.contexts import Context, ContextError, ResourceSpec, TokenGuard, _validate, base_context, refined_context
+from jcham.contexts import (
+    Context,
+    ContextError,
+    ResourceSpec,
+    TokenGuard,
+    _validate,
+    base_context,
+    load_context,
+    refined_context,
+)
 from jcham.detector import explore, viral_set_member
 from jcham.engine import BudgetExhausted, inject, is_inert
 from jcham.malware import MalwareSpec, ReplicationMech, TargetRoutine, build_virus, token_aware_overwrite
@@ -36,6 +45,8 @@ from jcham.syntax import (
     SyncCall,
     conj_of,
     par,
+    pretty,
+    rules_of,
 )
 
 
@@ -233,6 +244,19 @@ def test_tokenize_guard_validation():
         TokenGuard(mode="counted", count=0)
 
 
+def test_tokenize_guards_a_message_head_and_an_empty_body():
+    ctx = load_context(
+        "#! services: a  resources: w  privileged: st\n"
+        "def w<v> | st<x> |> 0 and a() |> (return to a) in st<s0> | HOLE\n"
+    )
+    counted = tokenize_context(ctx, TokenGuard(mode="counted", count=1, guarded=("w",)))
+    # the granted branch is the counter alone, with no ``0 |`` in front
+    assert pretty(rules_of(counted.template.defs)[0]) == (
+        "w<tk, v> | st<x> | uses_left<uc> |> if [tk = sectok] then if [uc = nil] then (st<x> | uses_left<uc>)"
+        " else uses_left<snd(uc)> else (st<x> | uses_left<uc>)"
+    )
+
+
 def test_tokenize_refuses_a_tokenized_context():
     with pytest.raises(ContextError, match="already tokenized"):
         tokenize_context(guarded2(), TokenGuard(guarded=("sw1",)))
@@ -300,6 +324,25 @@ def test_enforcement_sound_refuses_a_context_without_probes(spec):
 
 def test_token_never_leaks():
     assert token_leak_free(guarded2())
+
+
+def _logging_sw1(emitted):
+    # sw1's denied branch emits ``emitted`` on the published channel log
+    return load_context(
+        "#! services: log  resources: sw1  privileged: content1,sectok\n"
+        "#! guard: token=sectok mode=spatial count=0 guarded=sw1\n"
+        "def sw1(tk, fnew) | content1<f> |> if [tk = sectok] then ((return to sw1) | content1<fnew>)"
+        f" else (content1<f> | log<{emitted}>) and log<x> |> 0 and sectok<> |> 0 in content1<f1> | HOLE\n"
+    )
+
+
+@pytest.mark.parametrize("emitted", ["sectok", "sectok ++ f", "f ++ (tk ++ sectok)"])
+def test_a_token_leaks_alone_or_inside_a_pair(emitted):
+    assert not token_leak_free(_logging_sw1(emitted))
+
+
+def test_a_denied_branch_without_the_token_does_not_leak():
+    assert token_leak_free(_logging_sw1("f ++ tk"))
 
 
 def test_isolation_implies_noninfection_for_probes():
