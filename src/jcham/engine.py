@@ -141,7 +141,15 @@ class Rules(tuple):
     component results, one dict that ``+`` hands on to every value extended
     from this one.  ``+`` keeps the values it made by the rules appended, so
     two paths that append equal rules to one value share the value they
-    reach, and its caches.  None of them changes a redex or a digest."""
+    reach, and its caches.  ``fired`` keeps what each reduction over this
+    value heated, by (rule index, binding, fresh counter): the rules value
+    reached, the messages emitted in order and the counter after.  That is
+    all ``heat`` changes, and it reads nothing else of the soup, so
+    :func:`reduce_with_info` replays an entry instead of heating the body
+    again.  An entry stores None for the rules value when the firing
+    appended no rule: the value itself would put it in its own dict, a
+    reference cycle.  A firing that raised is not stored.  None of them
+    changes a redex or a digest."""
 
     heads: Optional[tuple[dict, dict]] = None
     canon_part: Optional[object] = None
@@ -150,6 +158,7 @@ class Rules(tuple):
     def __init__(self, rules: Iterable[ActiveRule] = ()):
         self.canon_memo = {}
         self.extended = {}
+        self.fired = {}
 
     def __hash__(self) -> int:
         h = self.hash_cache
@@ -335,9 +344,12 @@ def heat(soup: Soup, p: Process, binding: Optional[dict[Name, Atom]] = None) -> 
     return emitted
 
 
-def inject(p: Process) -> Soup:
-    """Desugar ``p`` and heat it into an initial soup."""
-    soup = Soup()
+def inject(p: Process, root: Optional[Rules] = None) -> Soup:
+    """Desugar ``p`` and heat it into an initial soup.  Its rules extend
+    ``root`` when given (a fresh, empty :class:`Rules` otherwise), so starts
+    injected over one root that activate equal rules share one rules value
+    and its caches."""
+    soup = Soup(Rules() if root is None else root)
     heat(soup, desugar(p))
     return soup
 
@@ -449,7 +461,10 @@ def reduce(soup: Soup, redex: Redex) -> Soup:
 
 
 def reduce_with_info(soup: Soup, redex: Redex) -> tuple[Soup, list[GroundMessage]]:
-    """Consume the matched messages and heat the instantiated rule body."""
+    """Consume the matched messages and heat the instantiated rule body,
+    or replay the heat of an equal firing over the same rules value
+    (:attr:`Rules.fired`): the messages are added in emission order, so the
+    soup is the same, down to the order of its ``messages``."""
     need = Counter(redex.matched)
     for m, k in need.items():
         if soup.messages[m] < k:
@@ -459,8 +474,19 @@ def reduce_with_info(soup: Soup, redex: Redex) -> tuple[Soup, list[GroundMessage
         out.messages[m] -= k
         if out.messages[m] == 0:
             del out.messages[m]
-    emitted = heat(out, out.rules[redex.rule_index].body, redex.binding_map())
-    return out, emitted
+    rules = out.rules
+    key = (redex.rule_index, redex.binding, out.fresh_counter)
+    fired = rules.fired.get(key)
+    if fired is None:
+        emitted = heat(out, rules[redex.rule_index].body, redex.binding_map())
+        rules.fired[key] = (None if out.rules is rules else out.rules, tuple(emitted), out.fresh_counter)
+        return out, emitted
+    grown, made, out.fresh_counter = fired
+    if grown is not None:
+        out.rules = grown
+    for m in made:
+        out.messages[m] += 1
+    return out, list(made)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ a battery of tokenless probes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain, count
 from typing import Dict, List, Optional, Sequence as Seq, Tuple, Union
 
 from .contexts import Context, ContextError, TokenGuard, _validate, defined_bases, plug
@@ -27,6 +28,7 @@ from .engine import (
     GroundMessage,
     ModelError,
     Redex,
+    Rules,
     Soup,
     atom_contains,
     enabled_redexes,
@@ -55,6 +57,7 @@ from .syntax import (
     cons_list,
     free_names,
     is_atom_expr,
+    name_sets,
     pattern_atoms,
     rules_of,
     subterms,
@@ -324,18 +327,19 @@ def non_infection_test(
     ``violated`` found at that horizon stands, with its note).  Raises
     ``ValueError`` when ``tests`` is empty: nothing would be compared, and
     ``satisfied_to_depth`` would hold vacuously."""
-    _check_harness(ctx, tests)
+    root = Rules()  # the starts of this call share their rules values
+    _check_harness(ctx, tests, root)
     try:
-        return _non_infection(ctx, p, tests, depth, quiescence_budget)
+        return _non_infection(ctx, p, tests, depth, root, quiescence_budget)
     except BudgetExhausted as e:
         return NonInfectionVerdict("budget_exhausted", depth, None, [str(e)])
 
 
-def _check_harness(ctx: Context, tests: Seq[Process]) -> None:
+def _check_harness(ctx: Context, tests: Seq[Process], root: Rules) -> None:
     """Refuse a context that reacts with nothing plugged in, an empty test
     list and a test that could infect; none of it depends on the process
-    under test."""
-    if enabled_redexes(inject(ctx.plug(Null()))):
+    under test.  The empty context is injected over ``root``."""
+    if enabled_redexes(inject(ctx.plug(Null()), root)):
         raise UnstableContext("the environment reacts without any plugged process")
     if not tests:
         raise ValueError("no test process: a non-infection test would compare nothing")
@@ -348,21 +352,23 @@ def _non_infection(
     p: Process,
     tests: Seq[Process],
     depth: int,
+    root: Rules,
     quiescence_budget: int = 600,
     baselines: Optional[dict] = None,
 ):
     """``non_infection_test`` once ``_check_harness`` has passed, with a
     tripped budget raised, not reported.  ``baselines`` keeps each test's
     trace set without ``p`` across the calls that share it; those sets do
-    not depend on ``p``."""
-    evolved, quiet = settle(inject(ctx.plug(p)), quiescence_budget)
+    not depend on ``p``.  The starts are injected over ``root``, which the
+    caller scopes to one check, so that equal rules share one value."""
+    evolved, quiet = settle(inject(ctx.plug(p), root), quiescence_budget)
     notes = [] if quiet else [f"quiescence budget hit after {quiescence_budget} steps; comparing at that horizon"]
 
     from .engine import graft
 
     baselines = {} if baselines is None else baselines
     for t in tests:
-        baseline = None if t in baselines else inject(ctx.plug(t))
+        baseline = None if t in baselines else inject(ctx.plug(t), root)
         mutated = graft(evolved, t)
         if baseline is not None:
             baselines[t] = observable_traces(baseline, ctx, depth)
@@ -391,6 +397,13 @@ def tokenize_context(ctx: Context, guard: TokenGuard) -> Context:
     state is restored.  Counted mode shares one decrementing use counter
     across all guarded channels; at zero even valid tokens stop working.
     A context is tokenized at most once.
+
+    A guarded rule gains a token binder, and in counted mode a counter
+    binder: ``tk`` and ``uc``, or the first of ``tk1``, ``tk2``, … (``uc1``,
+    …) that the rule does not use, so neither captures a name of its body.
+    :class:`ContextError` refuses a context that already uses a name the
+    guard adds (the token base, and ``uses_left`` in counted mode), and in
+    counted mode a guarded rule that binds ``nil``, the counter's end.
     """
     published = ctx.services | ctx.resources
     for g in guard.guarded:
@@ -403,27 +416,39 @@ def tokenize_context(ctx: Context, guard: TokenGuard) -> Context:
 
     tok = atom_source(Name(guard.token_base), ContextError)
     counted = guard.mode == "counted"
+    added = {guard.token_base, "uses_left"} if counted else {guard.token_base}
+    ns = name_sets(ctx.template)
+    clash = added & {n.base for n in ns.dv | ns.rv | ns.fv}
+    if clash:
+        raise ContextError(f"the context already uses {min(clash)}, a name the token guard adds")
 
     def guard_rule(rule: Rule) -> Rule:
         heads = pattern_atoms(rule.pattern)
         target = next((h for h in heads if h.channel.base in guard.guarded), None)
         if target is None:
             return rule
+        ns = name_sets(rule)
+        bound = {n.base for n in ns.dv | ns.rv}
+        if counted and "nil" in bound:
+            raise ContextError(f"guarded rule on {target.channel.base} binds nil, the end of the use counter")
+        used = bound | {n.base for n in ns.fv} | added
+        tk = _unused("tk", used)
+        uc = _unused("uc", used | {tk})
         # the rule as text, with a hole where its body goes
         pattern = [
-            _head_source(h.channel, ((Name("tk"),) if h is target else ()) + h.binders, isinstance(h, CallPat))
+            _head_source(h.channel, ((Name(tk),) if h is target else ()) + h.binders, isinstance(h, CallPat))
             for h in heads
         ]
         restore = [_head_source(h.channel, h.binders) for h in heads if h is not target]
         run = [] if isinstance(rule.body, Null) else ["HOLE"]
         if counted:
-            pattern.append("uses_left<uc>")
-            restore.append("uses_left<uc>")
-            run.append("uses_left<snd(uc)>")
+            pattern.append(f"uses_left<{uc}>")
+            restore.append(f"uses_left<{uc}>")
+            run.append(f"uses_left<snd({uc})>")
         denied, granted = " | ".join(restore) or "0", " | ".join(run) or "0"
         if counted:  # no use left: the token is denied too
-            granted = f"if [uc = nil] then ({denied}) else ({granted})"
-        written = parse_definition(f"{' | '.join(pattern)} |> if [tk = {tok}] then ({granted}) else ({denied})")
+            granted = f"if [{uc} = nil] then ({denied}) else ({granted})"
+        written = parse_definition(f"{' | '.join(pattern)} |> if [{tk} = {tok}] then ({granted}) else ({denied})")
         return written if isinstance(rule.body, Null) else Rule(written.pattern, plug(written.body, rule.body))
 
     rules = [guard_rule(r) for r in _top_rules(ctx)]
@@ -432,8 +457,13 @@ def tokenize_context(ctx: Context, guard: TokenGuard) -> Context:
     if counted:
         uses = atom_source(cons_list([Name("use")] * guard.count), ContextError)
         body = plug(parse(f"uses_left<{uses}> | HOLE"), body)
-    privileged = ctx.privileged | {guard.token_base} | ({"uses_left"} if counted else set())
-    return _validate(replace(ctx, template=LocalDef(conj_of(rules), body), privileged=privileged, guard=guard))
+    template = LocalDef(conj_of(rules), body)
+    return _validate(replace(ctx, template=template, privileged=ctx.privileged | added, guard=guard))
+
+
+def _unused(base: str, used: set[str]) -> str:
+    """``base``, or the first of ``base1``, ``base2``, … not in ``used``."""
+    return next(b for b in chain([base], (f"{base}{i}" for i in count(1))) if b not in used)
 
 
 def _head_source(channel: Name, names: Seq[Name], call: bool = False) -> str:
@@ -508,9 +538,12 @@ def enforcement_sound(ctx_guarded: Context, depth: int = 6) -> bool:
         probes = _probe_battery(ctx_guarded)
         if not probes:
             raise ValueError("no probe: the context has no guarded channel and no write-access resource")
-    _check_harness(ctx_guarded, tests)
-    baselines: dict = {}  # each test's trace set without a probe, for this call
-    return all(_non_infection(ctx_guarded, probe, tests, depth, baselines=baselines).satisfied for probe in probes)
+    # each test's trace set without a probe, and the root of every start,
+    # for this call
+    baselines: dict = {}
+    root = Rules()
+    _check_harness(ctx_guarded, tests, root)
+    return all(_non_infection(ctx_guarded, probe, tests, depth, root, baselines=baselines).satisfied for probe in probes)
 
 
 def token_leak_free(ctx_guarded: Context, depth: int = 6, max_states: int = 4000) -> bool:

@@ -431,16 +431,31 @@ def test_a_witness_trace_keeps_no_search_cache(monkeypatch):
 def test_viral_and_classify_calls_leave_no_reference_cycle():
     # with the cyclic collector off, a call's garbage is freed by reference
     # counting alone: a recursive closure or a rules value reachable from its
-    # own caches would be left for the collector
+    # own caches (its extended values, its heats replayed) would be left for
+    # the collector
     import gc
 
-    from jcham.policy import classify_context
+    from jcham.cli import corpus_path
+    from jcham.engine import inject, run
+    from jcham.policy import TokenGuard, classify_context, enforcement_sound, tokenize_context
+    from jcham.scenarios import build_process, load_scenario
 
     def viral(n):
         program = virus("III", targets=[Name(f"sw{i}") for i in range(1, n + 1)])
         return lambda: viral_set_member(refined_context(n), program, iterations=n)
 
-    calls = [lambda: classify_context(refined_context(2)), viral(2), viral(3)]
+    scenario = load_scenario(corpus_path("worm_class3.scn"))
+    counted = tokenize_context(refined_context(2), TokenGuard(mode="counted", count=2, guarded=("sw1", "sw2")))
+    with open(corpus_path("pingpong.jc")) as fh:
+        pingpong = parse(fh.read())
+    calls = [
+        lambda: classify_context(refined_context(2)),
+        viral(2),
+        viral(3),
+        lambda: explore(build_context(scenario.context_spec), build_process(scenario)[0]),
+        lambda: enforcement_sound(counted),
+        lambda: run(inject(pingpong), seed=7, max_steps=50),
+    ]
     for call in calls:
         call()  # the first call fills module-level caches
         gc.collect()

@@ -441,6 +441,96 @@ def test_heat_through_the_binding_on_colliding_names():
     assert 100 < raised < 2900
 
 
+# -- heats replayed from a rules value's memo against heating afresh
+
+
+def _memo_referee(monkeypatch) -> list:
+    """Checks every reduction against heating the rule body afresh into a
+    copy of the consumed soup: the same rules value, the same emitted
+    messages in order, the same messages in the same order and the same
+    name supply; records for each reduction whether it replayed a heat."""
+    import jcham.engine as engine
+
+    replayed = []
+    original = engine.reduce_with_info
+
+    def refereed(soup, redex):
+        hit = (redex.rule_index, redex.binding, soup.fresh_counter) in soup.rules.fired
+        got, emitted = original(soup, redex)
+        fresh = soup.copy()
+        for m in redex.matched:
+            fresh.messages[m] -= 1
+            if not fresh.messages[m]:
+                del fresh.messages[m]
+        expected = heat(fresh, soup.rules[redex.rule_index].body, redex.binding_map())
+        assert emitted == expected and got.rules is fresh.rules and tuple(got.rules) == tuple(fresh.rules)
+        assert list(got.messages.items()) == list(fresh.messages.items()) and got.fresh_counter == fresh.fresh_counter
+        replayed.append(hit)
+        return got, emitted
+
+    monkeypatch.setattr(engine, "reduce_with_info", refereed)
+    return replayed
+
+
+def test_replayed_heats_agree_with_heating_afresh_on_seeded_searches(monkeypatch):
+    from importlib.resources import files
+
+    from _gen import fragment_instance, shaped_program
+    from jcham.cli import corpus_path
+    from jcham.scenarios import build_context, build_process, load_scenario, run_scenario
+
+    replayed = _memo_referee(monkeypatch)
+    starts = []
+    for f in sorted(f.name for f in files("jcham").joinpath("corpus").iterdir()):
+        if f.endswith(".scn"):
+            sc = load_scenario(corpus_path(f))
+            run_scenario(sc)  # its own searches, on the scenario's verdict path
+            starts.append(inject(build_context(sc.context_spec).plug(build_process(sc)[0])))
+        elif f.endswith(".jc"):
+            with open(corpus_path(f)) as fh:
+                starts.append(inject(parse(fh.read())))
+    rng = random.Random(23)
+    for _ in range(30):
+        ctx, program, _ = fragment_instance(rng)
+        starts.append(inject(ctx.plug(program)))
+    starts += [inject(parse(shaped_program(random.Random(s), 5, 2, 6, 2))) for s in range(30)]
+    for s in starts:
+        try:
+            search([s], 300, horizon=8)
+        except BudgetExhausted:
+            pass
+    # most reductions fire a rule again with a binding and name supply met before
+    assert len(replayed) > 3000 and sum(replayed) > len(replayed) // 2
+
+
+def test_a_replayed_heat_appends_the_same_rules_and_emits_in_the_same_order(monkeypatch):
+    replayed = _memo_referee(monkeypatch)
+    soup = inject(parse("def go<> |> (def k<x> |> out<x> in k<1> | b<> | a<> | b<>) in go<> | go<> | a<>"))
+    [r] = enabled_redexes(soup)
+    first, again = reduce(soup, r), reduce(soup, r)
+    assert replayed == [False, True]
+    assert first.rules is again.rules and len(first.rules) == 2 and first.fresh_counter == again.fresh_counter == 2
+    assert list(again.messages.items()) == list(first.messages.items())
+    assert [str(m) for m in first.messages] == ["go~1<>", "a<>", "k~2<1>", "b<>"]
+    # the next firing has a new name supply, so it is heated afresh
+    reduce(first, enabled_redexes(first)[0])
+    assert replayed == [False, True, False]
+
+
+@pytest.mark.parametrize(
+    "src, error",
+    [("def x<v> |> out<fst(v)> in x<a>", ModelError), ("def x<v> |> v<> in x<3>", SubstitutionError)],
+)
+def test_a_firing_that_raises_is_not_kept_and_raises_each_time(src, error):
+    soup = inject(parse(src))
+    [r] = enabled_redexes(soup)
+    for _ in range(3):
+        with pytest.raises(error):
+            reduce(soup, r)
+        assert not soup.rules.fired
+    assert [str(m) for m in soup.message_list()] == [str(r.matched[0])]
+
+
 # -- redexes derived from the parent's against full matching
 
 

@@ -14,7 +14,7 @@ from jcham.contexts import (
     refined_context,
 )
 from jcham.detector import explore, viral_set_member
-from jcham.engine import BudgetExhausted, inject, is_inert
+from jcham.engine import BudgetExhausted, barb, inject, is_inert
 from jcham.malware import MalwareSpec, ReplicationMech, TargetRoutine, build_virus, token_aware_overwrite
 from jcham.parser import parse
 from jcham.policy import (
@@ -345,6 +345,77 @@ def test_a_denied_branch_without_the_token_does_not_leak():
     assert token_leak_free(_logging_sw1("f ++ tk"))
 
 
+def _write_sw1(body, binder="fnew"):
+    # sw1 stores its argument; ``body`` is what the write does besides
+    return load_context(
+        "#! services: log  resources: sw1  privileged: content1\n"
+        f"def sw1({binder}) | content1<f> |> (return to sw1) | {body} and log<x> |> 0 in content1<f1> | HOLE\n"
+    )
+
+
+@pytest.mark.parametrize("mode", ["spatial", "counted"])
+def test_the_token_binder_does_not_capture_a_free_name_of_the_rule(mode):
+    # the body logs its own free ``tk``: bound by the guard, a granted
+    # write would put the token itself on the published log
+    guarded = tokenize_context(_write_sw1("content1<fnew> | log<tk>"), TokenGuard(mode=mode, count=2, guarded=("sw1",)))
+    rule = pretty(rules_of(guarded.template.defs)[0])
+    assert rule.startswith("sw1(tk1, fnew) | content1<f>") and "[tk1 = sectok]" in rule
+    soup = inject(guarded.plug(parse("sw1(sectok, v); done<>")))
+    assert barb(soup, Name("content1"), Name("v")) and barb(soup, Name("log"), Name("tk"))
+    assert not barb(soup, Name("log"), Name("sectok"))
+    assert token_leak_free(guarded)
+
+
+def test_the_guard_binders_avoid_a_binder_of_the_rule():
+    ctx = _write_sw1("content1<tk> | log<uc>", binder="tk")
+    counted = tokenize_context(ctx, TokenGuard(mode="counted", count=1, guarded=("sw1",)))
+    assert pretty(rules_of(counted.template.defs)[0]).startswith("sw1(tk1, tk) | content1<f> | uses_left<uc1> |>")
+    soup = inject(counted.plug(parse("sw1(sectok, v); done<>")))
+    assert barb(soup, Name("content1"), Name("v")) and barb(soup, Name("done"))
+    # a context that does not clash keeps ``tk`` and ``uc``
+    plain = tokenize_context(_write_sw1("content1<fnew>"), TokenGuard(mode="counted", count=1, guarded=("sw1",)))
+    assert pretty(rules_of(plain.template.defs)[0]).startswith("sw1(tk, fnew) | content1<f> | uses_left<uc> |>")
+
+
+@pytest.mark.parametrize(
+    "mode, body, binder, refusal",
+    [
+        ("spatial", "content1<fnew> | log<sectok>", "fnew", "the context already uses sectok,"),
+        ("counted", "content1<fnew> | log<sectok>", "fnew", "the context already uses sectok,"),
+        ("counted", "content1<fnew> | uses_left<fnew>", "fnew", "the context already uses uses_left,"),
+        ("counted", "content1<nil>", "nil", "guarded rule on sw1 binds nil,"),
+        # an unguarded rule: the token's own definition would bind its free
+        # sectok, so a call to peek would put the token on log
+        ("spatial", "content1<fnew> and peek<> |> log<sectok>", "fnew", "the context already uses sectok,"),
+    ],
+)
+def test_tokenize_refuses_a_context_that_uses_a_name_the_guard_reads(mode, body, binder, refusal):
+    with pytest.raises(ContextError, match=refusal):
+        tokenize_context(_write_sw1(body, binder), TokenGuard(mode=mode, count=1, guarded=("sw1",)))
+
+
+def test_tokenize_keeps_a_rule_that_uses_nil_or_the_counter_name_where_the_guard_does_not_read_it():
+    # a free nil is the counter's own end; spatial mode has no counter
+    counted = tokenize_context(_write_sw1("content1<fnew ++ nil>"), TokenGuard(mode="counted", count=1, guarded=("sw1",)))
+    assert "content1<fnew ++ nil>" in pretty(rules_of(counted.template.defs)[0])
+    spatial = tokenize_context(_write_sw1("content1<fnew> | uses_left<fnew>"), TokenGuard(guarded=("sw1",)))
+    assert "uses_left<fnew>" in pretty(rules_of(spatial.template.defs)[0])
+
+
+def test_cli_tokenize_refuses_a_clashing_rule_on_exit_65(tmp_path, capsys):
+    from jcham.cli import main
+
+    path = tmp_path / "ctx.txt"
+    path.write_text(
+        "#! services: log  resources: sw1  privileged: content1\n"
+        "def sw1(fnew) | content1<f> |> (return to sw1) | content1<fnew> | log<sectok> and log<x> |> 0"
+        " in content1<f1> | HOLE\n"
+    )
+    assert main(["policy", "tokenize", "--context", str(path), "--guard", "sw1"]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "the context already uses sectok, a name the token guard adds\n"
+
+
 def test_isolation_implies_noninfection_for_probes():
     ctx = read_only_context()
     assert classify_context(ctx).isolation_holds
@@ -376,17 +447,20 @@ def test_enforcement_sound_computes_each_baseline_once(monkeypatch):
 def test_enforcement_sound_injects_the_empty_context_once(monkeypatch):
     counted = tokenize_context(refined_context(2), TokenGuard(mode="counted", count=2, guarded=("sw1", "sw2")))
     tests, probes = policy._reader_tests(counted), policy._probe_battery(counted)
-    injected = []
+    injected, roots = [], []
 
-    def recording(p):
+    def recording(p, root):
         injected.append(p)
-        return inject(p)
+        roots.append(root)
+        return inject(p, root)
 
     monkeypatch.setattr(policy, "inject", recording)
     assert enforcement_sound(counted)
     # the empty context once, each probe once, each test's baseline once
     assert len(tests) == 2 and len(probes) == 4 and len(injected) == 1 + len(probes) + len(tests)
     assert injected.count(counted.plug(Null())) == 1
+    # every start of the call extends one rules root
+    assert len({id(r) for r in roots}) == 1 and roots[0] == ()
 
 
 @pytest.mark.parametrize("distribute", [False, True])
