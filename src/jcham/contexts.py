@@ -35,6 +35,8 @@ from .syntax import (
     conj_of,
     cons_list,
     def_channels,
+    name_sets,
+    pattern_atoms,
     pretty,
     rules_of,
     subterms,
@@ -170,7 +172,25 @@ def _validate(ctx: Context) -> Context:
         unpublished = set(ctx.guard.guarded) - ctx.services - ctx.resources
         if unpublished:
             raise ContextError(f"cannot guard unpublished channel {min(unpublished)}")
+        _check_token_use(ctx.template, ctx.guard)
     return ctx
+
+
+def _check_token_use(template: Process, guard: TokenGuard) -> None:
+    """Only the rules the guard puts in may mention the token: a guarded
+    rule, the token's own definition and the distributor.  Any other
+    top-level rule that names it would hand the token to whoever calls it,
+    which the probes of ``policy.token_leak_free`` do not try."""
+    if not isinstance(template, LocalDef):
+        return
+    owners = {*guard.guarded, guard.token_base, guard.distributor_base}
+    for rule in rules_of(template.defs):
+        if any(h.channel.base in owners for h in pattern_atoms(rule.pattern)):
+            continue
+        ns = name_sets(rule)
+        if any(n.base == guard.token_base for n in ns.dv | ns.rv | ns.fv):
+            heads = " | ".join(pretty(h) for h in pattern_atoms(rule.pattern))
+            raise ContextError(f"unguarded rule {heads} mentions the token {guard.token_base}")
 
 
 # ---------------------------------------------------------------------------

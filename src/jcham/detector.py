@@ -53,6 +53,7 @@ from .syntax import (
     Process,
     SubstitutionError,
     free_names,
+    substitute,
 )
 
 
@@ -425,7 +426,7 @@ def ground(p: Process, max_instances: int = 1_000_000) -> GroundSystem:
                     raise ExplosionGuard("max_instances", max_instances)
                 binding = tuple(pair for h, g in zip(rule.heads, guard) for pair in zip(h.binders, g.args))
                 try:
-                    body = heat(Soup(), rule.body, dict(binding))
+                    body = heat(Soup(), substitute(rule.body, dict(binding)))
                 except (SubstitutionError, ModelError):
                     continue
                 rules.append(GroundRule(idx, guard, tuple(body), binding))

@@ -6,7 +6,7 @@ parallel compositions split, null processes vanish, conjunctions split,
 empty definitions vanish, and local definitions activate with their defined
 channels renamed to fresh indexed names.  The only irreversible step is the
 reduction of a join pattern: the matched messages are consumed and the rule
-body is instantiated with the transmitted values and heated, in one walk.
+body is instantiated with the transmitted values, then heated.
 
 Conditionals are resolved during heating, once their operands are ground
 atoms.  Rules persist after firing, so a definition behaves like a
@@ -48,7 +48,6 @@ from .syntax import (
     Parallel,
     Process,
     Proj,
-    Substitution,
     atom_str,
     def_channels,
     free_names,
@@ -254,17 +253,17 @@ class Redex:
 # atom evaluation
 
 
-def eval_atom(e: Expression, binding: Optional[dict[Name, Atom]] = None) -> Atom:
-    """The atom ``e`` denotes, its names read through ``binding`` when given."""
+def eval_atom(e: Expression) -> Atom:
+    """The atom ``e`` denotes."""
     match e:
         case NameRef(n):
-            return binding.get(n, n) if binding else n
+            return n
         case Lit(v):
             return v
         case Concat(l, r):
-            return Pair(eval_atom(l, binding), eval_atom(r, binding))
+            return Pair(eval_atom(l), eval_atom(r))
         case Proj(inner, i):
-            v = eval_atom(inner, binding)
+            v = eval_atom(inner)
             if not isinstance(v, Pair):
                 raise ModelError(f"projection from non-pair atom {atom_str(v)}")
             return v.first if i == 1 else v.second
@@ -275,68 +274,47 @@ def eval_atom(e: Expression, binding: Optional[dict[Name, Atom]] = None) -> Atom
 # heating
 
 
-def heat(soup: Soup, p: Process, binding: Optional[dict[Name, Atom]] = None) -> list[GroundMessage]:
+def heat(soup: Soup, p: Process) -> list[GroundMessage]:
     """Apply the structural rules until only rules and messages remain.
 
-    ``binding`` maps free names of ``p`` to atoms (a fired rule's binders to
-    the values it received): the result is that of heating
-    ``substitute(p, binding)``, errors included, but ``p`` is instantiated
-    in the same walk.  Messages and conditions read their atoms through the
-    binding; a nested ``def`` is substituted whole, collision renames
-    included, and then its defined channels are renamed to the soup's fresh
-    names, as for an unbound ``def``; the branch a conditional drops is only
-    substituted, for the ``SubstitutionError`` and the binder names
-    ``substitute`` would give.  An error can leave ``soup`` part heated, so
-    callers heat into a copy they drop on error.
+    ``p`` is a core term; a fired rule's body is heated once the values it
+    received are substituted into it.  A conditional keeps the branch its
+    ground operands select; a nested ``def`` has its defined channels
+    renamed to the soup's fresh names before its rules join the soup.  An
+    error can leave ``soup`` part heated, so callers heat into a copy they
+    drop on error.
 
     Returns the messages added, in emission order.
     """
     emitted: list[GroundMessage] = []
-    sub = Substitution(p, binding) if binding else None
-    # each entry carries the binding it is read through ({} once
-    # instantiated), or None for a dropped branch that is only substituted
-    stack: list[tuple[Process, Optional[dict]]] = [(p, sub.mapping if sub else {})]
+    stack = [p]
     while stack:
-        t, env = stack.pop()
-        if env is None:
-            sub(t)  # type: ignore[misc]
-            continue
+        t = stack.pop()
         match t:
             case Null():
                 continue
             case Parallel(l, r):
-                stack.append((r, env))
-                stack.append((l, env))
+                stack.append(r)
+                stack.append(l)
             case Message(ch, args):
-                if env:
-                    ch = sub.channel(ch)  # type: ignore[union-attr]
-                m = GroundMessage(ch, tuple(eval_atom(a, env) for a in args))
+                m = GroundMessage(ch, tuple(eval_atom(a) for a in args))
                 soup.messages[m] += 1
                 emitted.append(m)
-            case LocalDef():
-                if env:
-                    t = sub(t)  # type: ignore[misc]
+            case LocalDef(d, body):
                 names = FreshNames(soup.fresh_counter)
-                ren: dict[Name, Atom] = {c: names.fresh(c.base) for c in def_channels(t.defs)}
+                ren: dict[Name, Atom] = {c: names.fresh(c.base) for c in def_channels(d)}
                 soup.fresh_counter = names.n
                 new_rules = []
-                for rule in rules_of(t.defs):
+                for rule in rules_of(d):
                     rule = substitute(rule, ren)
                     heads = tuple(pattern_atoms(rule.pattern))
                     if any(not isinstance(h, MsgPat) for h in heads):
                         raise ModelError("call pattern survived desugaring")
                     new_rules.append(ActiveRule(heads, rule.body))
                 soup.rules = soup.rules + tuple(new_rules)
-                stack.append((substitute(t.body, ren), {}))
+                stack.append(substitute(body, ren))
             case Conditional(a, b, then, orelse):
-                if eval_atom(a, env) == eval_atom(b, env):
-                    if env:
-                        stack.append((orelse, None))
-                    stack.append((then, env))
-                else:
-                    if env:
-                        sub(then)  # type: ignore[misc]
-                    stack.append((orelse, env))
+                stack.append(then if eval_atom(a) == eval_atom(b) else orelse)
             case Hole():
                 raise ModelError("cannot run a context template; plug it first")
             case _:
@@ -374,7 +352,7 @@ def graft(soup: Soup, p: Process) -> Soup:
             if len(built) == 1:
                 mapping[n] = built[0]
     out = soup.copy()
-    heat(out, core, mapping)
+    heat(out, substitute(core, mapping))
     return out
 
 
@@ -461,10 +439,10 @@ def reduce(soup: Soup, redex: Redex) -> Soup:
 
 
 def reduce_with_info(soup: Soup, redex: Redex) -> tuple[Soup, list[GroundMessage]]:
-    """Consume the matched messages and heat the instantiated rule body,
-    or replay the heat of an equal firing over the same rules value
-    (:attr:`Rules.fired`): the messages are added in emission order, so the
-    soup is the same, down to the order of its ``messages``."""
+    """Consume the matched messages, substitute the binding into the rule
+    body and heat it, or replay the heat of an equal firing over the same
+    rules value (:attr:`Rules.fired`): the messages are added in emission
+    order, so the soup is the same, down to the order of its ``messages``."""
     need = Counter(redex.matched)
     for m, k in need.items():
         if soup.messages[m] < k:
@@ -478,7 +456,7 @@ def reduce_with_info(soup: Soup, redex: Redex) -> tuple[Soup, list[GroundMessage
     key = (redex.rule_index, redex.binding, out.fresh_counter)
     fired = rules.fired.get(key)
     if fired is None:
-        emitted = heat(out, rules[redex.rule_index].body, redex.binding_map())
+        emitted = heat(out, substitute(rules[redex.rule_index].body, redex.binding_map()))
         rules.fired[key] = (None if out.rules is rules else out.rules, tuple(emitted), out.fresh_counter)
         return out, emitted
     grown, made, out.fresh_counter = fired

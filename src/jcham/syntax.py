@@ -530,30 +530,14 @@ def substitute(term: Term, mapping: dict[Name, Atom]) -> Term:
     expression-level ``def``, sequence, ``let``, ``return`` or bare join
     pattern raises :class:`TypeError`.  Values may be names, literals or
     pairs.  Binders that would capture a free name of a substituted value
-    are renamed to fresh indexed names.  A mapping that puts a non-name
-    atom in channel position raises :class:`SubstitutionError`.
+    are renamed to fresh indexed names, minted above every index in
+    ``term`` and ``mapping``.  A mapping that puts a non-name atom in
+    channel position raises :class:`SubstitutionError`.
     """
     if not mapping:
         return term
-    return Substitution(term, mapping)(term)
-
-
-class Substitution:
-    """``substitute(term, mapping)`` applied piece by piece, for a walker
-    that meets the pieces of ``term`` in the order ``substitute`` visits them
-    (``engine.heat``).  The pieces share one supply of fresh names, minted
-    above every index in ``term`` and ``mapping``, so a renamed binder gets
-    the name the whole substitution would give it."""
-
-    def __init__(self, term: Term, mapping: dict[Name, Atom]):
-        self.mapping = _Mapping(mapping)
-        self.ctr = _FreshAbove((term, tuple(self.mapping.items())))
-
-    def __call__(self, piece: Term) -> Term:
-        return _subst(piece, self.mapping, self.ctr)
-
-    def channel(self, ch: Name) -> Name:
-        return _subst_channel(ch, self.mapping)
+    mapping = _Mapping(mapping)
+    return _subst(term, mapping, _FreshAbove((term, tuple(mapping.items()))))
 
 
 class _Mapping(dict):

@@ -3,11 +3,13 @@ import random
 from collections import Counter
 from itertools import permutations
 
+import pytest
+
 from _canon_referee import rebuilt
 from jcham.canon import _message_flat, _render, _rule_flat, canonicalize, congruent
 from jcham.engine import ActiveRule, GroundMessage, Rules, Soup, enabled_redexes, inject, reduce
 from jcham.parser import parse
-from jcham.syntax import Name
+from jcham.syntax import Message, MsgPat, Name, NameRef, Parallel
 
 
 def test_parallel_commutativity():
@@ -993,3 +995,22 @@ def test_one_individualization_per_component_structure(monkeypatch):
     structures.clear()
     canonicalize(_hub_soup([_CLUSTER, _PERTURBED[1]] * 2))
     assert len(structures) == 2
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: the parallel parts of a rule body keep their syntax order on ties, "
+    "which orders interchangeable names",
+)
+def test_a_rule_body_written_in_either_order_gives_one_digest():
+    # a~1 and a~2 are interchangeable, and keep<a~1, a~2> tells them apart
+    # only through the order the body's two messages are written in
+    a1, a2, go = Name("a", 1), Name("a", 2), Name("go", 1)
+
+    def soup(first, second):
+        body = Parallel(Message(Name("out"), (NameRef(first),)), Message(Name("out"), (NameRef(second),)))
+        messages = Counter({GroundMessage(Name("keep"), (a1, a2)): 1, GroundMessage(go): 1})
+        return Soup((ActiveRule((MsgPat(go),), body),), messages)
+
+    assert canonicalize(soup(a1, a2)).digest == canonicalize(soup(a2, a1)).digest

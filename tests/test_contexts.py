@@ -164,6 +164,8 @@ ROUND_TRIP_SPECS = [
     "rootkit(syscalls=sc1,sc2)",
     "tokenized(n=2; mode=spatial; guard=sw1,sw2; distribute=yes)",
     "tokenized(n=2; mode=counted; count=2; guard=sw2,sw1; distribute=yes)",
+    "tokenized(n=2; mode=spatial; guard=sw1,sw2; distribute=no)",
+    "tokenized(n=2; mode=counted; count=2; guard=sw2,sw1; distribute=no)",
 ]
 CHANNEL_SETS = ("services", "resources", "privileged", "exports", "dynamic_resource_bases", "exec_bases")
 
@@ -182,7 +184,7 @@ def test_context_serialization_round_trip():
         assert is_inert(inject(back.plug(Null())))
         filled.update(attr for attr in CHANNEL_SETS if getattr(ctx, attr))
         if spec.startswith("tokenized"):
-            assert ctx.guard.distributor_base == "get_token"
+            assert ctx.guard.distributor_base == ("get_token" if "distribute=yes" in spec else None)
     # every set is non-empty in some kind, so no comparison above is vacuous
     assert filled == set(CHANNEL_SETS)
 

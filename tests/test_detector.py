@@ -216,6 +216,13 @@ def test_ground_conditionals_resolve_statically():
     assert hits["b"] == []
 
 
+def test_ground_skips_a_binding_that_the_dropped_branch_cannot_take():
+    # x<3> selects out<3>, but the dropped branch would put 3 in channel
+    # position, so the instance is type-inconsistent and skipped
+    g = ground(parse("def x<v> |> if [v = 3] then out<v> else v<> in x<3> | x<k>"))
+    assert [(gr.label, [str(m) for m in gr.body]) for gr in g.rules] == [("x~1<k>", ["k<>"])]
+
+
 def test_ground_matches_the_product_referee_on_producible_guards():
     # the product grounding over the payload universe, cut to the instances
     # whose guard messages can all be produced, in the same order

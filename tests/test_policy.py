@@ -128,6 +128,23 @@ def test_non_infection_read_probe_satisfied():
     assert verdict.satisfied and verdict.depth == 6
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: noninfect evolves the hosted process along one run, "
+    "the one that fires the first enabled redex",
+)
+def test_non_infection_does_not_depend_on_the_order_of_the_and_clauses():
+    # go<> and bad<> race for tok<>; only bad's run writes evil into sw1
+    ctx = refined_context(2)
+    go, bad = "go<> | tok<> |> 0", "bad<> | tok<> |> sw1(evil); done<>"
+    outcomes = {
+        non_infection_test(ctx, parse(f"def {first} and {second} in go<> | bad<> | tok<>"), [READ_TEST], depth=6).outcome
+        for first, second in ((go, bad), (bad, go))
+    }
+    assert outcomes == {"violated"}
+
+
 def test_non_infection_null_trivially_satisfied():
     ctx = refined_context(2)
     for depth in (2, 4):
@@ -414,6 +431,32 @@ def test_cli_tokenize_refuses_a_clashing_rule_on_exit_65(tmp_path, capsys):
     assert main(["policy", "tokenize", "--context", str(path), "--guard", "sw1"]) == 65
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "the context already uses sectok, a name the token guard adds\n"
+
+
+# a loaded context whose guard the published peek gets round: an
+# unguarded rule that hands out the token, which no probe calls
+_PEEK_LEAK = (
+    "#! services: log,peek  resources: sw1  privileged: content1,sectok\n"
+    "#! guard: token=sectok mode=spatial count=0 guarded=sw1\n"
+    "def sw1(tk, fnew) | content1<f> |> if [tk = sectok] then ((return to sw1) | content1<fnew>) else content1<f>"
+    " and peek<> |> log<sectok> and log<x> |> 0 and sectok<> |> 0 in content1<f1> | HOLE\n"
+)
+
+
+def test_a_loaded_guard_refuses_an_unguarded_rule_that_mentions_the_token(tmp_path, capsys):
+    from jcham.cli import main
+
+    with pytest.raises(ContextError, match="unguarded rule peek<> mentions the token sectok"):
+        load_context(_PEEK_LEAK)
+    path = tmp_path / "leak.jc"
+    path.write_text(_PEEK_LEAK)
+    with pytest.raises(SystemExit) as stop:
+        main(["policy", "enforce", "--context", str(path)])
+    assert stop.value.code == 65
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "unguarded rule peek<> mentions the token sectok\n"
+    # the same rule on a guarded channel is the guard's own, and loads
+    load_context(_PEEK_LEAK.replace("guarded=sw1", "guarded=sw1,peek"))
 
 
 def test_isolation_implies_noninfection_for_probes():
