@@ -58,10 +58,10 @@ from .engine import (  # noqa: F401
     inject,
     inject_message,
     is_inert,
+    quiescent,
     reduce,
     run,
     search,
-    settle,
     valued_reaction,
 )
 from .canon import CanonicalForm, canonicalize, congruent  # noqa: F401

@@ -180,17 +180,18 @@ def _check_token_use(template: Process, guard: TokenGuard) -> None:
     """Only the rules the guard puts in may mention the token: a guarded
     rule, the token's own definition and the distributor.  Any other
     top-level rule that names it would hand the token to whoever calls it,
-    which the probes of ``policy.token_leak_free`` do not try."""
-    if not isinstance(template, LocalDef):
-        return
+    which the probes of ``policy.token_leak_free`` do not try, and the
+    template's body, outside those rules, would hand it out unasked."""
+    rules, body = (rules_of(template.defs), template.body) if isinstance(template, LocalDef) else ([], template)
     owners = {*guard.guarded, guard.token_base, guard.distributor_base}
-    for rule in rules_of(template.defs):
-        if any(h.channel.base in owners for h in pattern_atoms(rule.pattern)):
+    for t in [*rules, body]:
+        heads = pattern_atoms(t.pattern) if isinstance(t, Rule) else []
+        if any(h.channel.base in owners for h in heads):
             continue
-        ns = name_sets(rule)
+        ns = name_sets(t)
         if any(n.base == guard.token_base for n in ns.dv | ns.rv | ns.fv):
-            heads = " | ".join(pretty(h) for h in pattern_atoms(rule.pattern))
-            raise ContextError(f"unguarded rule {heads} mentions the token {guard.token_base}")
+            where = f"unguarded rule {' | '.join(pretty(h) for h in heads)}" if heads else "the template body"
+            raise ContextError(f"{where} mentions the token {guard.token_base}")
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,9 @@ from .engine import (
     heat,
     inject,
     inject_message,
+    quiescent,
     reduce_with_info,
     search,
-    settle,
 )
 from .malware import abstraction_channel
 from .petri import Marking, PetriNet, Transition, coverable, fire_sequence, leq
@@ -83,9 +83,6 @@ class DetectionVerdict:
     def vulnerable(self) -> bool:
         return self.outcome == "vulnerable"
 
-
-# the steps a replication hit gets to settle into a completed state
-_COMPLETION_STEPS = 400
 
 _CLAUSE_NOTE = (
     "free-channel clause evaluated against every channel defined by the plugged "
@@ -279,11 +276,12 @@ def viral_set_member(
     completed in, for the program's abstraction firing and a replication
     event following it.  Activation messages are sent on resource exec
     channels with fresh inert arguments, so they cannot simulate viral
-    activity themselves.  The state budget is shared by all iterations.  A
-    replication before the last iteration that still reacts after
-    ``_COMPLETION_STEPS`` settling steps starts nothing and counts as a
-    tripped ``completion_steps`` budget; the last iteration's replications
-    start nothing, so they are not settled.
+    activity themselves.  The replications of an iteration before the last
+    are completed in one more search, to every quiescent state any run of
+    theirs reaches; those states start the next iteration.  The budgets and
+    ``stats`` are shared by all searches; replications that reach no
+    quiescent state count as a tripped budget.  The last iteration's
+    replications start nothing, so they are not completed.
     """
     if iterations < 2:
         raise ValueError("viable replication is defined for at least 2 iterations")
@@ -305,11 +303,10 @@ def viral_set_member(
 
     stats = DetectionStats()
     notes = [_CLAUSE_NOTE, "activations use fresh inert arguments"]
-    # a budget that trips (the search's, or a completion's that does not
-    # settle) leaves the next iterations searching from a partial start set:
-    # none may then report not_vulnerable
-    tripped: Optional[BudgetExhausted] = None
-    witness: Optional[Trace] = None
+    # a budget that trips, or replications that never quiesce, leave the
+    # next iterations searching from a partial start set: none may then
+    # report not_vulnerable
+    tripped: Optional[str] = None
     states = [soup0]
     for it in range(iterations):
         if it == 0:
@@ -327,41 +324,34 @@ def viral_set_member(
                     starts.append(
                         inject_message(s, ch, (Name(f"act{it}"), Name(f"act_done{it}")))
                     )
-        # each completed state once, first occurrence first: a repeat (same
-        # rules tuple and message counts) would only seed starts that the
-        # search drops as duplicates after canonicalizing them
-        completed: Dict[tuple, Soup] = {}
-        traces: List[Trace] = []
+        hits: List = []  # the replicating edges, none of them canonicalized
         last = it == iterations - 1
 
         def replicated(edge):
-            nonlocal tripped
             if not edge.label or qual.step_hit(edge.redex.matched, edge.emitted, edge.soup) is None:
                 return None
-            if not traces:
-                traces.append(edge.trace())
-            if last:  # the last iteration's completions would start nothing
-                return CUT
-            done, quiet = settle(edge.soup, _COMPLETION_STEPS)
-            if not quiet:  # still reacting: no completed state to start from
-                tripped = BudgetExhausted("completion_steps", _COMPLETION_STEPS)
-                return CUT
-            completed.setdefault((done.rules, frozenset(done.messages.items())), done)
+            hits.append(edge)
             return CUT
 
         try:
             search(starts, max_states, max_steps_per_branch, stats=stats,
                    label=fired, root_label=False, visit=replicated)
         except BudgetExhausted as e:
-            tripped = e
-        if not (traces if last else completed):
+            tripped = str(e)
+        states = []
+        if hits and not last:  # the last iteration's would start nothing
+            try:
+                states = quiescent([h.soup for h in hits], max_states, max_steps_per_branch, stats)
+                if not states:
+                    tripped = "no replication reaches a quiescent state"
+            except BudgetExhausted as e:
+                tripped = str(e)
+        if not (hits if last else states):
             outcome = "budget_exhausted" if tripped else "not_vulnerable"
-            budget_note = [str(tripped)] if tripped else []
+            budget_note = [tripped] if tripped else []
             return DetectionVerdict(outcome, None, stats, notes + budget_note + [f"iteration {it + 1} failed"])
-        states = list(completed.values())
-        witness = traces[0]
         notes.append(f"iteration {it + 1} replicated")
-    return DetectionVerdict("vulnerable", witness, stats, notes)
+    return DetectionVerdict("vulnerable", hits[0].trace(), stats, notes)
 
 
 # ---------------------------------------------------------------------------

@@ -530,18 +530,6 @@ def run(soup: Soup, seed: int, max_steps: int) -> Trace:
     return trace
 
 
-def settle(soup: Soup, max_steps: int) -> tuple[Soup, bool]:
-    """Fire the first enabled redex until the soup is inert or ``max_steps``
-    reductions were made; also says whether it was found inert."""
-    cur = soup
-    for _ in range(max_steps):
-        rs = enabled_redexes(cur)
-        if not rs:
-            return cur, True
-        cur, _ = reduce_with_info(cur, rs[0])
-    return cur, False
-
-
 # ---------------------------------------------------------------------------
 # state-space search
 
@@ -680,6 +668,27 @@ def search(
             fresh = {m for m in emitted if m not in soup.messages}
             queue.append((key2, s2, depth + 1, (redexes, len(soup.rules), fresh)))
     return None
+
+
+def quiescent(starts: Sequence[Soup], max_states: int, max_depth: Optional[int] = None,
+              stats: Optional[DetectionStats] = None) -> list[Soup]:
+    """Every soup reachable from ``starts`` that no redex can change, one per
+    canonical digest, in :func:`search` order: the inert starts, then each
+    kept edge whose soup has no enabled redex.  The budgets and ``stats``
+    are those of ``search``, which raises :class:`BudgetExhausted`."""
+    from .canon import canonicalize
+
+    found: dict[str, Soup] = {}
+    for s in starts:
+        if not enabled_redexes(s):
+            found.setdefault(canonicalize(s).digest, s)
+
+    def visit(edge: Edge) -> None:
+        if (edge.digest, None) not in edge.tree and not enabled_redexes(edge.soup):
+            found.setdefault(edge.digest, edge.soup)
+
+    search(starts, max_states, max_depth, stats=stats, visit=visit)
+    return list(found.values())
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,10 @@ from .engine import (
     atom_contains,
     enabled_redexes,
     eval_atom,
+    graft,
     inject,
+    quiescent,
     search,
-    settle,
 )
 from .parser import atom_source, parse, parse_definition
 from .syntax import (
@@ -321,12 +322,13 @@ def non_infection_test(
 ) -> NonInfectionVerdict:
     """Compare the environment before and after hosting ``p``, through the
     eyes of each test process, on observable traces bounded by ``depth``;
-    the outcome is ``budget_exhausted`` when a trace set grows past its
-    budget, or when ``p``'s run does not quiesce within
-    ``quiescence_budget`` steps and no test tells the two runs apart (a
-    ``violated`` found at that horizon stands, with its note).  Raises
-    ``ValueError`` when ``tests`` is empty: nothing would be compared, and
-    ``satisfied_to_depth`` would hold vacuously."""
+    ``p`` is evolved to every quiescent state any of its runs reaches, and
+    the outcome is ``violated`` when a test tells one of them apart.  It is
+    ``budget_exhausted`` when a trace set grows past its budget, or when
+    that evolution visits more than ``quiescence_budget`` states or reaches
+    no quiescent state.  Raises ``ValueError`` when ``tests`` is empty:
+    nothing would be compared, and ``satisfied_to_depth`` would hold
+    vacuously."""
     root = Rules()  # the starts of this call share their rules values
     _check_harness(ctx, tests, root)
     try:
@@ -361,27 +363,24 @@ def _non_infection(
     trace set without ``p`` across the calls that share it; those sets do
     not depend on ``p``.  The starts are injected over ``root``, which the
     caller scopes to one check, so that equal rules share one value."""
-    evolved, quiet = settle(inject(ctx.plug(p), root), quiescence_budget)
-    notes = [] if quiet else [f"quiescence budget hit after {quiescence_budget} steps; comparing at that horizon"]
-
-    from .engine import graft
-
+    try:
+        evolved = quiescent([inject(ctx.plug(p), root)], quiescence_budget)
+    except BudgetExhausted:
+        evolved = []
+    if not evolved:  # a tripped budget, or no run that stops
+        raise BudgetExhausted("quiescence_budget", quiescence_budget)
     baselines = {} if baselines is None else baselines
     for t in tests:
-        baseline = None if t in baselines else inject(ctx.plug(t), root)
-        mutated = graft(evolved, t)
-        if baseline is not None:
-            baselines[t] = observable_traces(baseline, ctx, depth)
+        if t not in baselines:
+            baselines[t] = observable_traces(inject(ctx.plug(t), root), ctx, depth)
         ta = baselines[t]
-        tb = observable_traces(mutated, ctx, depth)
-        if ta != tb:
-            only_a = tuple(sorted(ta - tb, key=str))[:4]
-            only_b = tuple(sorted(tb - ta, key=str))[:4]
-            return NonInfectionVerdict("violated", depth, (t, only_a, only_b), notes)
-    if not quiet:
-        # the same traces at a cut-off horizon show nothing about the full run
-        raise BudgetExhausted("quiescence_budget", quiescence_budget)
-    return NonInfectionVerdict("satisfied_to_depth", depth, None, notes)
+        for state in evolved:
+            tb = observable_traces(graft(state, t), ctx, depth)
+            if ta != tb:
+                only_a = tuple(sorted(ta - tb, key=str))[:4]
+                only_b = tuple(sorted(tb - ta, key=str))[:4]
+                return NonInfectionVerdict("violated", depth, (t, only_a, only_b))
+    return NonInfectionVerdict("satisfied_to_depth", depth)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +547,8 @@ def enforcement_sound(ctx_guarded: Context, depth: int = 6) -> bool:
 
 def token_leak_free(ctx_guarded: Context, depth: int = 6, max_states: int = 4000) -> bool:
     """No reachable state shows the token on a published channel, alone or
-    inside a pair, when a tokenless probe runs inside.  Raises
+    inside a pair, when a tokenless probe runs inside: neither the start
+    soup nor a message emitted within ``depth`` reductions.  Raises
     :class:`BudgetExhausted` when ``max_states`` trips before ``depth`` is
     covered."""
     if ctx_guarded.guard is None:
@@ -556,13 +556,11 @@ def token_leak_free(ctx_guarded: Context, depth: int = 6, max_states: int = 4000
     tok = Name(ctx_guarded.guard.token_base)
     published = ctx_guarded.services | ctx_guarded.resources
 
-    def leak(edge):
-        for m in edge.emitted:
-            if m.channel.base in published and any(atom_contains(tok, a) for a in m.args):
-                return m
-        return None
+    def leak(msgs) -> bool:
+        return any(m.channel.base in published and any(atom_contains(tok, a) for a in m.args) for m in msgs)
 
-    return all(
-        search([inject(ctx_guarded.plug(probe))], max_states, horizon=depth, visit=leak) is None
-        for probe in _probe_battery(ctx_guarded)
-    )
+    def leaks(start: Soup) -> bool:
+        shown = leak(start.messages)
+        return shown or search([start], max_states, horizon=depth, visit=lambda e: leak(e.emitted) or None) is not None
+
+    return not any(leaks(inject(ctx_guarded.plug(probe))) for probe in _probe_battery(ctx_guarded))

@@ -50,9 +50,12 @@ from _props import (
 )
 
 
-def report(n, ok, detail, t0):
+def report(n, ok, detail, t0, bound=None):
+    """Print the test's line with its time and, when it has one, the timing
+    bound it must meet; fail the test when it did not pass."""
     status = "PASS" if ok else "FAIL"
-    print(f"\nACCEPTANCE {n:02d} {status} {detail} ({time.time() - t0:.2f}s)")
+    limit = "" if bound is None else f", bound {bound}s"
+    print(f"\nACCEPTANCE {n:02d} {status} {detail} ({time.time() - t0:.2f}s{limit})")
     assert ok, detail
 
 
@@ -107,7 +110,8 @@ def test_01_golden_initial_infection():
     hits = [s for s in states if _infection_state(s)]
     elapsed = time.time() - t0
     ok = bool(hits) and complete and len(states) < 500 and elapsed < 1.0
-    report(1, ok, f"initial infection state found in {len(states)} states, complete={complete}", t0)
+    detail = f"initial infection state found in {len(states)} states, complete={complete}"
+    report(1, ok, detail, t0, bound=1.0)
     # stash for criterion 2
     test_01_golden_initial_infection.final = hits[0]
 
@@ -128,7 +132,7 @@ def test_02_golden_second_infection():
     hits = [s for s in states if _has(s, "content1", "v") and _has(s, "content2", "v")]
     elapsed = time.time() - t0
     ok = bool(hits) and elapsed < 1.0
-    report(2, ok, f"second infection reached (content1<v> and content2<v>)", t0)
+    report(2, ok, f"second infection reached (content1<v> and content2<v>)", t0, bound=1.0)
 
 
 def test_03_class_coverage():
@@ -156,7 +160,7 @@ def test_03_class_coverage():
         outcomes[f"W_{klass}"] = res_w.outcome
     elapsed = time.time() - t0
     ok = all(o == "vulnerable" for o in outcomes.values()) and elapsed < 30.0
-    report(3, ok, f"verdicts {outcomes}", t0)
+    report(3, ok, f"verdicts {outcomes}", t0, bound=30.0)
 
 
 def test_04_companion_behaviour():
@@ -207,7 +211,9 @@ def test_04_companion_behaviour():
     preempt_won = any(st.label.split("&")[0].split("~")[0] == "v" for st in exec2.steps)
     preempt_time = time.time() - t1
     ok = original_kept and viral_ran and preempt_won and rename_time < 1.0 and preempt_time < 1.0
-    report(4, ok, f"rename(read_copy={original_kept}, exec_viral={viral_ran}) preempt={preempt_won}", t0)
+    # the bound holds for each of the two parts
+    detail = f"rename(read_copy={original_kept}, exec_viral={viral_ran}) preempt={preempt_won}"
+    report(4, ok, f"{detail}, parts {rename_time:.2f}s and {preempt_time:.2f}s", t0, bound=1.0)
 
 
 def test_05_rootkit_derivation():
@@ -229,7 +235,7 @@ def test_05_rootkit_derivation():
     benign = any(m.channel.base == "got" and m.args[0] == Name("access") for m in got_access.messages)
     elapsed = time.time() - t0
     ok = hooked and leak and benign and elapsed < 1.0
-    report(5, ok, f"table_hooked={hooked} hook_leak={leak} benign_access={benign}", t0)
+    report(5, ok, f"table_hooked={hooked} hook_leak={leak} benign_access={benign}", t0, bound=1.0)
 
 
 def test_06_decidable_fragment_agreement():
@@ -280,7 +286,7 @@ def test_06_decidable_fragment_agreement():
             checked += 1
     elapsed = time.time() - t0
     ok = decided >= 20 and checked >= 20 and elapsed < 60.0
-    report(6, ok, f"{decided} programs agreed, {checked} net targets cross-checked", t0)
+    report(6, ok, f"{decided} programs agreed, {checked} net targets cross-checked", t0, bound=60.0)
 
 
 def test_07_undecidability_respected():
@@ -326,6 +332,7 @@ def test_08_non_infection_and_isolation():
         f"write={violated.outcome} read={satisfied.outcome} refined_isolates={refined_rep.isolation_holds} "
         f"read_only_isolates={ro_rep.isolation_holds}",
         t0,
+        bound=5.0,
     )
 
 
@@ -374,6 +381,7 @@ def test_09_token_containment():
         ok,
         f"guarded={off.outcome} distributed={back_on.outcome} counted2={two.outcome} counted3={three.outcome}",
         t0,
+        bound=10.0,
     )
 
 
@@ -389,4 +397,4 @@ def test_10_engine_property_suite():
     total += check_substitution_capture(280)
     elapsed = time.time() - t0
     ok = total >= 1000 and elapsed < 60.0
-    report(10, ok, f"{total} generated cases, zero failures", t0)
+    report(10, ok, f"{total} generated cases, zero failures", t0, bound=60.0)

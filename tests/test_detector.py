@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from jcham.canon import canonicalize
 from jcham.contexts import Context, refined_context, worm_topology
 from jcham.desugar import desugar
 from jcham.detector import (
@@ -112,32 +113,39 @@ def test_viral_set_explicit_activation():
 
 
 def test_viral_set_starts_each_completion_once(monkeypatch):
-    # completions that repeat one another (same rules, same message counts)
-    # seed no starts; the searches, and so the verdict and counters, are
-    # those of all completions, whose repeats the search dropped itself
+    # an iteration before the last completes all its replications in one
+    # search, which returns each quiescent state once (one per digest); the
+    # next iteration starts from those states only
     import jcham.detector as detector
 
-    searched = []
-    original = detector.search
+    searched, completed = [], []
+    search, quiescent = detector.search, detector.quiescent
 
     def recorded(starts, *args, **kwargs):
         searched.append(list(starts))
-        return original(starts, *args, **kwargs)
+        return search(starts, *args, **kwargs)
+
+    def completion(hits, *args, **kwargs):
+        completed.append((len(hits), quiescent(hits, *args, **kwargs)))
+        return completed[-1][1]
 
     monkeypatch.setattr(detector, "search", recorded)
+    monkeypatch.setattr(detector, "quiescent", completion)
     v = viral_set_member(refined_context(4), virus("III", targets=[Name(f"sw{i}") for i in range(1, 5)]), iterations=4)
     assert v.vulnerable
-    # the counts with every completion kept: 16, 8 and 8 starts
-    assert (v.stats.states_explored, v.stats.dedup_hits) == (79, 10)
+    # the completion searches count their states and dedup hits with the rest
+    assert (v.stats.states_explored, v.stats.dedup_hits) == (87, 22)
     assert [len(starts) for starts in searched] == [1, 4, 4, 4]
-    for starts in searched:
-        keys = [(s.rules, frozenset(s.messages.items())) for s in starts]
-        assert len(set(keys)) == len(keys)
+    assert [(hits, len(states)) for hits, states in completed] == [(4, 1), (2, 1), (2, 1)]
+    for _, states in completed:
+        digests = [canonicalize(s).digest for s in states]
+        assert len(set(digests)) == len(digests)
 
 
 def test_viral_set_completion_that_keeps_reacting_trips_its_budget():
-    # the virus starts a ticking loop once it has replicated: no hit settles
-    # into a completed state, so none may seed the next iteration
+    # the virus starts a ticking loop once it has replicated: no run of a
+    # replication reaches a quiescent state, so none may seed the next
+    # iteration
     text = pretty(virus("III"))
     ticking = text.replace(
         "in loc_rep(sys_ref(), loc_targ()))", "in loc_rep(sys_ref(), loc_targ()) | (def tick<> |> tick<> in tick<>))"
@@ -145,7 +153,12 @@ def test_viral_set_completion_that_keeps_reacting_trips_its_budget():
     assert ticking != text
     v = viral_set_member(refined_context(2), parse(ticking), iterations=2)
     assert v.outcome == "budget_exhausted"
-    assert v.notes[-2:] == ["budget completion_steps=400 exhausted", "iteration 1 failed"]
+    assert v.notes[-2:] == ["no replication reaches a quiescent state", "iteration 1 failed"]
+    # the first iteration's search keeps 19 states: its completion search
+    # shares the state budget, and a trip there is named like any other
+    v = viral_set_member(refined_context(2), virus("III"), iterations=2, max_states=20)
+    assert v.outcome == "budget_exhausted"
+    assert v.notes[-2:] == ["budget max_states=20 exhausted", "iteration 1 failed"]
 
 
 def test_viral_set_last_iteration_is_not_settled():
@@ -163,7 +176,7 @@ def test_viral_set_last_iteration_is_not_settled():
     assert v.notes[-2:] == ["iteration 1 replicated", "iteration 2 replicated"]
     v = viral_set_member(refined_context(2), parse(ticking), iterations=3)
     assert v.outcome == "budget_exhausted"
-    assert v.notes[-3:] == ["iteration 1 replicated", "budget completion_steps=400 exhausted", "iteration 2 failed"]
+    assert v.notes[-3:] == ["iteration 1 replicated", "no replication reaches a quiescent state", "iteration 2 failed"]
 
 
 def test_viral_set_witness_replays():

@@ -21,6 +21,7 @@ from jcham.engine import (
     inject,
     inject_message,
     is_inert,
+    quiescent,
     reduce,
     reduce_with_info,
     replay,
@@ -243,7 +244,27 @@ def test_a_tripped_search_budget_gives_its_depth_and_frontier():
     e = tripped.value
     assert (e.budget, e.limit, e.depth, e.frontier, str(e)) == ("max_states", 5, 2, 2, "budget max_states=5 exhausted")
     # a budget outside the search has neither
-    assert BudgetExhausted("completion_steps", 400).depth is BudgetExhausted("max_basis", 1).frontier is None
+    assert BudgetExhausted("quiescence_budget", 600).depth is BudgetExhausted("max_basis", 1).frontier is None
+
+
+def test_quiescent_gives_every_stopped_state_once_in_search_order():
+    # go<> and bad<> race for tok<>: each run stops in its own state
+    race = inject(parse("def go<> | tok<> |> 0 and bad<> | tok<> |> out<b> in go<> | bad<> | tok<>"))
+    inert = inject(parse("out<a>"))
+    stats = DetectionStats()
+    states = quiescent([inert, race, inject(parse("out<a>"))], 10, stats=stats)
+    # the inert start first, once; then the runs in redex order
+    assert [bases(s) for s in states] == [["out"], ["bad"], ["go", "out"]]
+    assert states[0] is inert and (stats.states_explored, stats.dedup_hits) == (2, 0)
+    # two runs that stop in congruent soups give one state
+    diamond = inject(parse("def a<> |> x<> and b<> |> y<> in a<> | b<>"))
+    assert [bases(s) for s in quiescent([diamond], 10)] == [["x", "y"]]
+    # a loop stops nowhere, and a chain longer than the budget trips it
+    assert quiescent([inject(parse("def t<> |> t<> in t<>"))], 10) == []
+    with pytest.raises(BudgetExhausted, match="max_states=3"):
+        quiescent([inject(parse("def a<> |> a<> | b<> in a<>"))], 3)
+    with pytest.raises(BudgetExhausted, match="max_depth=1"):
+        quiescent([diamond], 10, max_depth=1)
 
 
 def test_barb_empty_soup():
@@ -534,13 +555,14 @@ def test_states_at_the_horizon_are_not_matched(monkeypatch):
 
 
 def _spied_edges(monkeypatch) -> tuple:
-    """Record every soup canonicalized, and every edge the detector's
-    searches show their visitor, with its answer."""
+    """Record every soup canonicalized, every edge the detector's searches
+    show their visitor, with its answer, and every soup a viral completion
+    starts from."""
     import jcham.canon as canon
     import jcham.detector as detector
 
-    formed, shown = [], []
-    original, search_ = canon.canonicalize, detector.search
+    formed, shown, completed = [], [], []
+    original, search_, quiescent_ = canon.canonicalize, detector.search, detector.quiescent
     monkeypatch.setattr(canon, "canonicalize", lambda soup: formed.append(soup) or original(soup))
 
     def spied(*args, visit=None, **kw):
@@ -552,17 +574,19 @@ def _spied_edges(monkeypatch) -> tuple:
         return search_(*args, visit=shown_to, **kw)
 
     monkeypatch.setattr(detector, "search", spied)
-    return formed, shown
+    monkeypatch.setattr(detector, "quiescent", lambda starts, *a: completed.extend(starts) or quiescent_(starts, *a))
+    return formed, shown, completed
 
 
-def _check_lazy(formed: list, shown: list) -> int:
-    """A cut edge was canonicalized only if its digest was read; a kept
-    edge's step carries its soup's digest.  Returns the cut edges never
-    canonicalized."""
+def _check_lazy(formed: list, shown: list, completed: list) -> int:
+    """A cut edge was canonicalized only if its digest was read or its soup
+    started a completion search; a kept edge's step carries its soup's
+    digest.  Returns the cut edges never canonicalized."""
     ids = {id(s) for s in formed}  # ``formed`` keeps every soup alive
+    started = {id(s) for s in completed}
     cut = [e for e, answer in shown if answer is CUT]
-    assert all((id(e.soup) in ids) == (e.digest_cache is not None) for e in cut)
-    unread = sum(e.digest_cache is None for e in cut)
+    assert all((id(e.soup) in ids) == (e.digest_cache is not None or id(e.soup) in started) for e in cut)
+    unread = sum(id(e.soup) not in ids for e in cut)
     for e, answer in shown:
         if answer is None:
             assert id(e.soup) in ids and e.step.digest == canonicalize(e.soup).digest[:16]
@@ -574,7 +598,7 @@ def test_an_edge_is_canonicalized_only_when_its_step_is_read(monkeypatch):
     from jcham.detector import explore, viral_set_member
     from jcham.malware import MalwareSpec, ReplicationMech, TargetRoutine, build_virus
 
-    formed, shown = _spied_edges(monkeypatch)
+    formed, shown, completed = _spied_edges(monkeypatch)
     rng = random.Random(26)
 
     def visitor(edge):
@@ -599,7 +623,7 @@ def test_an_edge_is_canonicalized_only_when_its_step_is_read(monkeypatch):
             ended += 1
             assert replay(found[0].trace()).messages == found[0].soup.messages
     assert ended > 3 and len(shown) > 1000
-    assert _check_lazy(formed, shown) > 150
+    assert _check_lazy(formed, shown, completed) > 150
     formed.clear(), shown.clear()
     for n in (2, 3):
         targets = tuple(Name(f"sw{i}") for i in range(1, n + 1))
@@ -607,5 +631,7 @@ def test_an_edge_is_canonicalized_only_when_its_step_is_read(monkeypatch):
         for verdict in (viral_set_member(refined_context(n), virus, iterations=n), explore(refined_context(n), virus)):
             assert verdict.outcome == "vulnerable"
             assert replay(verdict.witness).messages
-    # each viral iteration reads the step of its first replication only
-    assert _check_lazy(formed, shown) > 5
+    # a viral search reads the step of its last iteration's first replication
+    # only, and leaves that iteration's second one unread; an earlier
+    # iteration's replications start its completion search
+    assert completed and _check_lazy(formed, shown, completed) == 2

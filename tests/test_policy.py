@@ -128,14 +128,9 @@ def test_non_infection_read_probe_satisfied():
     assert verdict.satisfied and verdict.depth == 6
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 1: noninfect evolves the hosted process along one run, "
-    "the one that fires the first enabled redex",
-)
 def test_non_infection_does_not_depend_on_the_order_of_the_and_clauses():
-    # go<> and bad<> race for tok<>; only bad's run writes evil into sw1
+    # go<> and bad<> race for tok<>; only bad's run writes evil into sw1, and
+    # the hosted process is evolved along every run
     ctx = refined_context(2)
     go, bad = "go<> | tok<> |> 0", "bad<> | tok<> |> sw1(evil); done<>"
     outcomes = {
@@ -201,7 +196,7 @@ def test_tripped_budgets_are_not_verdicts(monkeypatch):
 
 
 def test_a_tripped_quiescence_budget_is_not_a_verdict(monkeypatch):
-    # slow needs 9 steps to reach sw1: cut at 3, the two runs still look alike
+    # slow needs 9 steps to reach sw1: cut at 3 states, nothing quiesced yet
     slow = parse(
         "def slow<n> |> if [n = nil] then sw1(evil) else slow<snd(n)> "
         "in slow<a ++ b ++ c ++ d ++ e ++ f ++ g ++ h ++ nil>"
@@ -210,7 +205,11 @@ def test_a_tripped_quiescence_budget_is_not_a_verdict(monkeypatch):
     cut = non_infection_test(ctx, slow, [READ_TEST], depth=4, quiescence_budget=3)
     assert cut.outcome == "budget_exhausted" and cut.notes == ["budget quiescence_budget=3 exhausted"]
     assert non_infection_test(ctx, slow, [READ_TEST], depth=4).outcome == "violated"
-    monkeypatch.setattr(policy, "settle", lambda soup, budget: (soup, False))
+    # a process none of whose runs stops has no state to compare either
+    ticking = parse("def tick<> |> tick<> in tick<> | sw1(evil); 0")
+    stuck = non_infection_test(ctx, ticking, [READ_TEST], depth=4)
+    assert stuck.outcome == "budget_exhausted" and stuck.notes == ["budget quiescence_budget=600 exhausted"]
+    monkeypatch.setattr(policy, "quiescent", lambda starts, budget: [])
     with pytest.raises(BudgetExhausted):
         enforcement_sound(guarded2())
 
@@ -459,6 +458,43 @@ def test_a_loaded_guard_refuses_an_unguarded_rule_that_mentions_the_token(tmp_pa
     load_context(_PEEK_LEAK.replace("guarded=sw1", "guarded=sw1,peek"))
 
 
+_BODY_LEAK = (
+    "#! services: log  resources: sw1  privileged: ack,content1,sectok\n"
+    "#! guard: token=sectok mode=spatial count=0 guarded=sw1\n"
+    "def sw1(tk, fnew) | content1<f> |> if [tk = sectok] then ((return to sw1) | content1<fnew>) else content1<f>"
+    " and log<x> | ack<> |> 0 and sectok<> |> 0 in content1<f1> | log<sectok> | HOLE\n"
+)
+
+
+def test_a_loaded_guard_refuses_a_template_body_that_mentions_the_token(tmp_path, capsys):
+    from jcham.cli import main
+
+    for text in (_BODY_LEAK, _BODY_LEAK.replace("log<sectok>", "(def x<> |> log<sectok> in x<>)")):
+        with pytest.raises(ContextError, match="the template body mentions the token sectok"):
+            load_context(text)
+    path = tmp_path / "leak.jc"
+    path.write_text(_BODY_LEAK)
+    with pytest.raises(SystemExit) as stop:
+        main(["policy", "enforce", "--context", str(path)])
+    assert stop.value.code == 65
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "the template body mentions the token sectok\n"
+    load_context(_BODY_LEAK.replace(" | log<sectok>", ""))
+
+
+def test_token_leak_free_reads_the_start_soup():
+    from dataclasses import replace
+
+    clean = load_context(_BODY_LEAK.replace(" | log<sectok>", ""))
+    assert token_leak_free(clean)
+    # the same context with log<sectok> in its body, built past the check
+    # that refuses it: the token is on a published channel before any step
+    t = clean.template
+    leaky = replace(clean, template=LocalDef(t.defs, par(Message(Name("log"), (NameRef(Name("sectok")),)), t.body)))
+    assert barb(inject(leaky.plug(Null())), Name("log"), Name("sectok"))
+    assert not token_leak_free(leaky)
+
+
 def test_isolation_implies_noninfection_for_probes():
     ctx = read_only_context()
     assert classify_context(ctx).isolation_holds
@@ -514,8 +550,8 @@ def test_enforcement_sound_refuses_an_unstable_guarded_context_before_any_probe(
     # a rule and a message that react without any plugged process
     ticking = Rule(MsgPat(Name("tick"), ()), Message(Name("tick"), ()))
     unstable = replace(g, template=LocalDef(conj_of([ticking]), par(Message(Name("tick"), ()), g.template)))
-    settled = []
-    monkeypatch.setattr(policy, "settle", lambda soup, budget: settled.append(soup) or (soup, True))
+    evolved = []
+    monkeypatch.setattr(policy, "quiescent", lambda starts, budget: evolved.extend(starts) or list(starts))
     with pytest.raises(UnstableContext):
         enforcement_sound(unstable)
-    assert settled == []
+    assert evolved == []

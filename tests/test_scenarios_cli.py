@@ -99,7 +99,7 @@ CORPUS_DEDUP = {
     "diverge.scn": (400, 197),
     "null.scn": (1, 0),
     "rootkit.scn": (17, 9),
-    "token_counted.scn": (73, 21),
+    "token_counted.scn": (79, 31),
     "token_distributed.scn": (27, 11),
     "token_spatial.scn": (20, 7),
     "toy_petri.scn": (1, 0),
@@ -494,14 +494,30 @@ def test_cli_policy_noninfect_prints_distinguishing_traces(tmp_path):
     # the traces differ after a shared prefix, so formatting them sorts
     # tuples of observations
     proc = tmp_path / "P.jc"
-    proc.write_text("def tick<> |> tick<> in def go<> |> (sw1(evil); 0) in tick<> | go<>")
+    proc.write_text("def go<> |> (sw1(evil); 0) in go<>")
+    test = tmp_path / "t.jc"
+    test.write_text("let x = sr2() in (observed<x> | let y = sr1() in observed<y>)")
     code, out, err = cli(
-        "policy", "noninfect", "--context", "refined(n=2)", "--process", str(proc),
-        "--tests", corpus_path("probe_read.jc"),
+        "policy", "noninfect", "--context", "refined(n=2)", "--process", str(proc), "--tests", str(test),
     )
     assert code == 1, err
     assert "Traceback" not in err
-    assert "evolved-only traces:  [('observed<f1>', 'sw1<evil, k>')," in out
+    assert "evolved-only traces:  [('observed<f2>', 'sr1<k>', 'observed<evil>')]" in out
+
+
+def test_cli_policy_noninfect_does_not_depend_on_the_order_of_the_and_clauses(tmp_path):
+    # go<> and bad<> race for tok<>: the run in which bad<> wins writes evil
+    # into sw1, whichever clause is written first
+    go, bad = "go<> | tok<> |> 0", "bad<> | tok<> |> sw1(evil); done<>"
+    for name, first, second in (("P.jc", go, bad), ("Q.jc", bad, go)):
+        proc = tmp_path / name
+        proc.write_text(f"def {first} and {second} in go<> | bad<> | tok<>")
+        code, out, err = cli(
+            "policy", "noninfect", "--context", "refined(n=2)", "--process", str(proc),
+            "--tests", corpus_path("probe_read.jc"), "--depth", "6",
+        )
+        assert code == 1, (name, err)
+        assert out.splitlines()[0] == "outcome: violated(depth=6)", name
 
 
 def test_cli_viral_set_honours_max_depth(tmp_path):
