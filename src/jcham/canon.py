@@ -23,21 +23,35 @@ messages come and go, so a search meets few rules tuples and many message
 multisets over each.  The rules part of a rules tuple is computed once: its
 indexed names, the stable colouring of those names over the rules alone
 (from their bases) and the loose names (those sharing their colour with
-another; the others are fixed).  When every name a message carries occurs
-in a rule and is fixed there, the digest renders only the messages, under
-the order of the names over the rules alone (colour order, or the
-component order below when some are loose), after the sorted rendering of
-all rules in that order.  That order and that rendering are built when a
-state of the rules tuple first takes this route, and each message is
-rendered under the order once.  This is what the joint route below
-gives: messages on fixed names split no class of a stable colouring, and
-the components hold only rule items, the same ones at the same indices.
+another; the others are fixed).  A rules tuple usually extends one met
+before by the rules a reaction activated, so its part extends the part of
+the nearest prefix that has one: the skeletons, the names, their numbering
+and the slotted rules are copied and only the appended rules are added.
+Names are numbered in order of first occurrence in the rules tuple, so a
+prefix's numbering is the start of the longer tuple's; the colours, the
+loose names and every rendering do not depend on the numbering (only which
+name a tripped branch budget individualizes does, and an extended part
+numbers as a fresh one).  The colouring itself is refined from the bases
+over all rules again.
+
+When every name a message carries occurs in a rule and is fixed there, the
+digest renders only the messages, under the order of the names over the
+rules alone (colour order, or the component order below when some are
+loose), after the sorted rendering of all rules in that order.  That order
+and that rendering are built when a state of the rules tuple first takes
+this route, and each message is rendered under the order once.  This is
+what the joint route below gives: messages on fixed names split no class
+of a stable colouring, and the components hold only rule items, the same
+ones at the same indices.
 Otherwise a soup's names are refined jointly over all items, starting from
 the rules' colours for the names the rules mention and from the base for
 the names only messages carry.  The joint partition refines the rules'
 one, so its classes are those a refinement from bases alone reaches; only
 the order of the colours differs.  Refinement stops as soon as the
 partition is discrete, which is stable, so no round is spent confirming it.
+The rules part keeps the sorted rendering of all rules by the marks the
+joint order gives the rules' names, so a state whose rules come out marked
+as in a state met before renders only its messages.
 
 Only the doubtful items enter the joint refinement and the component order:
 the rules with a loose name (listed once per rules part) and the messages
@@ -106,7 +120,8 @@ def canonicalize(soup: Soup) -> CanonicalForm:
     rules = soup.rules
     memo, part = rules.canon_memo, rules.canon_part
     if part is None:
-        part = rules.canon_part = _rules_part(rules)
+        part = rules.canon_part = _rules_part(rules, rules.canon_base)
+        rules.canon_base = None
         part.table = memo.setdefault(_COMPONENTS, {})
     items = soup.messages.items()
     rendered = part.rendered
@@ -133,14 +148,16 @@ class _RulesPart:
     rules-only order, and what is rendered under it, are built when a state
     first takes the rules-only route."""
 
-    names: List[Name]  # the rules' indexed names, sorted
+    names: List[Name]  # the rules' indexed names, in order of first occurrence
     number: Dict[Name, int]  # each name's position in ``names``
     flats: List[_Flat]  # every rule
+    # the rules with a slot, numbered by ``number``, and their skeletons
+    slotted: List[SlotItem]
+    slotted_flats: List[_Flat]
     colors: List[int]  # the stable colouring of ``names`` over the rules alone
     loose: frozenset  # the names that share their colour with another
-    # the rules with a loose name, numbered by ``number``, and their
-    # skeletons: the only rules that refinement and component order can
-    # read something from
+    # the rules with a loose name, and their skeletons: the only rules that
+    # refinement and component order can read something from
     doubtful: List[SlotItem]
     doubtful_flats: List[_Flat]
     # component results: the table of the rules value's memo, shared by
@@ -148,6 +165,8 @@ class _RulesPart:
     table: dict = field(default_factory=dict, repr=False)
     # each (message, count) whose names the rules fix, rendered under ``marks``
     rendered: Dict[Tuple[GroundMessage, int], str] = field(default_factory=dict)
+    # the sorted rendering of all rules, by the marks of ``names`` it is under
+    sections: Dict[Tuple[str, ...], str] = field(default_factory=dict, repr=False)
 
     @cached_property
     def marks(self) -> Dict[Name, str]:
@@ -160,25 +179,48 @@ class _RulesPart:
     @cached_property
     def rendering(self) -> str:
         """The sorted rendering of all rules under ``marks``."""
-        return ";".join(sorted(_render(f.toks, self.marks) for f in self.flats))
+        return self.section(self.marks)
+
+    def section(self, marks: Dict[Name, str]) -> str:
+        """The sorted rendering of all rules under ``marks``, which marks
+        every name of the rules; rendered once per distinct marking."""
+        key = tuple([marks[n] for n in self.names])
+        s = self.sections.get(key)
+        if s is None:
+            s = self.sections[key] = ";".join(sorted(_render(f.toks, marks) for f in self.flats))
+        return s
 
     def fixes(self, flat: _Flat) -> bool:
         """Every name the item carries occurs in a rule and is fixed there."""
         return all(n in self.number and n not in self.loose for n in flat.slots)
 
 
-def _rules_part(rules: Tuple[ActiveRule, ...]) -> _RulesPart:
-    flats = [_rule_flat(r) for r in rules]
-    names = _sorted_names(n for f in flats for n in f.slots)
-    number = {n: i for i, n in enumerate(names)}
-    slotted_flats = [f for f in flats if f.slots]
-    slotted = [(f.shape, tuple([number[n] for n in f.slots])) for f in slotted_flats]
+def _rules_part(rules: Tuple[ActiveRule, ...], base: Optional[_RulesPart] = None) -> _RulesPart:
+    """The rules part of ``rules``, extending ``base``, the part of a prefix
+    of them, when given: its names, numbering and slotted items are copied
+    and only the rules after the prefix are added.  The colouring is refined
+    from the bases over all rules."""
+    if base is None:
+        names, number, flats, slotted, slotted_flats = [], {}, [], [], []
+    else:
+        names, number, flats = list(base.names), dict(base.number), list(base.flats)
+        slotted, slotted_flats = list(base.slotted), list(base.slotted_flats)
+    for r in rules[len(flats) :]:
+        f = _rule_flat(r)
+        flats.append(f)
+        if f.slots:
+            for n in f.slots:
+                if n not in number:
+                    number[n] = len(names)
+                    names.append(n)
+            slotted.append((f.shape, tuple([number[n] for n in f.slots])))
+            slotted_flats.append(f)
     colors = _refine_fixpoint(slotted, _ranks([n.base for n in names]))
     size = Counter(colors)
     loose = {i for i, c in enumerate(colors) if size[c] > 1}
     doubtful = [k for k, (_, ids) in enumerate(slotted) if not loose.isdisjoint(ids)]
     return _RulesPart(
-        names, number, flats, colors, frozenset(names[i] for i in loose),
+        names, number, flats, slotted, slotted_flats, colors, frozenset(names[i] for i in loose),
         [slotted[k] for k in doubtful], [slotted_flats[k] for k in doubtful],
     )
 
@@ -189,7 +231,8 @@ def _joint_serialization(part: _RulesPart, msgs: List[_Flat], outside: List[Name
     carry.  The rules' colouring is stable over the rules, so refinement
     reads only the doubtful items (the rules with a loose name and the
     messages with a loose or outside name), and its first round signs only
-    the classes of the names those messages carry."""
+    the classes of the names those messages carry.  The rules are rendered
+    once per distinct marking of their names."""
     fresh = part.names + outside
     number = dict(part.number)
     number.update((n, i) for i, n in enumerate(outside, len(part.names)))
@@ -203,8 +246,8 @@ def _joint_serialization(part: _RulesPart, msgs: List[_Flat], outside: List[Name
     else:
         flats = part.doubtful_flats + doubtful
         order = _component_order(slotted, flats, len(part.doubtful), fresh, colors, part.table)
-    skeletons = [("rule", f.toks) for f in part.flats] + [("msg", f.toks) for f in msgs]
-    return _serialize_soup(skeletons, {fresh[i]: f"{fresh[i].base}%{p}" for p, i in enumerate(order)})
+    marks = {fresh[i]: f"{fresh[i].base}%{p}" for p, i in enumerate(order)}
+    return part.section(marks) + "//" + ";".join(sorted(_render(f.toks, marks) for f in msgs))
 
 
 def congruent(a: Soup, b: Soup) -> bool:
@@ -229,11 +272,11 @@ def _sorted_names(names: Iterable[Name]) -> List[Name]:
 # colours there are integer ranks, not hashes of renderings.  The soup is
 # serialized once, joining tokens under the final order, so an item without
 # slots is rendered once per call (the rules not at all when the messages
-# carry only fixed names); only the items of a component are rendered
-# per candidate order of that component.  A rule's skeleton is built once
-# and kept on the ActiveRule (rules persist across states); a message's
-# skeleton carries its multiplicity, and the rules value's memo keeps one
-# per (message, count) met.
+# carry only fixed names or the rules' marks were met before); only the
+# items of a component are rendered per candidate order of that component.
+# A rule's skeleton is built once and kept on the ActiveRule (rules persist
+# across states); a message's skeleton carries its multiplicity, and the
+# rules value's memo keeps one per (message, count) met.
 # Composite structure (parallel parts, nested rules) is ordered by the
 # base-name projection of the part skeletons, which does not depend on the
 # coloring; ties keep their syntactic order.
@@ -249,10 +292,6 @@ def _base_proj(toks: Skeleton) -> str:
 def _render(toks: Skeleton, colors: Dict[Name, str]) -> str:
     # a mark is never empty, so ``or`` builds the fallback only on a miss
     return "".join(t if isinstance(t, str) else colors.get(t) or f"?{t.base}" for t in toks)
-
-
-def _slots(toks: Skeleton) -> Slots:
-    return tuple(t for t in toks if isinstance(t, Name))
 
 
 class _Skel:
@@ -384,6 +423,21 @@ class _Flat(NamedTuple):
     toks: Skeleton
     slots: Slots
     shape: str  # the base projection
+    # the literals with their positions: with the slots, they give back the skeleton
+    lits: Tuple[Tuple[int, str], ...]
+
+
+def _flat(toks: Skeleton) -> _Flat:
+    # one pass: this runs for every message skeleton a lineage meets
+    slots, proj, lits = [], [], []
+    for j, t in enumerate(toks):
+        if t.__class__ is str:
+            proj.append(t)
+            lits.append((j, t))
+        else:
+            slots.append(t)
+            proj.append("~" + t.base)
+    return _Flat(toks, tuple(slots), "".join(proj), tuple(lits))
 
 
 def _message_flat(m: GroundMessage, count: int) -> _Flat:
@@ -396,7 +450,7 @@ def _message_flat(m: GroundMessage, count: int) -> _Flat:
             sk.lit(",")
         sk.value(a, {})
     sk.lit(">")
-    return _Flat(sk.toks, _slots(sk.toks), _base_proj(sk.toks))
+    return _flat(sk.toks)
 
 
 def _memo_flat(item: Tuple[GroundMessage, int], memo: dict) -> _Flat:
@@ -410,8 +464,7 @@ def _rule_flat(r: ActiveRule) -> _Flat:
     if r.canon_skeleton is None:
         sk = _Skel()
         sk.rule(r.heads, r.body, {})
-        toks = tuple(sk.toks)
-        object.__setattr__(r, "canon_skeleton", _Flat(toks, _slots(toks), _base_proj(toks)))
+        object.__setattr__(r, "canon_skeleton", _flat(tuple(sk.toks)))
     return r.canon_skeleton
 
 
@@ -432,7 +485,8 @@ def _serialize_soup(skeletons: List[Tuple[str, Skeleton]], colors: Dict[Name, st
 # and the colours of its slots, and at which slot.  So each round refines
 # the last; the fixpoint is reached when no class splits, or at once when
 # every class is a single name (a discrete start is returned as it is; any
-# other comes back ranked 0..k-1, split or not).
+# other comes back ranked 0..k-1, split or not; a start that runs 0..k-1
+# already is not ranked again, but refined in place).
 #
 # A round works class by class, in colour order.  A class of one name stays
 # one class, so only the names of larger classes are signed, through an
@@ -460,10 +514,12 @@ def _ranks(keys: list) -> List[int]:
 
 
 def _refine_fixpoint(slotted: List[SlotItem], colors: List[int], seeds: Optional[Iterable[int]] = None) -> List[int]:
-    if len(set(colors)) == len(colors):
+    classes = set(colors)
+    if len(classes) == len(colors):
         return colors
-    colors = _ranks(colors)
-    cells: List[List[int]] = [[] for _ in range(max(colors) + 1)]
+    if min(classes) != 0 or max(classes) != len(classes) - 1:
+        colors = _ranks(colors)
+    cells: List[List[int]] = [[] for _ in range(len(classes))]
     for i, c in enumerate(colors):
         cells[c].append(i)
     # the occurrences, as (item, slot), of the names in doubt: only they can split
@@ -599,11 +655,7 @@ def _component_order(
         vertices = names + sorted({i for k in ks for i in slotted[k][1]}.difference(names))
         local = {g: v for v, g in enumerate(vertices)}
         sub = [(slotted[k][0], tuple(local[i] for i in slotted[k][1])) for k in ks]
-        # each item's literals with their positions, with the slots, give back its skeleton
-        shown = sorted(
-            (k < rules, shape, ids, tuple([(j, t) for j, t in enumerate(flats[k].toks) if t.__class__ is str]))
-            for k, (shape, ids) in zip(ks, sub)
-        )
+        shown = sorted((k < rules, shape, ids, flats[k].lits) for k, (shape, ids) in zip(ks, sub))
         key = (tuple(shown), tuple(colors[g] for g in vertices), len(names))
         found = table.get(key)
         if found is None:

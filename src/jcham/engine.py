@@ -133,17 +133,21 @@ class ActiveRule:
 
 class Rules(tuple):
     """A soup's activated rules, with what is derived from them alone: its
-    hash, computed once; ``heads``, the head index of :func:`enabled_redexes`,
-    built at the first match or extended from the parent's when ``heat``
-    appends rules with ``+``; ``canon_part``, ``canon``'s rules part, built
-    on first use; and ``canon_memo``, ``canon``'s message skeletons and
-    component results, one dict that ``+`` hands on to every value extended
-    from this one.  ``+`` keeps the values it made by the rules appended, so
-    two paths that append equal rules to one value share the value they
-    reach, and its caches.  ``fired`` keeps what each reduction over this
-    value heated, by (rule index, binding, fresh counter): the rules value
-    reached, the messages emitted in order and the counter after.  That is
-    all ``heat`` changes, and it reads nothing else of the soup, so
+    hash, computed once; ``heads``, the head index of
+    :func:`enabled_redexes`, built at the first match or extended from the
+    parent's when ``heat`` appends rules with ``+``; ``canon_part``,
+    ``canon``'s rules part, built on first use; ``canon_base``, the part of
+    the nearest prefix that had one when ``+`` made this value (its own
+    part, or its own ``canon_base``), which ``canon`` extends by the
+    appended rules and drops once this value's part is built; and
+    ``canon_memo``, ``canon``'s message skeletons and component results,
+    one dict that ``+`` hands on to every value extended from this one.
+    ``+`` keeps the values it made by the rules appended, so two paths that
+    append equal rules to one value share the value they reach, and its
+    caches.  ``fired`` keeps what each reduction over this value heated, by
+    (rule index, binding, fresh counter): the rules value reached, the
+    messages emitted in order and the counter after.  That is all ``heat``
+    changes, and it reads nothing else of the soup, so
     :func:`reduce_with_info` replays an entry instead of heating the body
     again.  An entry stores None for the rules value when the firing
     appended no rule: the value itself would put it in its own dict, a
@@ -152,6 +156,7 @@ class Rules(tuple):
 
     heads: Optional[tuple[dict, dict]] = None
     canon_part: Optional[object] = None
+    canon_base: Optional[object] = None
     hash_cache: Optional[int] = None
 
     def __init__(self, rules: Iterable[ActiveRule] = ()):
@@ -172,6 +177,7 @@ class Rules(tuple):
         if out is None:
             out = self.extended[more] = Rules(chain(self, more))
             out.canon_memo = self.canon_memo
+            out.canon_base = self.canon_part if self.canon_part is not None else self.canon_base
             if self.heads is not None:
                 out.heads = _head_index(out, len(self), self.heads)
         return out
@@ -627,6 +633,18 @@ def search(
     present.  ``enabled_redexes`` derives the state's list from them, equal
     to matching it afresh; start states are matched afresh.
     """
+    walk = _walk(starts, max_states, max_depth, horizon, stats, label, root_label, visit)
+    while True:
+        try:
+            next(walk)
+        except StopIteration as end:
+            return end.value
+
+
+def _walk(starts, max_states, max_depth, horizon, stats, label, root_label, visit):
+    """The loop of :func:`search`, which returns what ``search`` returns;
+    it yields ``(key, soup, redexes)`` for each state it expands, in queue
+    order, once the state's redex list is derived."""
     from .canon import canonicalize
 
     stats = stats if stats is not None else DetectionStats()
@@ -646,6 +664,7 @@ def search(
         if depth == horizon:
             continue
         redexes = enabled_redexes(soup, since)
+        yield key, soup, redexes
         for r in redexes:
             s2, emitted = reduce_with_info(soup, r)
             lab = label(key[1], r, s2, emitted) if label is not None else root_label
@@ -674,21 +693,11 @@ def quiescent(starts: Sequence[Soup], max_states: int, max_depth: Optional[int] 
               stats: Optional[DetectionStats] = None) -> list[Soup]:
     """Every soup reachable from ``starts`` that no redex can change, one per
     canonical digest, in :func:`search` order: the inert starts, then each
-    kept edge whose soup has no enabled redex.  The budgets and ``stats``
-    are those of ``search``, which raises :class:`BudgetExhausted`."""
-    from .canon import canonicalize
-
-    found: dict[str, Soup] = {}
-    for s in starts:
-        if not enabled_redexes(s):
-            found.setdefault(canonicalize(s).digest, s)
-
-    def visit(edge: Edge) -> None:
-        if (edge.digest, None) not in edge.tree and not enabled_redexes(edge.soup):
-            found.setdefault(edge.digest, edge.soup)
-
-    search(starts, max_states, max_depth, stats=stats, visit=visit)
-    return list(found.values())
+    kept state with no enabled redex, read off the redex list the search
+    derives when it expands the state.  The budgets and ``stats`` are those
+    of ``search``, which raises :class:`BudgetExhausted`."""
+    return [soup for _, soup, redexes in _walk(starts, max_states, max_depth, None, stats, None, None, None)
+            if not redexes]
 
 
 # ---------------------------------------------------------------------------

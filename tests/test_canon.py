@@ -479,7 +479,7 @@ def test_memo_closes_a_diamond_with_one_rules_part(monkeypatch):
     soup = inject(parse("def x<> |> 0 and y<> |> 0 in x<> | y<>"))
     built, edges = [], []
     rules_part = canon._rules_part
-    monkeypatch.setattr(canon, "_rules_part", lambda rules: built.append(rules) or rules_part(rules))
+    monkeypatch.setattr(canon, "_rules_part", lambda rules, base=None: built.append(rules) or rules_part(rules, base))
     memoized = DetectionStats()
     assert search([soup], 10, stats=memoized, visit=edges.append) is None
     # x then y and y then x both reach the soup with no messages left
@@ -796,9 +796,9 @@ def test_rules_part_is_built_once_per_rules_tuple_in_a_search(monkeypatch):
     built, calls = [], [0]
     rules_part, canonicalize_ = canon._rules_part, canon.canonicalize
 
-    def counted_part(rules):
+    def counted_part(rules, base=None):
         built.append(rules)
-        return rules_part(rules)
+        return rules_part(rules, base)
 
     def counted(soup):
         calls[0] += 1
@@ -810,6 +810,91 @@ def test_rules_part_is_built_once_per_rules_tuple_in_a_search(monkeypatch):
     assert search([inject(refined_context(2).plug(_class_iii_virus(2)))], 500, stats=stats) is None
     # two paths that append equal rules to one value reach one value
     assert len(built) == len(set(built)) and 1 < len(built) < stats.states_explored < calls[0]
+
+
+# -- a rules value's part extends the part of its nearest prefix
+
+
+def test_extended_rules_part_agrees_with_a_fresh_one(monkeypatch):
+    import glob
+    import os
+
+    import jcham.canon as canon
+    from _gen import fragment_instance
+    from jcham.cli import corpus_path
+    from jcham.contexts import refined_context
+    from jcham.detector import viral_set_member
+    from jcham.engine import BudgetExhausted, search
+    from jcham.scenarios import build_context, build_process, load_scenario
+
+    built = []
+    rules_part = canon._rules_part
+    monkeypatch.setattr(canon, "_rules_part", lambda rules, base=None: built.append((rules, base)) or rules_part(rules, base))
+    starts = []
+    rng = random.Random(31)
+    for _ in range(30):
+        ctx, program, _ = fragment_instance(rng)
+        starts.append(inject(ctx.plug(program)))
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(corpus_path("inert.jc")), "*.scn"))):
+        scenario = load_scenario(path)
+        starts.append(inject(build_context(scenario.context_spec).plug(build_process(scenario)[0])))
+    for start in starts:
+        try:
+            search([start], 300, horizon=6)
+        except BudgetExhausted:
+            pass
+    for n in (2, 3, 4):
+        assert viral_set_member(refined_context(n), _class_iii_virus(n), iterations=n).outcome == "vulnerable"
+    sections = 0
+    for rules, base in built:
+        part, fresh = rules.canon_part, rules_part(rules)
+        if base is not None:
+            # the base is the part of a prefix, and the extension numbers
+            # the names as a fresh part does, by first occurrence
+            assert base.flats == fresh.flats[: len(base.flats)] and base.names == fresh.names[: len(base.names)]
+        assert (part.names, part.number, part.flats, part.slotted) == (fresh.names, fresh.number, fresh.flats, fresh.slotted)
+        assert (part.colors, part.loose) == (fresh.colors, fresh.loose)
+        assert (part.doubtful, part.doubtful_flats) == (fresh.doubtful, fresh.doubtful_flats)
+        # every rules section the joint route kept is the full render of the rules
+        for key, section in part.sections.items():
+            marks = dict(zip(part.names, key))
+            assert section == ";".join(sorted(_render(f.toks, marks) for f in fresh.flats))
+            sections += 1
+        assert (part.marks, part.rendering) == (fresh.marks, fresh.rendering)
+    extended = sum(base is not None for _, base in built)
+    assert extended > 50 and len(built) - extended > 20 and sections > 50
+
+
+def test_a_rules_value_drops_its_base_and_leaves_no_reference_cycle():
+    import gc
+
+    from jcham.engine import search
+
+    # each firing of mk appends a rule to the soup's rules value
+    source = "def mk<v> |> (def x<> |> v<> in go<x>) | mk<v> and go<y> |> y<> in mk<p> | mk<q>"
+
+    def lineage() -> list:
+        edges = []
+        search([inject(parse(source))], 40, horizon=4, visit=edges.append)
+        return [e.soup.rules for e in edges]
+
+    values = lineage()
+    assert len({id(r) for r in values}) > 4
+    # every edge was canonicalized: its value has its part and no base
+    assert all(r.canon_part is not None and r.canon_base is None for r in values)
+    grown = values[0] + (ActiveRule(values[0][0].heads, values[0][0].body),)
+    assert grown.canon_base is values[0].canon_part is not None
+    canonicalize(Soup(grown))
+    assert grown.canon_base is None and grown.canon_part is not None
+    del values, grown
+    # building a lineage's parts leaves no garbage for the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        lineage()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- hashes cached on the object, outside equality, ordering and repr

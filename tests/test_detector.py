@@ -443,7 +443,7 @@ def test_a_witness_trace_keeps_no_search_cache(monkeypatch):
             start = verdict.witness.initial.rules
             # an equal rules value of its own, which no search matched or canonicalized
             assert any(start == r for r in searched) and all(start is not r for r in searched)
-            assert start.heads is None and start.canon_part is None and not start.canon_memo
+            assert start.heads is None and start.canon_part is start.canon_base is None and not start.canon_memo
             # every recorded digest is reproduced
             replay(verdict.witness)
 

@@ -173,9 +173,9 @@ def test_run_and_replay_keep_one_memo_per_trace(monkeypatch):
         soup = inject(parse(fh.read()))
     parts = [0]
 
-    def counted_part(rules):
+    def counted_part(rules, base=None):
         parts[0] += 1
-        return rules_part(rules)
+        return rules_part(rules, base)
 
     rules_part = canon._rules_part
     monkeypatch.setattr(canon, "_rules_part", counted_part)
